@@ -4,22 +4,21 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint test bench bench-compare stress scenarios fuzz-short docs-drift
+.PHONY: check build vet lint test bench stress scenarios fuzz-short docs-drift
 
 ## check: the full gate — build everything, lint (gofmt + vet), verify
 ## the metric docs are in sync, test under -race (including the
-## fast-path and per-thread-log equivalence properties in
-## internal/sched and internal/core), stress the search engine, run
-## the failure-injection matrix and generator sweep, and give every
-## fuzz target a short budget (which includes the per-thread merge
-## fuzzer FuzzShardMergeRoundTrip and the scenario-generator
-## round-tripper FuzzScenarioGen). The bench comparison is advisory
-## here (the leading -): recorded BENCH numbers came from whatever
-## host wrote them, so a drift warning must not fail an unrelated
-## change — run bench-compare directly for the enforcing exit code.
+## fast-path equivalence properties in internal/sched and internal/core
+## and the concurrent-recording gate TestRecordConcurrentRaceClean),
+## stress the search engine, run the failure-injection matrix and
+## generator sweep, give every fuzz target a short budget (which
+## includes the scenario-generator round-tripper FuzzScenarioGen), and
+## vet and smoke-test the benchmark module in bench/ — it builds
+## against internal/..., so an internal API change that breaks it
+## fails here.
 check: build lint docs-drift stress scenarios fuzz-short
 	$(GO) test -race ./...
-	-$(GO) run ./cmd/benchcmp
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -76,32 +75,23 @@ fuzz-short:
 ## wire-format/harness-pool benches (BenchmarkEncodeSketch*,
 ## BenchmarkHarnessMatrix*), and the grant-loop trio
 ## (BenchmarkSchedulingPoint/SingleStep/Batch) with its zero-alloc
-## gate (TestSchedGrantLoopAllocFree). presperf distills the headline
-## numbers — encode bytes/entry and ns/entry per scheme v1 vs v2,
-## E2/E8 matrix wall-clock at -j1 vs -j GOMAXPROCS, the run-grant
-## fast path's per-app steps/sec, handoffs/step, and allocs/step
-## before vs after (at each -procs setting), the record path's
-## global-log vs per-thread-log fleet throughput across the -procs
-## sweep, the always-on record path's epoch-ring-off vs epoch-ring-on
-## before/after, and the replay search's prefix-snapshots-off vs -on
-## step-work comparison per bug and policy — into BENCH_pr10.json.
+## gate (TestSchedGrantLoopAllocFree); then the end-to-end benchmark
+## (bench/README.md) over all four workloads. To compare two trees, run
+## bench with -out in each and diff the files with
+## `cd bench && go run . -compare a.jsonl b.jsonl`.
 bench:
 	$(GO) test -run TestSchedGrantLoopAllocFree -bench . -benchtime 1s .
-	$(GO) run ./cmd/presperf -out BENCH_pr10.json -procs 1,2,4
-
-## bench-compare: diff the two newest BENCH_*.json reports (presperf
-## output) and fail if a shared headline — per-app best steps/sec,
-## per-scheme encoded bytes/entry — regressed by more than 10%.
-bench-compare:
-	$(GO) run ./cmd/benchcmp
+	bash bench/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
 ## docs-drift: every pres_-prefixed metric name registered anywhere in
 ## the source (internal/obs wiring in sched/core/harness/cmd) must have
-## a row in OBSERVABILITY.md, and every CLI flag README.md mentions in
-## inline code (`-flag`) must be registered by some tool in cmd/; a
-## metric or flag documented without code (or vice versa) fails the
-## gate. FLAG_ALLOW lists README tokens that look like flags but are
-## not ours (e.g. go test's -race).
+## a row in OBSERVABILITY.md and, in reverse, every metric-table row
+## (`| \`pres_...`) in OBSERVABILITY.md must name a metric registered
+## in non-test code; every CLI flag README.md mentions in inline code
+## (`-flag`) must be registered by some tool in cmd/ or by the
+## benchmark in bench/. A metric or flag documented without code (or
+## vice versa) fails the gate. FLAG_ALLOW lists README tokens that look
+## like flags but are not ours (e.g. go test's -race).
 FLAG_ALLOW = race bench benchtime
 docs-drift:
 	@set -e; \
@@ -112,12 +102,18 @@ docs-drift:
 			echo "docs-drift: metric $$n is registered in code but missing from OBSERVABILITY.md"; missing=1; \
 		fi; \
 	done; \
+	rows=$$(grep -oE '^\| `pres_[a-z_]+' OBSERVABILITY.md | sed 's/^| `//' | sort -u); \
+	for r in $$rows; do \
+		if ! echo "$$names" | grep -qx "$$r"; then \
+			echo "docs-drift: metric $$r has a row in OBSERVABILITY.md but no non-test code registers it"; missing=1; \
+		fi; \
+	done; \
 	flags=$$(grep -ohE '[`]-[a-z][a-z0-9-]*' README.md | sed 's/^..//' | sort -u); \
 	for f in $$flags; do \
 		case " $(FLAG_ALLOW) " in *" $$f "*) continue;; esac; \
-		if ! grep -qrE "\"$$f\"" --include='*.go' cmd; then \
-			echo "docs-drift: flag -$$f is documented in README.md but no tool in cmd/ registers it"; missing=1; \
+		if ! grep -qrE "\"$$f\"" --include='*.go' cmd bench; then \
+			echo "docs-drift: flag -$$f is documented in README.md but no tool in cmd/ or bench/ registers it"; missing=1; \
 		fi; \
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
-	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics and $$(echo "$$flags" | wc -l) README flags all in sync"
+	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics, $$(echo "$$rows" | wc -l) OBSERVABILITY.md rows and $$(echo "$$flags" | wc -l) README flags all in sync"

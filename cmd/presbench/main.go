@@ -41,7 +41,6 @@ func main() {
 	replays := flag.Int("e6-replays", 100, "re-replays per bug in E6")
 	jobs := flag.Int("j", 0, "experiment cells run in parallel (0 = GOMAXPROCS, 1 = sequential; tables are identical at any value)")
 	workers := flag.Int("workers", 0, "work-stealing attempt workers per replay search (0 = sequential)")
-	perThreadLog := flag.Bool("per-thread-log", false, "record production runs into per-thread sketch shards merged at encode time (identical tables; E2/E7 overheads reflect the cheaper append)")
 	adaptive := flag.Bool("adaptive", false, "let each search's worker pool retune itself from occupancy")
 	cacheSize := flag.Int("search-cache", 0, "shared schedule-cache capacity in attempts (0 disables, -1 = default size)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the whole run (0 = none); SIGINT also cancels gracefully")
@@ -85,7 +84,6 @@ func main() {
 		Jobs:            *jobs,
 		Workers:         *workers,
 		AdaptiveWorkers: *adaptive,
-		PerThreadLog:    *perThreadLog,
 	}
 	if *cacheSize != 0 {
 		size := *cacheSize

@@ -32,7 +32,6 @@ func main() {
 	scale := flag.Int("scale", 0, "workload scale (0 = app default)")
 	worldSeed := flag.Int64("world-seed", 1, "virtual syscall world seed")
 	fixed := flag.Bool("fixed", false, "run the patched (bug-free) variant")
-	perThreadLog := flag.Bool("per-thread-log", false, "record into per-thread sketch shards merged at encode time (same bytes, cheaper modelled overhead for dense schemes)")
 	epochSteps := flag.Uint64("epoch-steps", 0, "seal the sketch into epochs of this many committed events (0 = classic whole-execution recording)")
 	epochRing := flag.Int("epoch-ring", 0, "retain at most this many epochs, evicting the oldest (0 = unbounded; implies -epoch-steps' default length)")
 	cpEvery := flag.Int("checkpoint-every", 0, "capture a world checkpoint every N epoch seals (0 = no checkpoints; implies epoch recording)")
@@ -70,12 +69,11 @@ func main() {
 	}
 
 	opts := repro.Options{
-		Scheme:       scheme,
-		Processors:   *procs,
-		WorldSeed:    *worldSeed,
-		Scale:        *scale,
-		FixBugs:      *fixed,
-		PerThreadLog: *perThreadLog,
+		Scheme:     scheme,
+		Processors: *procs,
+		WorldSeed:  *worldSeed,
+		Scale:      *scale,
+		FixBugs:    *fixed,
 	}
 	if *epochSteps > 0 || *epochRing > 0 || *cpEvery > 0 {
 		opts.EpochRing = &repro.EpochRingOptions{

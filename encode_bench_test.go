@@ -1,8 +1,8 @@
-// Benchmarks for the allocation-lean recording pipeline (PR: sketch
-// wire format v2): encoder throughput and density per scheme in both
-// wire versions, the streaming Recording.Write path, and the harness
-// cell-pool's matrix wall-clock at -j 1 vs -j GOMAXPROCS. cmd/presperf
-// distills the same measurements into BENCH_pr5.json.
+// Benchmarks for the allocation-lean recording pipeline: encoder
+// throughput and density per scheme in both sketch wire versions, the
+// streaming Recording.Write path, and the harness cell-pool's matrix
+// wall-clock at -j 1 vs -j GOMAXPROCS. `make bench` runs them; the
+// end-to-end record cost is bench/'s record workloads.
 package repro_test
 
 import (

@@ -89,7 +89,7 @@ func newEpochRecorder(scheme sketch.Scheme, world *vsys.World, inputs *trace.Inp
 }
 
 // OnRunStart implements sched.RunObserver, forwarding the reservation.
-func (r *epochRecorder) OnRunStart(tid trace.TID, n int) { r.inner.OnRunStart(tid, n) }
+func (r *epochRecorder) OnRunStart(n int) { r.inner.OnRunStart(n) }
 
 // OnEvent implements sched.Observer: the inner recorder appends and
 // prices the event; on top, the epoch recorder counts committed events
@@ -106,7 +106,7 @@ func (r *epochRecorder) OnEvent(ev trace.Event) uint64 {
 // checkpoint if due). Control transfers are quiescent points — the
 // previous thread's effect has committed, the next grant has not run —
 // so the world snapshot below observes no half-applied syscall.
-func (r *epochRecorder) OnEpochSeal(trace.TID) uint64 {
+func (r *epochRecorder) OnEpochSeal() uint64 {
 	if r.steps-r.epochStart < r.epochSteps {
 		return 0
 	}

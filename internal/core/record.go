@@ -43,31 +43,14 @@ type Options struct {
 	// fast-path equivalence properties compare against; production use
 	// leaves it false.
 	SingleStep bool
-	// NoBatch makes declared point batches (sched.Thread.PointBatch)
-	// decompose into sequential single points (sched.Config.NoBatch):
-	// the measurement baseline for handoff amortization. Batches feed
-	// run-aware strategies, so unlike SingleStep this changes recorded
-	// schedules.
-	NoBatch bool
-	// PerThreadLog records into thread-local sketch shards sealed at
-	// epoch boundaries (context switches) and merged into canonical
-	// global order at encode time, instead of the globally ordered log
-	// every append synchronizes on. The recording is byte-identical and
-	// replays identically (TestPropPerThreadLogEquivalence); only the
-	// modelled recording cost changes — cheaper for dense sketches with
-	// long same-thread runs, pricier for very sparse ones (see
-	// sketch.LocalRecordCost/EpochSealCost). The global log remains the
-	// default and the reference path.
-	PerThreadLog bool
 	// EpochRing, when non-nil, selects epoch-segmented recording: the
 	// sketch is sealed into fixed-length epochs kept in a bounded ring
 	// with periodic checkpoints (see EpochRingOptions). The recorded
 	// interleaving is identical to a plain recording of the same seeds —
 	// sealing observes the committed stream, it never perturbs it — and
 	// an unbounded, checkpoint-free ring serializes byte-identically to
-	// the classic format. Takes precedence over PerThreadLog (the two
-	// answer the same question at different layers). Nil, the default,
-	// is the classic whole-execution path, untouched.
+	// the classic format. Nil, the default, is the classic
+	// whole-execution path, untouched.
 	EpochRing *EpochRingOptions
 	// Inject, when non-nil, returns a fresh failure-injection hook for
 	// each execution (internal/scenario's failure classes are such
@@ -244,12 +227,11 @@ func ReadRecording(rd io.Reader, opts Options) (*Recording, error) {
 }
 
 // execute runs prog once with a fresh world in the given vsys mode. It
-// is the single point where the scheduler-mode knobs (SingleStep,
-// NoBatch) reach the substrate, so recording, replay attempts and
-// order reproduction all honor them uniformly.
+// is the single point where the scheduler-mode knob (SingleStep)
+// reaches the substrate, so recording, replay attempts and order
+// reproduction all honor it uniformly.
 func execute(prog *appkit.Program, opts Options, cfg sched.Config, world *vsys.World) *sched.Result {
 	cfg.SingleStep = opts.SingleStep
-	cfg.NoBatch = opts.NoBatch
 	var inj sched.InjectFn
 	if opts.Inject != nil {
 		// One fresh hook per execution: per-thread injector state never
@@ -279,23 +261,15 @@ func RecordContext(ctx context.Context, prog *appkit.Program, opts Options) *Rec
 	world := vsys.NewWorld(opts.WorldSeed)
 	inputs := &trace.InputLog{}
 	world.StartRecording(inputs)
-	// Both recorder kinds observe the same committed stream; they differ
-	// only in where appends land (global log vs per-thread shards) and
-	// in the modelled cost charged per record.
 	var rec interface {
 		sched.Observer
 		Log() *trace.SketchLog
 	}
-	var shardRec *sketch.ShardRecorder
 	var epochRec *epochRecorder
-	switch {
-	case opts.EpochRing != nil:
+	if opts.EpochRing != nil {
 		epochRec = newEpochRecorder(opts.Scheme, world, inputs, opts.EpochRing)
 		rec = epochRec
-	case opts.PerThreadLog:
-		shardRec = sketch.NewShardRecorder(opts.Scheme)
-		rec = shardRec
-	default:
+	} else {
 		rec = sketch.NewRecorder(opts.Scheme)
 	}
 	res := execute(prog, opts, sched.Config{
@@ -305,24 +279,13 @@ func RecordContext(ctx context.Context, prog *appkit.Program, opts Options) *Rec
 		Metrics:   opts.Metrics,
 		Ctx:       ctx,
 	}, world)
-	scheme := opts.Scheme.String()
-	// Merge-on-encode: the first Log() call on a ShardRecorder performs
-	// the canonical-order merge (timed when metrics are on; the Timer is
-	// nil-safe, so the untimed path costs nothing).
-	var log *trace.SketchLog
-	if shardRec != nil && opts.Metrics != nil {
-		sp := opts.Metrics.Timer("pres_record_merge_seconds", "scheme", scheme).Start()
-		log = shardRec.Log()
-		sp.Stop()
-	} else {
-		if epochRec != nil {
-			epochRec.finish()
-		}
-		log = rec.Log()
+	if epochRec != nil {
+		epochRec.finish()
 	}
+	scheme := opts.Scheme.String()
 	out := &Recording{
 		Scheme:  opts.Scheme,
-		Sketch:  log,
+		Sketch:  rec.Log(),
 		Inputs:  inputs,
 		Options: opts,
 		Result:  res,
@@ -342,11 +305,6 @@ func RecordContext(ctx context.Context, prog *appkit.Program, opts Options) *Rec
 		sp.Stop()
 		m.Counter("pres_record_log_bytes_total", "scheme", scheme).Add(uint64(logBytes))
 		m.Gauge("pres_record_overhead_ratio", "scheme", scheme).Set(res.Overhead())
-		if shardRec != nil {
-			m.Counter("pres_record_epoch_seals_total", "scheme", scheme).Add(shardRec.Seals())
-			m.Gauge("pres_record_shards", "scheme", scheme).Set(float64(shardRec.Shards()))
-			m.Gauge("pres_record_shard_highwater_entries", "scheme", scheme).SetMax(float64(shardRec.HighWater()))
-		}
 		if epochRec != nil {
 			m.Counter("pres_record_epoch_rolls_total", "scheme", scheme).Add(epochRec.rolls)
 			m.Counter("pres_record_epoch_evicted_total", "scheme", scheme).Add(epochRec.ring.Evicted)

@@ -63,12 +63,6 @@ type Config struct {
 	// the harness forces sequential cells so the JSONL event stream
 	// keeps its documented canonical order.
 	Jobs int
-	// PerThreadLog records every production run into thread-local
-	// sketch shards merged at encode time (core.Options.PerThreadLog)
-	// instead of the global reference log. Recordings and tables are
-	// identical either way; only the modelled recording overhead
-	// (E2/E7) reflects the cheaper per-thread append.
-	PerThreadLog bool
 	// Workers sizes the replayer's work-stealing attempt pool for every
 	// search the harness runs. 0 keeps the sequential (deterministic)
 	// search.
@@ -180,7 +174,6 @@ func (c Config) options(scheme sketch.Scheme, scheduleSeed int64) core.Options {
 		WorldSeed:    c.worldSeed(),
 		Scale:        c.Scale,
 		MaxSteps:     c.maxSteps(),
-		PerThreadLog: c.PerThreadLog,
 		Metrics:      c.Metrics,
 	}
 }

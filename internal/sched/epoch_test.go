@@ -8,14 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// epochObserver records every event, every run announcement's tid, and
-// every epoch seal, so the tests can check the seal points against the
-// committed stream.
+// epochObserver records every event and, for every epoch seal, how many
+// events had committed when it fired, so the tests can check the seal
+// points against the committed stream.
 type epochObserver struct {
 	evs      []trace.Event
-	runTIDs  []trace.TID
-	runAt    []int // len(evs) when the announcement fired
-	seals    []trace.TID
+	seals    []int // len(evs) at each seal
 	sealCost uint64
 }
 
@@ -24,30 +22,25 @@ func (o *epochObserver) OnEvent(ev trace.Event) uint64 {
 	return 0
 }
 
-func (o *epochObserver) OnRunStart(tid trace.TID, n int) {
-	o.runTIDs = append(o.runTIDs, tid)
-	o.runAt = append(o.runAt, len(o.evs))
-}
-
-func (o *epochObserver) OnEpochSeal(tid trace.TID) uint64 {
-	o.seals = append(o.seals, tid)
+func (o *epochObserver) OnEpochSeal() uint64 {
+	o.seals = append(o.seals, len(o.evs))
 	return o.sealCost
 }
 
-// expectedSeals derives the seal sequence the epoch contract promises
-// from a committed event stream: one seal of the outgoing thread at
-// every TID change, plus a final seal of the last thread. Every grant
-// commits at least one event, so stream TID changes are exactly the
-// control transfers.
-func expectedSeals(evs []trace.Event) []trace.TID {
-	var seals []trace.TID
+// expectedSeals derives the seal points the epoch contract promises
+// from a committed event stream: one seal at every TID change, before
+// the incoming thread's first event, plus a final seal after the last
+// event. Every grant commits at least one event, so stream TID changes
+// are exactly the control transfers.
+func expectedSeals(evs []trace.Event) []int {
+	var seals []int
 	for i := 1; i < len(evs); i++ {
 		if evs[i].TID != evs[i-1].TID {
-			seals = append(seals, evs[i-1].TID)
+			seals = append(seals, i)
 		}
 	}
 	if len(evs) > 0 {
-		seals = append(seals, evs[len(evs)-1].TID)
+		seals = append(seals, len(evs))
 	}
 	return seals
 }
@@ -69,7 +62,7 @@ func TestEpochSealsAtControlTransfers(t *testing.T) {
 			t.Fatalf("%s: no epoch seals on a multi-threaded run", label)
 		}
 		if want := expectedSeals(fast.evs); !reflect.DeepEqual(fast.seals, want) {
-			t.Fatalf("%s: fast-path seals %v, want %v (one per control transfer + final)",
+			t.Fatalf("%s: fast-path seals at %v, want %v (one per control transfer + final)",
 				label, fast.seals, want)
 		}
 		if !reflect.DeepEqual(fast.seals, slow.seals) {
@@ -102,28 +95,5 @@ func TestEpochSealCostAccounting(t *testing.T) {
 	if slowRes.ExtraCost != fastRes.ExtraCost || len(slowObs.seals) != len(fastObs.seals) {
 		t.Fatalf("modes disagree: fast %d cost/%d seals, single-step %d cost/%d seals",
 			fastRes.ExtraCost, len(fastObs.seals), slowRes.ExtraCost, len(slowObs.seals))
-	}
-}
-
-// TestRunStartAnnouncesGrantedThread: OnRunStart's tid names the thread
-// whose run is starting — the shard a per-thread recorder must reserve
-// in.
-func TestRunStartAnnouncesGrantedThread(t *testing.T) {
-	o := &epochObserver{}
-	Run(batchWorkload(2, 4), Config{Strategy: NewRandomMP(1, 0, 2), Observers: []Observer{o}})
-	if len(o.runTIDs) == 0 {
-		t.Fatal("no run announcements under a run-granting strategy")
-	}
-	// The announcement fires before the run's first commit, so the event
-	// committed right after it must carry the announced tid.
-	for ri, tid := range o.runTIDs {
-		at := o.runAt[ri]
-		if at >= len(o.evs) {
-			t.Fatalf("announcement %d (thread %d): run committed no events", ri, tid)
-		}
-		if o.evs[at].TID != tid {
-			t.Fatalf("announcement %d: announced thread %d, first committed event from thread %d",
-				ri, tid, o.evs[at].TID)
-		}
 	}
 }

@@ -347,8 +347,8 @@ type runStartObserver struct {
 	runs   []int
 }
 
-func (o *runStartObserver) OnEvent(trace.Event) uint64    { o.events++; return 0 }
-func (o *runStartObserver) OnRunStart(_ trace.TID, n int) { o.runs = append(o.runs, n) }
+func (o *runStartObserver) OnEvent(trace.Event) uint64 { o.events++; return 0 }
+func (o *runStartObserver) OnRunStart(n int)           { o.runs = append(o.runs, n) }
 
 // TestRunObserverAnnouncesRuns: a RunObserver hears every multi-step
 // grant (with its budget as an upper bound on the run length) under a

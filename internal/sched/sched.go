@@ -55,34 +55,31 @@ type Observer interface {
 }
 
 // RunObserver is an optional Observer extension for run batching: when
-// the scheduler grants a multi-step run, it announces the granted
-// thread and length once, before the run's first commit, so an
-// observer that appends per event (a sketch recorder, an order
-// capture) can reserve capacity for the whole run — in a per-thread
-// shard, the tid says which — instead of growing inside the commit
-// loop. The length is an upper bound — a run may end early — and
-// budget-1 grants announce nothing, so implementing this interface
-// must not change what the observer records, only how it allocates.
+// the scheduler grants a multi-step run, it announces the run's length
+// once, before the run's first commit, so an observer that appends per
+// event (a sketch recorder, an order capture) can reserve capacity for
+// the whole run instead of growing inside the commit loop. The length
+// is an upper bound — a run may end early — and budget-1 grants
+// announce nothing, so implementing this interface must not change
+// what the observer records, only how it allocates.
 type RunObserver interface {
 	Observer
-	OnRunStart(tid trace.TID, n int)
+	OnRunStart(n int)
 }
 
-// EpochObserver is an optional Observer extension for per-thread log
-// recording: the scheduler calls OnEpochSeal(tid) at every epoch
-// boundary of thread tid — lazily, at the control transfer where a
-// *different* thread is granted (so consecutive same-thread grants
-// form one epoch and pay for one seal), plus once at end of execution
-// for the last-granted thread. Between two seals of a thread, only
-// that thread commits events, which is what makes concatenating
-// sealed per-thread chunks in seal order reproduce the global order
-// (see trace.ShardedSketch and INTERNALS.md, "Per-thread sketch logs
-// & epoch merge"). The return value is the modelled logical cost of
-// the synchronization the seal stands for; it is added to
+// EpochObserver is an optional Observer extension for epoch-segmented
+// recording (the always-on recorder's epoch ring, core.Options.EpochRing):
+// the scheduler calls OnEpochSeal at every control transfer — the grant
+// where a *different* thread than the last one runs, so consecutive
+// same-thread grants form one epoch — plus once at end of execution.
+// Control transfers are quiescent points: the outgoing thread's effects
+// have committed and the incoming thread has not run, so the observer
+// may cut its log into a sealed epoch and snapshot the world there. The
+// return value is the modelled logical cost of the seal; it is added to
 // Result.ExtraCost like OnEvent's.
 type EpochObserver interface {
 	Observer
-	OnEpochSeal(tid trace.TID) (extraCost uint64)
+	OnEpochSeal() (extraCost uint64)
 }
 
 // QuiescentObserver is an optional Observer extension for prefix
@@ -212,9 +209,10 @@ type Config struct {
 	// protocol is thread-side and mode-independent).
 	SingleStep bool
 	// NoBatch makes Thread.PointBatch decompose into sequential Point
-	// calls, one announce/grant round-trip per op — the measurement
-	// baseline for handoffs/step and steps/sec. Traces under NoBatch
-	// are only comparable for strategies that ignore Candidate.Run.
+	// calls, one announce/grant round-trip per op — the reference the
+	// batching tests compare handoff amortization against. Traces under
+	// NoBatch are only comparable for strategies that ignore
+	// Candidate.Run.
 	NoBatch bool
 	// Inject, when non-nil, is the failure-injection hook consulted at
 	// every vsys call and lock acquisition (see inject.go and
@@ -350,9 +348,9 @@ func Run(root func(*Thread), cfg Config) *Result {
 			}
 		}
 	}
-	// Epoch seals fire in both modes — the per-thread log must see the
-	// same seal points whether or not the fast path is on, so the two
-	// modes stay trace- and cost-equivalent.
+	// Epoch seals fire in both modes — the epoch ring must see the same
+	// seal points whether or not the fast path is on, so the two modes
+	// stay trace- and cost-equivalent.
 	for _, o := range cfg.Observers {
 		if eo, ok := o.(EpochObserver); ok {
 			s.epochObs = append(s.epochObs, eo)
@@ -378,12 +376,12 @@ func Run(root func(*Thread), cfg Config) *Result {
 	s.inflight = 1
 	go s.runThread(t0, root)
 	s.loop()
-	// Final epoch: the last-granted thread's open epoch ends with the
-	// execution (shutdown and failure paths included, so the sealed
-	// chunks always cover the whole committed stream).
+	// Final epoch: the open epoch ends with the execution (shutdown and
+	// failure paths included, so the sealed epochs always cover the
+	// whole committed stream).
 	if s.lastGrant != nil {
 		for _, o := range s.epochObs {
-			s.res.ExtraCost += o.OnEpochSeal(s.lastGrant.id)
+			s.res.ExtraCost += o.OnEpochSeal()
 		}
 	}
 	s.res.Failure = s.failure
@@ -536,13 +534,13 @@ func (s *Scheduler) loop() {
 				budget = b
 			}
 		}
-		// Control transfer: the outgoing thread's epoch ends here, before
-		// the incoming thread commits anything. Same-thread re-grants
-		// keep the epoch open — that is the amortization per-thread logs
-		// buy (one seal per context switch, not per grant).
+		// Control transfer: the open epoch may end here, before the
+		// incoming thread commits anything. Same-thread re-grants keep
+		// the epoch open (at most one seal per context switch, not per
+		// grant).
 		if s.lastGrant != nil && s.lastGrant != t {
 			for _, o := range s.epochObs {
-				s.res.ExtraCost += o.OnEpochSeal(s.lastGrant.id)
+				s.res.ExtraCost += o.OnEpochSeal()
 			}
 		}
 		s.lastGrant = t
@@ -698,7 +696,7 @@ func advanceBatch(t *Thread) bool {
 func (s *Scheduler) grantRun(t *Thread, budget int) {
 	if budget > 1 {
 		for _, o := range s.runObs {
-			o.OnRunStart(t.id, budget)
+			o.OnRunStart(budget)
 		}
 	}
 	s.effectsRan = false

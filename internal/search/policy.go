@@ -50,21 +50,6 @@ func (Probabilistic) Seeded(idx int) bool {
 	return idx != 0
 }
 
-// PureDirected pops the directed frontier on every canonical index —
-// feedback with no interleaved probabilistic sampling. The search
-// lives entirely in the flip tree, so sibling attempts share maximal
-// schedule prefixes; this is the policy that exposes the snapshot
-// tree's (ReplayOptions.PrefixSnapshots) best case, and the directed
-// leg of presperf's replay-search benchmark. When the frontier is
-// empty and nothing directed is in flight, attempts fall back to the
-// policy's non-directed kind — deterministic sticky here, keeping the
-// whole search unseeded.
-type PureDirected struct{}
-
-func (PureDirected) UsesFeedback() bool { return true }
-func (PureDirected) Directed(int) bool  { return true }
-func (PureDirected) Seeded(int) bool    { return false }
-
 // StickyDirected runs every attempt under the deterministic sticky
 // policy with no feedback and no sampling — the coarsest baseline:
 // one production-like schedule, repeated. Useful as a control for how

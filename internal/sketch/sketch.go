@@ -137,21 +137,12 @@ const RecordCost = 15 * trace.CostUnit
 // instrumentation substrate did on the paper's testbed.
 const FilterCost = trace.CostUnit
 
-// LocalRecordCost is the modelled cost of appending one record to a
-// thread-local sketch shard (Options.PerThreadLog): no global sequence
-// claim, no shared cache line — just the local buffer write and a
-// counter bump, a few access-times instead of RecordCost's 15.
-const LocalRecordCost = 4 * trace.CostUnit
-
-// EpochSealCost is the modelled cost of one epoch seal under
-// per-thread logging: the synchronization that publishes a thread's
-// local chunk into the global seal order (a fence plus a shared
-// append). It is paid once per context switch rather than once per
-// record, so dense sketches amortize it over whole runs — the
-// per-thread log's whole point. For very sparse sketches (one record
-// per epoch) LocalRecordCost+EpochSealCost can exceed RecordCost; the
-// global log stays the better model there, which is why PerThreadLog
-// is an option and not the default.
+// EpochSealCost is the modelled cost of sealing one epoch into the
+// always-on recorder's epoch ring (core.Options.EpochRing): cutting the
+// open epoch's entries out of the log and publishing them to the ring
+// (a fence plus a shared append). It is paid only at control transfers
+// where the open epoch has reached its length, so it amortizes over
+// thousands of steps.
 const EpochSealCost = 25 * trace.CostUnit
 
 // Recorder is the production-run observer for one scheme.
@@ -173,10 +164,8 @@ func (r *Recorder) Log() *trace.SketchLog { return r.log }
 
 // OnRunStart implements sched.RunObserver: a granted multi-step run
 // will append at most n entries, so the log reserves them up front and
-// the per-commit Append never reallocates mid-run. The global log is
-// shared by all threads, so tid is unused here (the per-thread
-// ShardRecorder reserves in tid's shard).
-func (r *Recorder) OnRunStart(_ trace.TID, n int) { r.log.Reserve(n) }
+// the per-commit Append never reallocates mid-run.
+func (r *Recorder) OnRunStart(n int) { r.log.Reserve(n) }
 
 // OnEvent implements sched.Observer: it logs sketch-relevant events and
 // charges the record cost against the run.

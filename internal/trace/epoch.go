@@ -11,8 +11,8 @@ import (
 // This file is the epoch-segmented recording container: instead of one
 // whole-execution sketch log, a recording is a sequence of sealed
 // epochs held in a fixed-size ring, plus periodic state checkpoints.
-// Epoch boundaries are the scheduler's control transfers (the same seam
-// sched.EpochObserver seals per-thread shards at), so an epoch's
+// Epoch boundaries are the scheduler's control transfers (the
+// sched.EpochObserver seam), so an epoch's
 // entries are a contiguous slice of the global order and the retained
 // window is simply the concatenation of the retained epochs. The ring
 // is what makes always-on recording possible: old epochs are evicted
