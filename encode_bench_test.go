@@ -1,5 +1,5 @@
 // Benchmarks for the allocation-lean recording pipeline: encoder
-// throughput and density per scheme in both sketch wire versions, the
+// throughput and density per scheme in the sketch wire format, the
 // streaming Recording.Write path, and the harness cell-pool's matrix
 // wall-clock at -j 1 vs -j GOMAXPROCS. `make bench` runs them; the
 // end-to-end record cost is bench/'s record workloads.
@@ -56,54 +56,43 @@ func benchRecording(b *testing.B, s sketch.Scheme) *core.Recording {
 	return rec
 }
 
-// BenchmarkEncodeSketch measures both wire versions of the sketch
-// codec on real recorded logs: ns/entry is encoder speed, bytes/entry
-// the density the log-size experiment (E3) reports. The acceptance
-// bar for this PR: SYNC bytes/entry drops >=30% from v1 to v2.
+// BenchmarkEncodeSketch measures the sketch codec on real recorded
+// logs: ns/entry is encoder speed, bytes/entry the density the
+// log-size experiment (E3) reports.
 func BenchmarkEncodeSketch(b *testing.B) {
 	for _, s := range []sketch.Scheme{sketch.SYNC, sketch.SYS, sketch.FUNC, sketch.BB, sketch.RW} {
 		l := benchRecording(b, s).Sketch
-		for name, enc := range map[string]func(io.Writer, *trace.SketchLog) error{
-			"v1": trace.EncodeSketchV1, "v2": trace.EncodeSketch,
-		} {
-			b.Run(s.String()+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				var size int
-				for i := 0; i < b.N; i++ {
-					var cw discardCounter
-					if err := enc(&cw, l); err != nil {
-						b.Fatal(err)
-					}
-					size = cw.n
-				}
-				entries := float64(l.Len())
-				b.ReportMetric(float64(size)/entries, "bytes/entry")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*entries), "ns/entry")
-			})
-		}
-	}
-}
-
-// BenchmarkEncodeInput measures the input-log codec both ways on the
-// same production run.
-func BenchmarkEncodeInput(b *testing.B) {
-	l := benchRecording(b, sketch.SYNC).Inputs
-	for name, enc := range map[string]func(io.Writer, *trace.InputLog) error{
-		"v1": trace.EncodeInputV1, "v2": trace.EncodeInput,
-	} {
-		b.Run(name, func(b *testing.B) {
+		b.Run(s.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
 				var cw discardCounter
-				if err := enc(&cw, l); err != nil {
+				if err := trace.EncodeSketch(&cw, l); err != nil {
 					b.Fatal(err)
 				}
 				size = cw.n
 			}
-			b.ReportMetric(float64(size)/float64(max(l.Len(), 1)), "bytes/record")
+			entries := float64(l.Len())
+			b.ReportMetric(float64(size)/entries, "bytes/entry")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*entries), "ns/entry")
 		})
 	}
+}
+
+// BenchmarkEncodeInput measures the input-log codec on a production
+// run.
+func BenchmarkEncodeInput(b *testing.B) {
+	l := benchRecording(b, sketch.SYNC).Inputs
+	b.ReportAllocs()
+	var size int
+	for i := 0; i < b.N; i++ {
+		var cw discardCounter
+		if err := trace.EncodeInput(&cw, l); err != nil {
+			b.Fatal(err)
+		}
+		size = cw.n
+	}
+	b.ReportMetric(float64(size)/float64(max(l.Len(), 1)), "bytes/record")
 }
 
 // BenchmarkRecordingWrite measures the full serialization path —
@@ -119,24 +108,17 @@ func BenchmarkRecordingWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeSketch measures both decoder paths on the same log.
+// BenchmarkDecodeSketch measures the sketch decoder on a real log.
 func BenchmarkDecodeSketch(b *testing.B) {
-	l := benchRecording(b, sketch.SYNC).Sketch
-	for name, enc := range map[string]func(io.Writer, *trace.SketchLog) error{
-		"v1": trace.EncodeSketchV1, "v2": trace.EncodeSketch,
-	} {
-		var buf bytes.Buffer
-		if err := enc(&buf, l); err != nil {
+	var buf bytes.Buffer
+	if err := trace.EncodeSketch(&buf, benchRecording(b, sketch.SYNC).Sketch); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.DecodeSketch(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := trace.DecodeSketch(bytes.NewReader(buf.Bytes())); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

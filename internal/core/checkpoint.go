@@ -8,16 +8,15 @@ import (
 
 // Replay from a checkpoint. A checkpoint (trace.Checkpoint) names an
 // epoch boundary by its committed-event count and carries digests of
-// the event stream and the virtual world at that point. Replay cannot
-// deserialize thread state, so "starting at the checkpoint" is done by
-// deterministically re-executing the prefix: the production schedule is
-// a pure function of the recorded seeds (sched.NewRandomMP consumes
-// randomness only per granted pick, identically with or without the
-// run-grant fast path), so running the production strategy for exactly
-// cp.Step committed events re-establishes the boundary. The restore
-// strategy validates both digests at the switch point and only then
-// hands the schedule to the director, which enforces the retained
-// sketch window strictly from its first entry.
+// the event stream and the virtual world at that point. An attempt
+// reaches it the way every restore works (prefix.go): the prefix
+// strategy forces the production strategy — sched.NewRandomMP over the
+// recorded seeds — for exactly cp.Step committed events, then checks
+// both digests. The production schedule is a pure function of those
+// seeds (RandomMP consumes randomness only per granted pick, identically
+// with or without run budgets), so the prefix re-executes the recording
+// draw for draw. Past the validated boundary the director enforces the
+// retained sketch window strictly from its first entry.
 //
 // The prefix runs with the world in Live mode, not Replay mode: the
 // production world seed regenerates every recorded input
@@ -26,10 +25,10 @@ import (
 // as soon as a logged input exists for it, which offers the scheduler
 // candidates the production run never saw and diverges the prefix
 // (apache-25520's workers blocking on the listener queue exposed
-// this). At the boundary the restore strategy flips the world into
-// Replay mode with the input cursor fast-forwarded past the
-// checkpoint's InputIndex, so the constrained tail is served logged
-// inputs exactly as a whole-execution replay would serve them.
+// this). The checkpoint's boundary hook flips the world into Replay
+// mode with the input cursor fast-forwarded past the checkpoint's
+// InputIndex, so the constrained tail is served logged inputs exactly
+// as a whole-execution replay would serve them.
 //
 // The search space this buys is the point of the epoch design: flip
 // points and sketch enforcement are confined to the window after the
@@ -63,80 +62,12 @@ func windowFrom(rec *Recording, cp trace.Checkpoint) []trace.SketchEntry {
 	return rec.Sketch.Entries[off:]
 }
 
-// restoreStrategy re-establishes a checkpoint boundary and then
-// delegates to the director. Phase one (steps < boundary) forwards
-// every pick to a fresh production strategy over a Live-mode world,
-// reproducing the recorded prefix draw for draw; at the boundary it
-// compares the running event digest and the world's state digest
-// against the checkpoint's, and only on a match flips the world into
-// Replay mode for the constrained tail. A mismatch marks the attempt
-// diverged — the recording and this binary disagree about the prefix,
-// so enforcement past the boundary would be meaningless.
-//
-// Like cancellableStrategy, it deliberately forwards no
-// sched.RunGranter: budget-1 grants keep the phase switch exact (a
-// multi-point run granted just before the boundary would overshoot it),
-// and RandomMP's single-step continuation branch reproduces the same
-// schedule without budgets.
-type restoreStrategy struct {
-	prod   sched.Strategy // production strategy for the prefix
-	dir    *director
-	world  *vsys.World
-	inputs *trace.InputLog
-
-	boundary  uint64 // cp.Step: committed events in the prefix
-	inputFrom int    // cp.InputIndex: inputs the prefix consumes
-
-	steps      uint64
-	digest     *trace.Digest
-	wantDigest uint64
-	wantWorld  uint64
-	switched   bool
-	mismatch   bool
-}
-
-func newRestoreStrategy(rec *Recording, cp trace.Checkpoint, dir *director, world *vsys.World) *restoreStrategy {
+// checkpointPrefix is the prefix strategy that re-establishes cp: the
+// production strategy up to cp.Step, then the world switched to
+// serving the recorded inputs from cp.InputIndex on.
+func checkpointPrefix(rec *Recording, cp trace.Checkpoint, dir *director, world *vsys.World) *prefixStrategy {
 	ro := rec.Options
-	return &restoreStrategy{
-		prod:       sched.NewRandomMP(ro.processors(), ro.preempt(), ro.ScheduleSeed),
-		dir:        dir,
-		world:      world,
-		inputs:     rec.Inputs,
-		boundary:   cp.Step,
-		inputFrom:  int(cp.InputIndex),
-		digest:     trace.NewDigest(),
-		wantDigest: cp.EventDigest,
-		wantWorld:  cp.WorldDigest,
-	}
-}
-
-// Pick implements sched.Strategy.
-func (r *restoreStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
-	if r.steps < r.boundary {
-		return r.prod.Pick(view)
-	}
-	if !r.switched {
-		r.switched = true
-		if r.digest.Sum() != r.wantDigest || r.world.Digest() != r.wantWorld {
-			r.mismatch = true
-		} else {
-			// Boundary validated: serve the rest of the recorded inputs
-			// from the log, like a whole-execution replay past this point.
-			r.world.StartReplayFrom(r.inputs, r.inputFrom)
-		}
-	}
-	if r.mismatch {
-		return trace.NoTID, false
-	}
-	return r.dir.Pick(view)
-}
-
-// OnEvent implements sched.Observer, folding the prefix's committed
-// events into the digest the boundary check compares.
-func (r *restoreStrategy) OnEvent(ev trace.Event) uint64 {
-	if r.steps < r.boundary {
-		r.digest.Entry(trace.EntryOf(ev))
-	}
-	r.steps++
-	return 0
+	return newPrefixStrategy(sched.NewRandomMP(ro.processors(), ro.preempt(), ro.ScheduleSeed),
+		dir, world, cp.Step, cp.EventDigest, cp.WorldDigest,
+		func() { world.StartReplayFrom(rec.Inputs, int(cp.InputIndex)) })
 }

@@ -117,8 +117,8 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	}
 	// Checkpointed attempts leave the world in Live mode: the prefix
 	// re-execution regenerates the recorded inputs from the world seed,
-	// and the restore strategy flips to Replay mode at the validated
-	// boundary (see checkpoint.go).
+	// and the prefix strategy's boundary hook flips to Replay mode at the
+	// validated boundary (see checkpoint.go).
 	switch {
 	case fromCP:
 		// Checkpointed replay: the prefix is re-executed exactly, so the
@@ -146,14 +146,15 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 
 	var strat sched.Strategy = dir
 	observers := []sched.Observer{dir, det, cap}
-	var rs *restoreStrategy
+	// ps, when set, forces a prefix before the director takes over
+	// (prefix.go): the recording's checkpoint, or a parent snapshot.
+	var ps *prefixStrategy
 	if fromCP {
-		rs = newRestoreStrategy(rec, cp, dir, world)
-		strat = rs
-		observers = append(observers, rs)
+		ps = checkpointPrefix(rec, cp, dir, world)
+		strat = ps
+		observers = append(observers, ps)
 	}
 	var sn *snapshotter
-	var fk *forkStrategy
 	snapMiss := false
 	if sp != nil && !fromCP && rng == nil {
 		digest := trace.NewDigest()
@@ -171,19 +172,14 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 				if st := snap.State.(*snapState); st != nil {
 					if rdet, _ := cloneDetector(st.det); rdet != nil {
 						installDirState(dir, st.dir)
-						fk = &forkStrategy{
-							dir: dir, world: world, det: rdet,
-							order: snap.Order, boundary: snap.Step,
-							wantDigest: snap.EventDigest, wantWorld: snap.WorldDigest,
-							digest: digest,
-						}
+						ps = snapshotPrefix(snap, dir, world)
 						det = rdet
-						strat = fk
-						// The detector hangs off fk, which feeds it suffix
-						// events only; registering it directly would replay
-						// the prefix into a clone that already contains it.
-						observers = []sched.Observer{dir, fk, cap}
-						base = snap.Step
+						strat = ps
+						// The clone already holds the prefix, so it sees
+						// suffix events only; registering it directly would
+						// replay the prefix into it a second time.
+						observers = []sched.Observer{dir, &suffixFeed{det: rdet, skip: snap.Step}, cap, ps}
+						digest, base = ps.digest, snap.Step
 					}
 				}
 			} else {
@@ -223,15 +219,15 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 			}
 		}
 		out.races = kept
-		if rs.mismatch {
-			out.note = "checkpoint boundary mismatch: recording and prefix re-execution disagree"
-		}
 	}
 	out.snapMiss = snapMiss
-	if fk != nil {
-		out.restored = true
-		out.ffSteps = fk.boundary
-		if fk.mismatch {
+	out.restored = ps != nil && !fromCP
+	if out.restored {
+		out.ffSteps = ps.boundary
+	}
+	if ps != nil && ps.mismatch {
+		out.note = "checkpoint boundary mismatch: recording and prefix re-execution disagree"
+		if out.restored {
 			out.note = "snapshot boundary mismatch: parent prefix and forced re-execution disagree"
 		}
 	}

@@ -22,7 +22,8 @@ import (
 // detection bookkeeping in the way of the grant fast path is required
 // for correctness — the production schedule is a pure function of the
 // recorded seeds) and validating both digests at the switch point; see
-// restoreStrategy in checkpoint.go.
+// prefixStrategy in prefix.go. Replay never reads the world snapshot
+// back, only its digest.
 
 // EpochRingOptions configures epoch-segmented recording.
 type EpochRingOptions struct {

@@ -12,29 +12,27 @@ import (
 // frontier share long identical flip-set prefixes: a child's schedule
 // is byte-identical to its parent's until the child's newly added flip
 // can first engage. With ReplayOptions.PrefixSnapshots on, a directed
-// attempt captures world + engine state at scheduler quiescent points
-// (sched.QuiescentObserver fires at the top of a scheduling round,
-// before the strategy picks — exactly the contract vsys.World.Snapshot
-// requires, and the only instant at which the director's pick-side
-// state still describes the committed prefix) into a search.SnapshotCache
-// keyed by the attempt's flip-set prefix; a child attempt restores
-// from the deepest safe snapshot and executes only its divergent
-// suffix.
+// attempt captures engine state and boundary digests at scheduler
+// quiescent points (sched.QuiescentObserver fires at the top of a
+// scheduling round, before the strategy picks — the instant at which
+// the director's pick-side state still describes the committed prefix)
+// into a search.SnapshotCache keyed by the attempt's flip-set prefix; a
+// child attempt resumes from the deepest safe snapshot and executes
+// only its divergent suffix.
 //
-// Threads are goroutines and cannot be serialized, so "restore" is
-// forced mechanical re-execution: the snapshot carries the parent's
-// grant order up to the capture step, and forkStrategy grants exactly
-// that order — under multi-step run budgets, since no decision is
-// being made — then validates the running event digest and the world
-// digest against the snapshot's (the FromCheckpoint protocol,
-// checkpoint.go) before handing the schedule to the director. What the
-// restore actually saves is everything *around* the raw execution: the
-// director's per-pick sketch/flip bookkeeping collapses to forced
+// A snapshot keeps no world state, only digests: resuming is
+// re-execution (prefix.go). The prefix strategy forces the parent's
+// captured grant order — under multi-step run budgets, since no
+// decision is being made — and validates the event and world digests
+// at the boundary before handing the schedule to the director. What
+// resuming actually saves is everything *around* the raw execution:
+// the director's per-pick sketch/flip bookkeeping collapses to forced
 // grants, and the race detector — the dominant per-event cost — skips
 // the prefix entirely, resuming from a boundary-state clone
-// (race.Detector.Clone). The reproduced schedule is unchanged: the
-// order capture spans the whole execution, forced prefix included, so
-// a reproduction's FullOrder is exactly what a from-scratch attempt
+// (race.Detector.Clone) that a suffixFeed feeds only the events past
+// the boundary. The reproduced schedule is unchanged: the order
+// capture spans the whole execution, forced prefix included, so a
+// reproduction's FullOrder is exactly what a from-scratch attempt
 // would have captured.
 //
 // Safety bound: a snapshot of the parent at step S is usable for a
@@ -153,7 +151,7 @@ type snapState struct {
 }
 
 // snapOverhead is the flat per-snapshot byte charge on top of the
-// world blob, order slice and detector footprint.
+// order slice and detector footprint.
 const snapOverhead = 256
 
 // snapInterval is the first capture cadence in committed events; the
@@ -164,11 +162,12 @@ const (
 	snapDoubleEvery = 12
 )
 
-// snapshotter is the attempt-side observer: it folds every committed
-// event into the running digest restores validate against, and — when
-// capturing — stores world/engine snapshots at quiescent points on the
-// deterministic cadence above. Registered only when PrefixSnapshots is
-// on; attempts without it keep the exact pre-snapshot observer set.
+// snapshotter is the attempt-side observer: it folds the committed
+// events past any resume boundary into the running digest captures
+// record (the prefix strategy folds the forced prefix), and — when
+// capturing — stores engine snapshots at quiescent points on the
+// deterministic cadence above. Registered only when PrefixSnapshots
+// is on; attempts without it keep the exact pre-snapshot observer set.
 type snapshotter struct {
 	world  *vsys.World
 	cap    *orderCapture
@@ -177,6 +176,7 @@ type snapshotter struct {
 	plan   *snapPlan
 	digest *trace.Digest
 	base   uint64 // restore boundary; captures only strictly past it
+	seen   uint64 // committed events so far
 
 	capture  bool
 	next     uint64
@@ -187,6 +187,10 @@ type snapshotter struct {
 	evicted  int
 }
 
+// newSnapshotter builds an attempt's snapshotter. A resumed attempt
+// passes its prefix strategy's digest and boundary: the strategy folds
+// the forced prefix, the snapshotter everything past it, so captures
+// cover the full execution from step 0 either way.
 func newSnapshotter(world *vsys.World, cap *orderCapture, dir *director, det raceDetector, plan *snapPlan, digest *trace.Digest, base uint64) *snapshotter {
 	return &snapshotter{
 		world: world, cap: cap, dir: dir, det: det, plan: plan,
@@ -196,11 +200,13 @@ func newSnapshotter(world *vsys.World, cap *orderCapture, dir *director, det rac
 	}
 }
 
-// OnEvent implements sched.Observer: every committed event — forced
-// prefix or live suffix — feeds the digest, so a capture's EventDigest
-// always covers the full prefix from step 0.
+// OnEvent implements sched.Observer: every committed event past the
+// resume boundary feeds the digest.
 func (s *snapshotter) OnEvent(ev trace.Event) uint64 {
-	s.digest.Entry(trace.EntryOf(ev))
+	s.seen++
+	if s.seen > s.base {
+		s.digest.Entry(trace.EntryOf(ev))
+	}
 	return 0
 }
 
@@ -223,9 +229,6 @@ func (s *snapshotter) OnQuiescent(step uint64) {
 		s.capture = false
 		return
 	}
-	world := s.world.Snapshot()
-	wd := trace.NewDigest()
-	wd.Bytes(world)
 	// The order slice shares the capture's backing array: the attempt
 	// appends only at indices >= step, restores read only below it, and
 	// growth reallocates, so the sharing is race-free and copy-free.
@@ -234,11 +237,10 @@ func (s *snapshotter) OnQuiescent(step uint64) {
 		Key:         s.plan.selfKey,
 		Step:        step,
 		EventDigest: s.digest.Sum(),
-		WorldDigest: wd.Sum(),
-		World:       world,
+		WorldDigest: s.world.Digest(),
 		Order:       order,
 		State:       &snapState{dir: captureDirState(s.dir), det: det},
-		Bytes:       int64(len(world)) + 4*int64(len(order)) + detBytes + snapOverhead,
+		Bytes:       4*int64(len(order)) + detBytes + snapOverhead,
 	}
 	s.evicted += s.plan.cache.Store(snap)
 	s.captures++
@@ -249,84 +251,28 @@ func (s *snapshotter) OnQuiescent(step uint64) {
 	s.next = step + s.interval
 }
 
-// forkStrategy resumes an attempt from a prefix snapshot: phase one
-// (seen < boundary) forces the parent's captured grant order —
-// consuming multi-step run budgets across consecutive same-thread
-// grants, since no scheduling decision is being made — and phase two
-// validates both digests at the boundary (exactly restoreStrategy's
-// protocol) before delegating every pick to the director. A mismatch
-// marks the attempt diverged; there is no fallback, because a
-// divergent forced prefix means the snapshot lied and nothing about
-// the attempt can be trusted.
-//
-// It is also an Observer: committed prefix events advance the forced
-// cursor (runs may end early; the commit stream is the truth), and
-// suffix events feed the boundary-state detector clone — which thereby
-// accumulates exactly the pair set a from-scratch detector would have.
-type forkStrategy struct {
-	dir   *director
-	world *vsys.World
-	det   raceDetector // boundary-state clone; fed suffix events only
-
-	order      []trace.TID
-	boundary   uint64
-	wantDigest uint64
-	wantWorld  uint64
-	digest     *trace.Digest // the snapshotter's; read-only here
-
-	seen     uint64
-	switched bool
-	mismatch bool
+// snapshotPrefix is the prefix strategy that resumes from snap: the
+// parent's captured grant order up to snap.Step. The world needs no
+// switch at the boundary — a snapshotted attempt runs in Replay mode
+// throughout — so there is no boundary hook.
+func snapshotPrefix(snap *search.Snapshot, dir *director, world *vsys.World) *prefixStrategy {
+	return newPrefixStrategy(&sched.OrderStrategy{Order: snap.Order},
+		dir, world, snap.Step, snap.EventDigest, snap.WorldDigest, nil)
 }
 
-// Pick implements sched.Strategy.
-func (f *forkStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
-	if f.seen < f.boundary {
-		tid := f.order[f.seen]
-		if _, ok := view.Find(tid); !ok {
-			f.mismatch = true
-			return trace.NoTID, false
-		}
-		return tid, true
-	}
-	if !f.switched {
-		f.switched = true
-		if f.digest.Sum() != f.wantDigest || f.world.Digest() != f.wantWorld {
-			f.mismatch = true
-		}
-	}
-	if f.mismatch {
-		return trace.NoTID, false
-	}
-	return f.dir.Pick(view)
+// suffixFeed feeds a boundary-state detector clone the committed
+// events past the resume boundary only: the clone already holds the
+// prefix, so it accumulates exactly the pair set a from-scratch
+// detector would have.
+type suffixFeed struct {
+	det  raceDetector
+	skip uint64 // prefix events still to pass over
 }
 
-// RunBudget implements sched.RunGranter: during the forced prefix the
-// run extends across consecutive same-thread grants in the captured
-// order — and never past the boundary, because the scan stops at the
-// order's end. Past the boundary the director's budget-1 invariant
-// rules (see its doc).
-func (f *forkStrategy) RunBudget(view *sched.PickView, tid trace.TID) int {
-	i := f.seen
-	if i >= f.boundary || f.order[i] != tid {
-		return 1
-	}
-	n := 1
-	for i+uint64(n) < f.boundary && f.order[i+uint64(n)] == tid {
-		n++
-	}
-	return n
-}
-
-// ObserveStep implements sched.RunGranter. Cursor advancement happens
-// in OnEvent — the commit stream is authoritative even when a run ends
-// early — so there is nothing to do here.
-func (f *forkStrategy) ObserveStep(tid trace.TID, cost uint64) {}
-
-// OnEvent implements sched.Observer (see the type doc).
-func (f *forkStrategy) OnEvent(ev trace.Event) uint64 {
-	f.seen++
-	if f.seen <= f.boundary {
+// OnEvent implements sched.Observer.
+func (f *suffixFeed) OnEvent(ev trace.Event) uint64 {
+	if f.skip > 0 {
+		f.skip--
 		return 0
 	}
 	return f.det.OnEvent(ev)

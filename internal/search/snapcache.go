@@ -13,16 +13,17 @@ import (
 const DefaultSnapshotBudget int64 = 64 << 20
 
 // Snapshot is one prefix-snapshot of a directed replay attempt: the
-// world and engine state at a scheduler quiescent point, plus the
-// grant order that deterministically re-establishes it. A child
-// attempt whose flip set extends the capturing attempt's set restores
-// by force-replaying Order (mechanical, no enforcement), validating
-// EventDigest/WorldDigest at the boundary — the FromCheckpoint
-// protocol — and then executing only its divergent suffix.
+// engine state and boundary digests at a scheduler quiescent point,
+// plus the grant order that deterministically re-establishes it. It
+// keeps no world state. A child attempt whose flip set extends the
+// capturing attempt's set resumes by force-replaying Order
+// (mechanical, no enforcement), validating EventDigest/WorldDigest at
+// the boundary — the same check a recording checkpoint gets — and then
+// executing only its divergent suffix.
 //
-// Snapshots are immutable once stored: restores clone what they need
-// (the engine state is re-cloned per restore), so eviction never
-// invalidates a restore already in flight.
+// Snapshots are immutable once stored: resumes clone what they need
+// (the engine state is re-cloned per resume), so eviction never
+// invalidates a resume already in flight.
 type Snapshot struct {
 	// Key is the capturing attempt's prefix identity — its
 	// trace.ScheduleCacheKey with the deterministic (unseeded) policy —
@@ -33,14 +34,9 @@ type Snapshot struct {
 	// after it.
 	Step uint64
 	// EventDigest and WorldDigest validate the boundary exactly as a
-	// recording checkpoint's digests do (see internal/core
-	// checkpoint.go).
+	// recording checkpoint's digests do (see internal/core prefix.go).
 	EventDigest uint64
 	WorldDigest uint64
-	// World is the vsys world snapshot blob — kept for accounting and
-	// diagnosis; the restore path re-establishes the world by forced
-	// prefix re-execution and only compares digests.
-	World []byte
 	// Order is the grant order of the first Step committed events.
 	Order []trace.TID
 	// State is the engine's opaque resume state (detector clone,

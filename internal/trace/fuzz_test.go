@@ -85,7 +85,7 @@ func TestDecodeHugeDeclaredLengths(t *testing.T) {
 	// fail fast without huge allocations.
 	var buf bytes.Buffer
 	buf.WriteString(magicSketch)
-	buf.Write([]byte{logVersion})
+	buf.Write([]byte{logVersion2})
 	buf.Write([]byte{4}) // scheme name length 4
 	buf.WriteString("SYNC")
 	buf.Write([]byte{0})                                  // totalOps
@@ -101,7 +101,7 @@ func TestDecodeSanityLimits(t *testing.T) {
 	// rejected before any large allocation — the OOM the fuzzer found.
 	var buf bytes.Buffer
 	buf.WriteString(magicFull)
-	buf.Write([]byte{logVersion})
+	buf.Write([]byte{logVersion2})
 	big := make([]byte, 0, 16)
 	big = appendUvarintForTest(big, 1<<50) // total decisions
 	buf.Write(big)
@@ -115,7 +115,7 @@ func TestDecodeSanityLimits(t *testing.T) {
 	// Same for a gigantic declared input-record count.
 	buf.Reset()
 	buf.WriteString(magicInput)
-	buf.Write([]byte{logVersion})
+	buf.Write([]byte{logVersion2})
 	buf.Write(appendUvarintForTest(nil, 1<<40))
 	if _, err := DecodeInput(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("gigantic record count accepted")
@@ -124,7 +124,7 @@ func TestDecodeSanityLimits(t *testing.T) {
 	// And a gigantic single input record.
 	buf.Reset()
 	buf.WriteString(magicInput)
-	buf.Write([]byte{logVersion})
+	buf.Write([]byte{logVersion2})
 	buf.Write([]byte{1})    // one record
 	buf.Write([]byte{0, 1}) // tid, call
 	buf.Write(appendUvarintForTest(nil, 1<<29))

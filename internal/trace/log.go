@@ -102,17 +102,17 @@ type FullOrder struct {
 func (f *FullOrder) Len() int { return len(f.Order) }
 
 // Log format magic bytes and versions. Version 1 is the original
-// entry-per-varint-triple layout; version 2 (the current encoders'
-// output) run-length encodes same-thread runs and delta-codes objects
-// against a small MRU dictionary (see INTERNALS.md, "wire format v2").
-// Decoders accept both.
+// entry-per-varint-triple layout; version 2 (the only version the
+// encoders write) run-length encodes same-thread runs and delta-codes
+// objects against a small MRU dictionary (see INTERNALS.md, "wire
+// format v2"). Decoders accept both, so v1 recordings never orphan;
+// the checked-in testdata/*_v1.bin fixtures pin v1 decoding.
 const (
 	magicSketch = "PRSK"
 	magicInput  = "PRIN"
 	magicFull   = "PRFO"
 	logVersion1 = 1
 	logVersion2 = 2
-	logVersion  = logVersion2
 )
 
 // ErrBadFormat reports a corrupt or foreign log file.
@@ -288,40 +288,6 @@ func EncodeSketch(w io.Writer, l *SketchLog) error {
 	return bw.Flush()
 }
 
-// EncodeSketchV1 writes l in the legacy v1 format (one varint triple
-// per entry). Kept so compatibility fixtures and size comparisons can
-// still produce v1 bytes; new recordings use EncodeSketch.
-func EncodeSketchV1(w io.Writer, l *SketchLog) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicSketch); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion1)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Scheme)))
-	buf = append(buf, l.Scheme...)
-	buf = binary.AppendUvarint(buf, l.TotalOps)
-	buf = binary.AppendUvarint(buf, l.Records)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Entries)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	for _, e := range l.Entries {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(e.TID))
-		buf = append(buf, byte(e.Kind))
-		buf = binary.AppendUvarint(buf, e.Obj)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	*scratch = buf
-	return bw.Flush()
-}
-
 // DecodeSketch reads a sketch log in either wire version.
 func DecodeSketch(r io.Reader) (*SketchLog, error) {
 	br := bufio.NewReader(r)
@@ -475,37 +441,6 @@ func EncodeInput(w io.Writer, l *InputLog) error {
 	return bw.Flush()
 }
 
-// EncodeInputV1 writes l in the legacy v1 format (absolute varints per
-// record). Kept for compatibility fixtures; new recordings use
-// EncodeInput.
-func EncodeInputV1(w io.Writer, l *InputLog) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicInput); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion1)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Records)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	for _, rec := range l.Records {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(rec.TID))
-		buf = binary.AppendUvarint(buf, rec.Call)
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
-		buf = append(buf, rec.Data...)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	*scratch = buf
-	return bw.Flush()
-}
-
 // DecodeInput reads an input log in either wire version.
 func DecodeInput(r io.Reader) (*InputLog, error) {
 	br := bufio.NewReader(r)
@@ -572,16 +507,6 @@ func DecodeInput(r io.Reader) (*InputLog, error) {
 // have long same-thread runs between context switches — and the run
 // thread ids are zigzag-delta coded against the previous run's.
 func EncodeFullOrder(w io.Writer, f *FullOrder) error {
-	return encodeFullOrder(w, f, logVersion2)
-}
-
-// EncodeFullOrderV1 writes f in the legacy v1 format (absolute run
-// thread ids). Kept for compatibility fixtures.
-func EncodeFullOrderV1(w io.Writer, f *FullOrder) error {
-	return encodeFullOrder(w, f, logVersion1)
-}
-
-func encodeFullOrder(w io.Writer, f *FullOrder, version uint64) error {
 	bw := getBufio(w)
 	defer putBufio(bw)
 	if _, err := bw.WriteString(magicFull); err != nil {
@@ -590,7 +515,7 @@ func encodeFullOrder(w io.Writer, f *FullOrder, version uint64) error {
 	scratch := getScratch()
 	defer putScratch(scratch)
 	buf := *scratch
-	buf = binary.AppendUvarint(buf, version)
+	buf = binary.AppendUvarint(buf, logVersion2)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Order)))
 	if _, err := bw.Write(buf); err != nil {
 		return err
@@ -602,12 +527,8 @@ func encodeFullOrder(w io.Writer, f *FullOrder, version uint64) error {
 			j++
 		}
 		buf = buf[:0]
-		if version == logVersion1 {
-			buf = binary.AppendUvarint(buf, uint64(f.Order[i]))
-		} else {
-			buf = binary.AppendUvarint(buf, zigzag(int64(f.Order[i])-int64(prevTID)))
-			prevTID = f.Order[i]
-		}
+		buf = binary.AppendUvarint(buf, zigzag(int64(f.Order[i])-int64(prevTID)))
+		prevTID = f.Order[i]
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		if _, err := bw.Write(buf); err != nil {
 			return err

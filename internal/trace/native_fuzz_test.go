@@ -2,7 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -22,16 +23,17 @@ func validSketchBytes() []byte {
 	return buf.Bytes()
 }
 
-func validSketchBytesV1() []byte {
-	l := &SketchLog{Scheme: "SYNC", TotalOps: 40, Records: 4}
-	l.Append(Event{TID: 1, Kind: KindLock, Obj: 0xAA})
-	l.Append(Event{TID: 2, Kind: KindUnlock, Obj: 0xAA})
-	var buf bytes.Buffer
-	if err := EncodeSketchV1(&buf, l); err != nil {
+// v1Fixture returns a checked-in v1 golden file: nothing encodes v1
+// any more, so the fixtures are the only source of v1 bytes.
+func v1Fixture(name string) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return b
 }
+
+func validSketchBytesV1() []byte { return v1Fixture("sketch_v1.bin") }
 
 func FuzzDecodeSketch(f *testing.F) {
 	f.Add([]byte{})
@@ -46,10 +48,10 @@ func FuzzDecodeSketch(f *testing.F) {
 	})
 }
 
-// FuzzSketchRoundTrip drives the v1 and v2 sketch codecs from raw
-// bytes: the input is interpreted as a stream of entries (3 bytes
-// each: tid, kind selector, object selector), and both encodings must
-// round-trip to the exact same log. Object selectors deliberately
+// FuzzSketchRoundTrip drives the sketch codec from raw bytes: the
+// input is interpreted as a stream of entries (3 bytes each: tid, kind
+// selector, object selector), and the encoding must round-trip to the
+// exact same log. Object selectors deliberately
 // revisit a small set of values so the fuzzer exercises every MRU
 // mode, not just absolute encoding.
 func FuzzSketchRoundTrip(f *testing.F) {
@@ -67,34 +69,29 @@ func FuzzSketchRoundTrip(f *testing.F) {
 				Obj:  objs[data[i+2]&7] + uint64(data[i+2]>>3),
 			})
 		}
-		for name, enc := range map[string]func(io.Writer, *SketchLog) error{
-			"v1": EncodeSketchV1, "v2": EncodeSketch,
-		} {
-			var buf bytes.Buffer
-			if err := enc(&buf, l); err != nil {
-				t.Fatalf("%s encode: %v", name, err)
-			}
-			got, err := DecodeSketch(&buf)
-			if err != nil {
-				t.Fatalf("%s decode: %v", name, err)
-			}
-			if got.Scheme != l.Scheme || got.TotalOps != l.TotalOps ||
-				got.Records != l.Records || !slices.Equal(got.Entries, l.Entries) {
-				t.Fatalf("%s round trip mismatch: got %d entries, want %d", name, got.Len(), l.Len())
-			}
+		var buf bytes.Buffer
+		if err := EncodeSketch(&buf, l); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		got, err := DecodeSketch(&buf)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got.Scheme != l.Scheme || got.TotalOps != l.TotalOps ||
+			got.Records != l.Records || !slices.Equal(got.Entries, l.Entries) {
+			t.Fatalf("round trip mismatch: got %d entries, want %d", got.Len(), l.Len())
 		}
 	})
 }
 
 func FuzzDecodeInput(f *testing.F) {
-	var buf, bufV1 bytes.Buffer
+	var buf bytes.Buffer
 	il := &InputLog{}
 	il.Append(InputRecord{TID: 1, Call: 2, Data: []byte{1, 2, 3}})
 	_ = EncodeInput(&buf, il)
-	_ = EncodeInputV1(&bufV1, il)
 	f.Add([]byte{})
 	f.Add(buf.Bytes())
-	f.Add(bufV1.Bytes())
+	f.Add(v1Fixture("input_v1.bin"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		l, err := DecodeInput(bytes.NewReader(b))
 		if err == nil && l == nil {
@@ -104,32 +101,15 @@ func FuzzDecodeInput(f *testing.F) {
 }
 
 func FuzzDecodeFullOrder(f *testing.F) {
-	var buf, bufV1 bytes.Buffer
+	var buf bytes.Buffer
 	_ = EncodeFullOrder(&buf, &FullOrder{Order: []TID{0, 0, 1}})
-	_ = EncodeFullOrderV1(&bufV1, &FullOrder{Order: []TID{0, 0, 1}})
 	f.Add([]byte{})
 	f.Add(buf.Bytes())
-	f.Add(bufV1.Bytes())
+	f.Add(v1Fixture("fullorder_v1.bin"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		l, err := DecodeFullOrder(bytes.NewReader(b))
 		if err == nil && l == nil {
 			t.Fatal("nil order with nil error")
-		}
-	})
-}
-
-func FuzzDecodeSketchStream(f *testing.F) {
-	var buf bytes.Buffer
-	sw, _ := NewSketchWriter(&buf, "SYNC")
-	sw.Append(SketchEntry{TID: 1, Kind: KindLock, Obj: 5})
-	_ = sw.Close(10, 1)
-	f.Add([]byte{})
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		l, _, err := DecodeSketchStream(bytes.NewReader(b))
-		if err == nil && l == nil {
-			t.Fatal("nil log with nil error")
 		}
 	})
 }

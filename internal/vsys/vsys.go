@@ -96,8 +96,7 @@ type World struct {
 	cursor map[inputKey][]int // per-(thread,call) FIFO of log indices
 
 	clock uint64
-	seed  int64
-	draws uint64 // random values drawn, for snapshot fast-forward
+	draws uint64 // random values drawn: the snapshot's stream position
 	rng   *rand.Rand
 	fs    map[string]*file
 	qs    map[string]*Queue
@@ -106,10 +105,9 @@ type World struct {
 // NewWorld returns a live-mode world whose random source uses seed.
 func NewWorld(seed int64) *World {
 	return &World{
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
-		fs:   make(map[string]*file),
-		qs:   make(map[string]*Queue),
+		rng: rand.New(rand.NewSource(seed)),
+		fs:  make(map[string]*file),
+		qs:  make(map[string]*Queue),
 	}
 }
 
