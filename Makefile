@@ -38,11 +38,13 @@ lint:
 test:
 	$(GO) test ./...
 
-## stress: the concurrency gate — the work-stealing search (core) and
-## the experiment cell pool (harness) twice under -race, so the
-## dedup/commit/cache/dispatch paths get different goroutine schedules
-## on each pass.
+## stress: the concurrency gate — the canonical-commit worker pool
+## itself (exec: dispatch, park, budget clamp, drain-on-cancel), the
+## work-stealing search (core) and the experiment cell pool (harness)
+## twice under -race, so the dedup/commit/cache/dispatch paths get
+## different goroutine schedules on each pass.
 stress:
+	$(GO) test -race -count=2 ./internal/exec/...
 	$(GO) test -race -count=2 ./internal/core/...
 	$(GO) test -race -count=2 -run 'TestPool|TestJobs|TestMetricsDeterministic' ./internal/harness/...
 	$(GO) test -race -count=2 -run 'TestProp|TestRunCancellation' ./internal/sched/...
@@ -88,10 +90,11 @@ bench:
 ## a row in OBSERVABILITY.md and, in reverse, every metric-table row
 ## (`| \`pres_...`) in OBSERVABILITY.md must name a metric registered
 ## in non-test code; every CLI flag README.md mentions in inline code
-## (`-flag`) must be registered by some tool in cmd/ or by the
-## benchmark in bench/. A metric or flag documented without code (or
-## vice versa) fails the gate. FLAG_ALLOW lists README tokens that look
-## like flags but are not ours (e.g. go test's -race).
+## (`-flag`) must be registered by some tool in cmd/, by the shared
+## observability flags in internal/obs, or by the benchmark in bench/.
+## A metric or flag documented without code (or vice versa) fails the
+## gate. FLAG_ALLOW lists README tokens that look like flags but are
+## not ours (e.g. go test's -race).
 FLAG_ALLOW = race bench benchtime
 docs-drift:
 	@set -e; \
@@ -111,8 +114,8 @@ docs-drift:
 	flags=$$(grep -ohE '[`]-[a-z][a-z0-9-]*' README.md | sed 's/^..//' | sort -u); \
 	for f in $$flags; do \
 		case " $(FLAG_ALLOW) " in *" $$f "*) continue;; esac; \
-		if ! grep -qrE "\"$$f\"" --include='*.go' cmd bench; then \
-			echo "docs-drift: flag -$$f is documented in README.md but no tool in cmd/ or bench/ registers it"; missing=1; \
+		if ! grep -qrE "\"$$f\"" --include='*.go' cmd bench internal/obs; then \
+			echo "docs-drift: flag -$$f is documented in README.md but no tool in cmd/ or bench/ (or the shared obs flags) registers it"; missing=1; \
 		fi; \
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -41,31 +42,40 @@ func main() {
 	replays := flag.Int("e6-replays", 100, "re-replays per bug in E6")
 	jobs := flag.Int("j", 0, "experiment cells run in parallel (0 = GOMAXPROCS, 1 = sequential; tables are identical at any value)")
 	workers := flag.Int("workers", 0, "work-stealing attempt workers per replay search (0 = sequential)")
-	adaptive := flag.Bool("adaptive", false, "let each search's worker pool retune itself from occupancy")
 	cacheSize := flag.Int("search-cache", 0, "shared schedule-cache capacity in attempts (0 disables, -1 = default size)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the whole run (0 = none); SIGINT also cancels gracefully")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	metricsOut := flag.String("metrics-out", "", "write an aggregate metrics snapshot to this file")
-	metricsFormat := flag.String("metrics-format", "json", "metrics snapshot format: json or prom")
-	traceOut := flag.String("trace-out", "", "write a JSONL trace of every replay attempt across all experiments")
 	scenarios := flag.Bool("scenarios", false, "run only the failure-injection scenarios (shorthand for -exp e12)")
 	genSweep := flag.Int("gen-sweep", 50, "generated-program seeds verified by E12's generator sweep")
 	epochRing := flag.Int("epoch-ring", 2, "epoch-ring capacity (retained epochs) for E13's always-on recordings")
 	cpEvery := flag.Int("checkpoint-every", 1, "checkpoint cadence in epoch rolls for E13's always-on recordings")
+	o := obs.AddFlags(flag.CommandLine, "attempt trace", "write a JSONL trace of every replay attempt across all experiments")
 	flag.Parse()
 
 	if *scenarios {
 		*exp = "e12"
 	}
-
-	if *metricsFormat != "json" && *metricsFormat != "prom" && *metricsFormat != "prometheus" {
-		log.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
+	var schemes []sketch.Scheme
+	if *schemeList != "" {
+		for _, name := range strings.Split(*schemeList, ",") {
+			s, err := sketch.Parse(strings.TrimSpace(name))
+			if err != nil {
+				log.Fatal(err)
+			}
+			schemes = append(schemes, s)
+		}
+	}
+	if *asJSON {
+		o.Report = io.Discard // stdout is the JSON document
+	}
+	if err := o.Open(); err != nil {
+		log.Fatal(err)
 	}
 
 	// The run context: -timeout bounds the wall clock, SIGINT cancels
 	// cooperatively. Every seed search, recording and replay the harness
 	// performs observes it, so a cancelled run still renders the rows it
-	// finished and flushes its sinks.
+	// finished and closes its outputs.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -76,14 +86,15 @@ func main() {
 	defer stop()
 
 	cfg := harness.Config{
-		Ctx:             ctx,
-		Processors:      *procs,
-		MaxAttempts:     *budget,
-		SeedBudget:      *seedBudget,
-		OverheadScale:   *overheadScale,
-		Jobs:            *jobs,
-		Workers:         *workers,
-		AdaptiveWorkers: *adaptive,
+		Ctx:           ctx,
+		Processors:    *procs,
+		MaxAttempts:   *budget,
+		SeedBudget:    *seedBudget,
+		OverheadScale: *overheadScale,
+		Jobs:          *jobs,
+		Workers:       *workers,
+		Metrics:       o.Registry,
+		Trace:         o.Trace,
 	}
 	if *cacheSize != 0 {
 		size := *cacheSize
@@ -91,30 +102,6 @@ func main() {
 			size = 0 // core.NewSearchCache's default capacity
 		}
 		cfg.SearchCache = core.NewSearchCache(size)
-	}
-	var reg *obs.Registry
-	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-		cfg.Metrics = reg
-	}
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tf.Close()
-		cfg.Trace = obs.NewTraceSink(tf)
-	}
-
-	var schemes []sketch.Scheme
-	if *schemeList != "" {
-		for _, name := range strings.Split(*schemeList, ",") {
-			s, err := sketch.Parse(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			schemes = append(schemes, s)
-		}
 	}
 
 	results := map[string]any{}
@@ -241,35 +228,11 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			log.Fatal(err)
+			o.Fatal(err)
 		}
+	} else if reg := o.Registry; reg != nil {
+		fmt.Println("== aggregate metrics ==")
+		harness.PrintMetrics(os.Stdout, reg.Snapshot())
 	}
-
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Err(); err != nil {
-			log.Printf("trace: %v", err)
-		}
-		if !*asJSON {
-			fmt.Printf("attempt trace written to %s (%d events)\n", *traceOut, cfg.Trace.Events())
-		}
-	}
-	if reg != nil {
-		if !*asJSON {
-			fmt.Println("== aggregate metrics ==")
-			harness.PrintMetrics(os.Stdout, reg.Snapshot())
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteSnapshot(f, reg, *metricsFormat); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if !*asJSON {
-			fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-		}
-	}
+	o.Exit(0)
 }

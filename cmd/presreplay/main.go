@@ -23,6 +23,7 @@ import (
 	"os/signal"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -43,20 +44,17 @@ func main() {
 	workers := flag.Int("workers", 1, "work-stealing attempt workers (1 = exact sequential search)")
 	prefixSnaps := flag.Bool("prefix-snapshots", false, "resume child attempts from shared-prefix snapshots instead of re-executing from step 0")
 	snapBudget := flag.Int64("snapshot-budget", 0, "prefix-snapshot cache budget in bytes (0 = 64 MiB default)")
-	adaptive := flag.Bool("adaptive", false, "let the worker pool retune itself from measured occupancy")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the search (0 = none); SIGINT also cancels gracefully")
-	cacheSize := flag.Int("search-cache", 0, "schedule-cache capacity in attempts (0 disables, -1 = default size)")
 	verbose := flag.Bool("v", false, "print each replay attempt as it completes")
-	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file")
-	metricsFormat := flag.String("metrics-format", "json", "metrics snapshot format: json or prom")
-	traceOut := flag.String("trace-out", "", "write a JSONL attempt trace to this file (see OBSERVABILITY.md)")
+	// Observability outputs (see OBSERVABILITY.md for the contract).
+	// They are closed on every exit path, including a failed search — a
+	// search that exhausted its budget is exactly the one worth diffing
+	// against a run that succeeded.
+	o := obs.AddFlags(flag.CommandLine, "attempt trace", "write a JSONL attempt trace to this file (see OBSERVABILITY.md)")
 	flag.Parse()
 
 	if *appName == "" || flag.NArg() != 1 {
 		log.Fatal("usage: presreplay -app <name> [-bug <id>] <recording-file>")
-	}
-	if *metricsFormat != "json" && *metricsFormat != "prom" && *metricsFormat != "prometheus" {
-		log.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
 	}
 	prog, ok := repro.GetProgram(*appName)
 	if !ok {
@@ -97,7 +95,7 @@ func main() {
 
 	// The search context: -timeout bounds the wall clock, and SIGINT
 	// cancels cooperatively — either way the pool drains, the committed
-	// attempt prefix is reported, and the sinks below still flush.
+	// attempt prefix is reported, and the outputs are still closed.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -116,19 +114,9 @@ func main() {
 		MaxAttempts:         *maxAttempts,
 		Oracle:              oracle,
 		Workers:             *workers,
-		AdaptiveWorkers:     *adaptive,
 		FromCheckpoint:      *fromCP,
 		PrefixSnapshots:     *prefixSnaps,
 		SnapshotBudgetBytes: *snapBudget,
-	}
-	var cache *repro.SearchCache
-	if *cacheSize != 0 {
-		size := *cacheSize
-		if size < 0 {
-			size = 0 // NewSearchCache's default capacity
-		}
-		cache = repro.NewSearchCache(size)
-		ropts.Cache = cache
 	}
 	if *verbose {
 		ropts.OnAttempt = func(i int, mode, outcome string) {
@@ -136,52 +124,11 @@ func main() {
 		}
 	}
 
-	// Observability sinks (see OBSERVABILITY.md for the contract). Both
-	// are flushed on every exit path, including a failed search — a
-	// search that exhausted its budget is exactly the one worth
-	// diffing against a run that succeeded.
-	var reg *repro.MetricsRegistry
-	if *metricsOut != "" {
-		reg = repro.NewMetricsRegistry()
-		ropts.Metrics = reg
+	if err := o.Open(); err != nil {
+		log.Fatal(err)
 	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		traceFile = tf
-		ropts.Trace = repro.NewTraceSink(tf)
-	}
-	flush := func() {
-		if cache != nil {
-			hits, misses := cache.Stats()
-			fmt.Printf("schedule cache: %d hits, %d misses, %d entries\n", hits, misses, cache.Len())
-		}
-		if ropts.Trace != nil {
-			if err := ropts.Trace.Err(); err != nil {
-				log.Printf("trace: %v", err)
-			}
-			if err := traceFile.Close(); err != nil {
-				log.Printf("trace: %v", err)
-			}
-			fmt.Printf("attempt trace written to %s (%d events)\n", *traceOut, ropts.Trace.Events())
-		}
-		if reg != nil {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := repro.WriteMetrics(f, reg, *metricsFormat); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-		}
-	}
+	ropts.Metrics = o.Registry
+	ropts.Trace = o.Trace
 
 	res := repro.ReplayContext(ctx, prog, rec, ropts)
 	if !res.Reproduced {
@@ -192,8 +139,7 @@ func main() {
 			fmt.Printf("NOT reproduced within %d attempts (%+v)\n", res.Attempts, res.Stats)
 			fmt.Printf("advice: %s\n", repro.Advise(rec, res))
 		}
-		flush()
-		os.Exit(1)
+		o.Exit(1)
 	}
 	fmt.Printf("reproduced in %d attempts (%d race flips): %v\n", res.Attempts, res.Flips, res.Failure)
 	if res.Stats.Steps > 0 {
@@ -220,7 +166,7 @@ func main() {
 		}
 	}
 	if !ok {
-		log.Fatal("captured order did not re-reproduce — this is a bug in the replayer")
+		o.Fatal("captured order did not re-reproduce — this is a bug in the replayer")
 	}
 	fmt.Printf("captured order re-reproduced the failure %d/%d times\n", *verify, *verify)
 
@@ -231,5 +177,5 @@ func main() {
 			before, repro.Switches(simple), spent)
 	}
 
-	flush()
+	o.Exit(0)
 }

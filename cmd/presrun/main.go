@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -36,14 +37,11 @@ func main() {
 	epochRing := flag.Int("epoch-ring", 0, "retain at most this many epochs, evicting the oldest (0 = unbounded; implies -epoch-steps' default length)")
 	cpEvery := flag.Int("checkpoint-every", 0, "capture a world checkpoint every N epoch seals (0 = no checkpoints; implies epoch recording)")
 	out := flag.String("o", "", "write the recording to this file")
-	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file")
-	metricsFormat := flag.String("metrics-format", "json", "metrics snapshot format: json or prom")
-	traceOut := flag.String("trace-out", "", "write a JSONL trace of every production run probed (see OBSERVABILITY.md)")
+	// Observability outputs (see OBSERVABILITY.md). The trace gets one
+	// "record" event per production run probed, so a seed search leaves
+	// a complete audit of what it tried.
+	o := obs.AddFlags(flag.CommandLine, "record trace", "write a JSONL trace of every production run probed (see OBSERVABILITY.md)")
 	flag.Parse()
-
-	if *metricsFormat != "json" && *metricsFormat != "prom" && *metricsFormat != "prometheus" {
-		log.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
-	}
 
 	scheme, err := repro.ParseScheme(*schemeName)
 	if err != nil {
@@ -67,6 +65,9 @@ func main() {
 	default:
 		log.Fatal("one of -app or -bug is required")
 	}
+	if err := o.Open(); err != nil {
+		log.Fatal(err)
+	}
 
 	opts := repro.Options{
 		Scheme:     scheme,
@@ -74,6 +75,7 @@ func main() {
 		WorldSeed:  *worldSeed,
 		Scale:      *scale,
 		FixBugs:    *fixed,
+		Metrics:    o.Registry,
 	}
 	if *epochSteps > 0 || *epochRing > 0 || *cpEvery > 0 {
 		opts.EpochRing = &repro.EpochRingOptions{
@@ -83,23 +85,6 @@ func main() {
 		}
 	}
 
-	// Observability sinks (see OBSERVABILITY.md). The trace gets one
-	// "record" event per production run probed, so a seed search leaves
-	// a complete audit of what it tried.
-	var reg *repro.MetricsRegistry
-	if *metricsOut != "" {
-		reg = repro.NewMetricsRegistry()
-		opts.Metrics = reg
-	}
-	var sink *repro.TraceSink
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tf.Close()
-		sink = repro.NewTraceSink(tf)
-	}
 	traceRecord := func(seed int64, r *repro.Recording, bug bool) {
 		outcome := "clean"
 		switch {
@@ -108,7 +93,7 @@ func main() {
 		case r.Result.Failure != nil:
 			outcome = "failure"
 		}
-		sink.Emit(repro.RecordEvent{
+		o.Trace.Emit(repro.RecordEvent{
 			Event:         repro.EventRecord,
 			Seed:          seed,
 			Outcome:       outcome,
@@ -136,7 +121,8 @@ func main() {
 			}
 		}
 		if rec == nil {
-			log.Fatalf("bug %s did not manifest in %d seeds", *bugID, *seedBudget)
+			log.Printf("bug %s did not manifest in %d seeds", *bugID, *seedBudget)
+			o.Exit(1)
 		}
 	} else {
 		opts.ScheduleSeed = *seed
@@ -161,13 +147,13 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			o.Fatal(err)
 		}
 		if err := rec.Write(f); err != nil {
-			log.Fatal(err)
+			o.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			o.Fatal(err)
 		}
 		fmt.Printf("recording written to %s\n", *out)
 		fmt.Printf("replay with: presreplay -app %s -seed %d -world-seed %d -procs %d -scale %d",
@@ -181,23 +167,5 @@ func main() {
 		fmt.Printf(" %s\n", *out)
 	}
 
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			log.Printf("trace: %v", err)
-		}
-		fmt.Printf("record trace written to %s (%d events)\n", *traceOut, sink.Events())
-	}
-	if reg != nil {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := repro.WriteMetrics(f, reg, *metricsFormat); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-	}
+	o.Exit(0)
 }

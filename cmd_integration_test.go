@@ -83,6 +83,26 @@ func TestCommandLineWorkflow(t *testing.T) {
 	if !strings.Contains(out, "\"e9\"") || !strings.Contains(out, "\"Reproduced\": true") {
 		t.Fatalf("presbench json output:\n%s", out)
 	}
+
+	// A trace that cannot be written fails the run: every tool exits
+	// non-zero instead of reporting the trace as written.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a trace write failure")
+	}
+	for _, c := range [][]string{
+		{"presrun", "-bug", "fft-barrier", "-scheme", "SYNC"},
+		{"presreplay", "-app", "fft", "-bug", "fft-barrier", recFile},
+		{"presbench", "-exp", "e9", "-json", "-seed-budget", "500"},
+	} {
+		args := append([]string{"-trace-out", "/dev/full"}, c[1:]...)
+		out, err := exec.Command(bins[c[0]], args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s %v exited 0 after a failed trace write:\n%s", c[0], args, out)
+		}
+		if !strings.Contains(string(out), "/dev/full") || strings.Contains(string(out), "written to /dev/full") {
+			t.Fatalf("%s %v did not report the trace failure:\n%s", c[0], args, out)
+		}
+	}
 }
 
 // checkMetricsJSON asserts the file is a valid repro.MetricsSnapshot

@@ -104,7 +104,7 @@ func TestSearchDedupRaceStress(t *testing.T) {
 			}
 			res := Replay(prog, rec, ReplayOptions{
 				Feedback: true, Oracle: oracle, MaxAttempts: budget,
-				Workers: 8, AdaptiveWorkers: i%3 == 0, Cache: cache,
+				Workers: 8, Cache: cache,
 			})
 			if i%2 == 0 && !res.Reproduced {
 				done <- fmt.Errorf("search %d failed to reproduce: %+v", i, res.Stats)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/search"
 	"repro/internal/sketch"
 )
 
@@ -197,37 +196,5 @@ func TestRecordContextCancelled(t *testing.T) {
 	}
 	if rec.BugFailure() != nil {
 		t.Fatal("cancelled recording reports a bug failure")
-	}
-}
-
-func TestPolicySeamMatchesLegacyFlags(t *testing.T) {
-	// The Policy seam is behavior-preserving: an explicit policy must
-	// retrace the exact search its legacy flag produced, attempt for
-	// attempt (Workers=1 is deterministic).
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	for _, tc := range []struct {
-		name   string
-		legacy ReplayOptions
-		pol    search.Policy
-	}{
-		{"feedback", ReplayOptions{Feedback: true}, search.FeedbackDirected{}},
-		{"probabilistic", ReplayOptions{Feedback: false}, search.Probabilistic{}},
-	} {
-		tc.legacy.Oracle = MatchBugID("atom-bug")
-		tc.legacy.Workers = 1
-		tc.legacy.MaxAttempts = 300
-		viaFlag := Replay(prog, rec, tc.legacy)
-		withPol := tc.legacy
-		withPol.Feedback = false // must be ignored when Policy is set
-		withPol.Policy = tc.pol
-		viaPol := Replay(prog, rec, withPol)
-		if viaFlag.Reproduced != viaPol.Reproduced ||
-			viaFlag.Attempts != viaPol.Attempts ||
-			viaFlag.Flips != viaPol.Flips ||
-			!reflect.DeepEqual(viaFlag.Stats, viaPol.Stats) {
-			t.Fatalf("%s: policy diverged from legacy flag:\nflag:   %+v\npolicy: %+v",
-				tc.name, viaFlag, viaPol)
-		}
 	}
 }

@@ -268,7 +268,7 @@ type searchJob struct {
 //
 //   - the pool (internal/exec) owns canonical index dispatch, the
 //     strict in-order commit drain, worker lifecycle, context
-//     cancellation and the adaptive occupancy controller. Dispatch,
+//     cancellation and the budget clamp on live workers. Dispatch,
 //     Complete and Commit below run under the pool's mutex, so the
 //     canonical-order state they touch (directedLive, the dedup set
 //     `seen`, racesSeen, the result) needs no further locking — the
@@ -286,7 +286,6 @@ type searchState struct {
 	prog     *appkit.Program
 	rec      *Recording
 	opts     ReplayOptions
-	pol      search.Policy
 	feedback bool
 	budget   int
 	maxW     int
@@ -312,7 +311,19 @@ type searchState struct {
 	r            *ReplayResult
 }
 
-// Dispatch composes the attempt for canonical index idx: the policy
+// directedSlot reports whether canonical attempt idx pops the directed
+// frontier: with feedback, even indices are directed and odd indices
+// sample the sketch-constrained space; without feedback none are.
+func directedSlot(feedback bool, idx int) bool { return feedback && idx%2 == 0 }
+
+// seededSlot reports whether non-directed attempt idx explores with an
+// index-seeded random schedule. Only the no-feedback ablation (the
+// paper's E5 baseline) runs its attempt 0 as the deterministic sticky
+// baseline instead. Both rules are pure functions of the index, which
+// the canonical-order commits and the schedule-cache key rely on.
+func seededSlot(feedback bool, idx int) bool { return feedback || idx != 0 }
+
+// Dispatch composes the attempt for canonical index idx: directedSlot
 // decides whether it pops the directed frontier (priority:
 // breadth-first over flip depth — nearly every real bug needs only one
 // or two reorderings, so all single flips are tried before any pair)
@@ -332,7 +343,7 @@ func (s *searchState) Dispatch(worker, idx int) exec.Decision {
 		// now, so wait for it instead of burning CPU.
 		return exec.Decision{Wait: true}
 	}
-	if s.feedback && s.pol.Directed(idx) {
+	if directedSlot(s.feedback, idx) {
 		if nd, ok := s.frontier.Pop(worker); ok {
 			s.directedLive++
 			return exec.Decision{Job: &searchJob{idx: idx, directed: true, nd: nd, seed: int64(idx)}}
@@ -350,9 +361,9 @@ func (s *searchState) Dispatch(worker, idx int) exec.Decision {
 // is fresh), otherwise by running the simulated execution.
 func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 	j := job.(*searchJob)
+	seeded := !j.directed && seededSlot(s.feedback, j.idx)
 	var key string
 	if s.opts.Cache != nil {
-		seeded := !j.directed && s.pol.Seeded(j.idx)
 		key = trace.ScheduleCacheKey(s.digest, j.seed, seeded, canonicalFlipKey(j.nd.fs))
 		if e, ok := s.opts.Cache.Lookup(key); ok {
 			if !s.isTargetBug(e.Failure) {
@@ -391,7 +402,7 @@ func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 		}
 	}
 	var rng *rand.Rand
-	if !j.directed && s.pol.Seeded(j.idx) {
+	if seeded {
 		rng = rand.New(rand.NewSource(j.seed))
 	}
 	var cancel *atomic.Int64

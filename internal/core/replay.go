@@ -61,15 +61,8 @@ type ReplayOptions struct {
 	// Feedback enables race-directed search (the paper's feedback
 	// generation). When false, each attempt explores the sketch-
 	// constrained space with an independent random seed — the E5
-	// ablation baseline. Ignored when Policy is set.
+	// ablation baseline.
 	Feedback bool
-	// Policy composes the search's attempt kinds — which canonical
-	// indices pop the directed frontier and which sample randomly (see
-	// internal/search.Policy). Nil derives the policy from Feedback:
-	// search.FeedbackDirected when true, search.Probabilistic when
-	// false. Setting it plugs in alternative strategies (e.g.
-	// search.StickyDirected) without touching the engine.
-	Policy search.Policy
 	// BranchFactor bounds how many race flips a failed attempt enqueues
 	// (nearest the failure point first). 0 means DefaultBranchFactor.
 	BranchFactor int
@@ -109,8 +102,8 @@ type ReplayOptions struct {
 	// restored attempt fast-forwards its shared prefix mechanically and
 	// pays detection and scheduling-decision cost only on its divergent
 	// suffix. Ignored under FromCheckpoint (the recording checkpoint
-	// already anchors every attempt) and for non-feedback policies
-	// (without a frontier there are no shared prefixes).
+	// already anchors every attempt) and without Feedback (without a
+	// frontier there are no shared prefixes).
 	PrefixSnapshots bool
 	// SnapshotBudgetBytes bounds the in-memory snapshot cache;
 	// least-recently-used snapshots are evicted past it. 0 means
@@ -123,13 +116,10 @@ type ReplayOptions struct {
 	// the first success in that order wins and Attempts reports its
 	// position. The first reproduction cooperatively cancels in-flight
 	// later attempts. Workers <= 1 preserves the exact sequential
-	// search, attempt for attempt — the deterministic baseline.
+	// search, attempt for attempt — the deterministic baseline. Workers
+	// above GOMAXPROCS are honoured, but on compute-bound searches they
+	// only preempt one another (EXPERIMENTS.md E11).
 	Workers int
-	// AdaptiveWorkers lets the pool shrink and regrow between 1 and
-	// Workers, driven by the measured dispatch occupancy (the
-	// pres_replay_wave_occupancy signal) and the remaining attempt
-	// budget, instead of pinning Workers attempts in flight.
-	AdaptiveWorkers bool
 	// Cache, when non-nil, memoizes attempt outcomes across searches
 	// and workers, keyed by the attempt's canonical identity (schedule
 	// policy + flip set + a digest of the recording and replay knobs).
@@ -163,24 +153,6 @@ const DefaultMaxAttempts = 1000
 
 // DefaultBranchFactor bounds feedback fan-out per failed attempt.
 const DefaultBranchFactor = 8
-
-// normalize resolves derived defaults into canonical form — the one
-// place the Feedback→Policy derivation lives. Every public entry point
-// calls it once, so the engine below only ever sees Workers >= 1 and a
-// non-nil Policy.
-func (o ReplayOptions) normalize() ReplayOptions {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.Policy == nil {
-		if o.Feedback {
-			o.Policy = search.FeedbackDirected{}
-		} else {
-			o.Policy = search.Probabilistic{}
-		}
-	}
-	return o
-}
 
 func (o ReplayOptions) maxAttempts() int {
 	if o.MaxAttempts <= 0 {
@@ -277,8 +249,7 @@ func Replay(prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayRes
 // attempts systematically force the windows random sampling is unlikely
 // to hit; random attempts cover window shapes the race-flip vocabulary
 // cannot express. Without feedback, only the random sampling remains —
-// the paper's ablation baseline. ReplayOptions.Policy plugs other
-// compositions into the same engine.
+// the paper's ablation baseline.
 //
 // The search runs on the internal/exec canonical-commit pool over the
 // internal/search sharded priority frontier: there is no wave barrier —
@@ -298,15 +269,13 @@ func Replay(prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayRes
 // pool drains without leaking a goroutine. The result reports the
 // committed prefix with Err set to the context's error.
 func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayResult {
-	opts = opts.normalize()
 	s := &searchState{
 		prog:      prog,
 		rec:       rec,
 		opts:      opts,
-		pol:       opts.Policy,
-		feedback:  opts.Policy.UsesFeedback(),
+		feedback:  opts.Feedback,
 		budget:    opts.maxAttempts(),
-		maxW:      opts.Workers,
+		maxW:      max(1, opts.Workers),
 		failTID:   trace.NoTID,
 		seen:      map[string]bool{"": true},
 		racesSeen: map[string]bool{},
@@ -344,7 +313,6 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 	err := exec.Run(ctx, exec.Config{
 		Workers:   s.maxW,
 		Budget:    s.budget,
-		Adaptive:  opts.AdaptiveWorkers,
 		Active:    active,
 		Occupancy: occ,
 	}, s)

@@ -10,6 +10,27 @@ import (
 	"repro/internal/sketch"
 )
 
+func TestAttemptComposition(t *testing.T) {
+	// With feedback the search alternates directed and random attempts,
+	// every random attempt seeded; without feedback (the E5 ablation)
+	// nothing is directed and attempt 0 stays the unseeded sticky
+	// baseline.
+	for idx := 0; idx < 10; idx++ {
+		if got, want := directedSlot(true, idx), idx%2 == 0; got != want {
+			t.Fatalf("feedback: directedSlot(%d) = %v, want %v", idx, got, want)
+		}
+		if !seededSlot(true, idx) {
+			t.Fatalf("feedback: seededSlot(%d) = false", idx)
+		}
+		if directedSlot(false, idx) {
+			t.Fatalf("no feedback: directedSlot(%d) = true", idx)
+		}
+		if got, want := seededSlot(false, idx), idx != 0; got != want {
+			t.Fatalf("no feedback: seededSlot(%d) = %v, want %v", idx, got, want)
+		}
+	}
+}
+
 func TestReplayParallelMatchesSequential(t *testing.T) {
 	// fft-barrier reproduces on the first directed attempt — before any
 	// worker could race ahead — so the whole ReplayResult must match the
@@ -73,24 +94,6 @@ func TestReplayParallelReproduces(t *testing.T) {
 		if par.Attempts < 1 || par.Attempts > seq.Stats.Divergences+seq.Stats.CleanRuns+seq.Stats.OtherFailures+DefaultMaxAttempts {
 			t.Fatalf("workers=%d implausible attempt count %d", w, par.Attempts)
 		}
-	}
-}
-
-func TestReplayAdaptiveWorkersReproduces(t *testing.T) {
-	// The adaptive controller only retunes pool size; it must not change
-	// whether the bug reproduces.
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	reg := obs.NewRegistry()
-	res := Replay(prog, rec, ReplayOptions{
-		Feedback: true, Oracle: MatchBugID("atom-bug"),
-		Workers: 8, AdaptiveWorkers: true, Metrics: reg,
-	})
-	if !res.Reproduced {
-		t.Fatalf("adaptive search failed: %+v", res.Stats)
-	}
-	if out := Reproduce(prog, rec, res.Order); out.Failure == nil || out.Failure.BugID != "atom-bug" {
-		t.Fatalf("captured order lost the bug: %v", out.Failure)
 	}
 }
 

@@ -2,14 +2,13 @@
 // replayer run on: core.Replay's work-stealing attempt search and the
 // harness's experiment-cell fan-out. The pool owns everything generic
 // about ordered parallel work — index dispatch, the strict in-order
-// commit of results, cooperative context cancellation, and the
-// adaptive occupancy controller — while the Runner callback owns what
-// the work *is*. See INTERNALS.md for the layering.
+// commit of results, cooperative context cancellation, and the budget
+// clamp on live workers — while the Runner callback owns what the work
+// *is*. See INTERNALS.md for the layering.
 package exec
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"repro/internal/obs"
@@ -59,14 +58,9 @@ type Config struct {
 	// Budget is the number of canonical indices to dispatch (required,
 	// > 0): indices 0..Budget-1 unless a Commit stops the pool early.
 	Budget int
-	// Adaptive lets the pool shrink and regrow its live-worker target
-	// between 1 and Workers, driven by an EWMA of the dispatch-time
-	// occupancy, clamped to GOMAXPROCS+1 — for compute-bound work,
-	// more in-flight jobs than cores only preempt one another.
-	Adaptive bool
 	// Active, when non-nil, tracks the in-flight job count (a gauge the
 	// caller names; nil-safe). Occupancy, when non-nil, receives the
-	// dispatch-time occupancy samples the adaptive controller consumes.
+	// in-flight count sampled at each dispatch.
 	Active    *obs.Gauge
 	Occupancy *obs.Histogram
 }
@@ -106,18 +100,10 @@ func Run(ctx context.Context, cfg Config, r Runner) error {
 		cfg:     cfg,
 		ctx:     ctx,
 		r:       r,
-		workers: workers,
 		target:  workers,
 		pending: make(map[int]any),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if cfg.Adaptive && workers > 2 {
-		// Start mid-pool and let the occupancy signal grow or shrink it.
-		p.target = (workers + 1) / 2
-	}
-	if t := p.hwClamp(p.target); t < p.target {
-		p.target = t
-	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -132,14 +118,13 @@ func Run(ctx context.Context, cfg Config, r Runner) error {
 }
 
 // pool is the shared state of one Run. mu orders everything canonical:
-// index dispatch, the in-order commit drain, and the adaptive
-// controller — the same single-lock discipline the Runner's callbacks
+// index dispatch, the in-order commit drain, and the live-worker
+// target — the same single-lock discipline the Runner's callbacks
 // piggyback on for their own shared state.
 type pool struct {
-	cfg     Config
-	ctx     context.Context
-	r       Runner
-	workers int
+	cfg Config
+	ctx context.Context
+	r   Runner
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -149,9 +134,7 @@ type pool struct {
 	stopped    bool  // a Commit returned false; stop dispatch and commits
 	err        error // ctx error observed by dispatch; stops dispatch only
 	active     int   // jobs currently in flight
-	target     int   // adaptive live-worker target
-	occ        float64
-	occInit    bool
+	target     int   // live-worker target: min(workers, indices left)
 }
 
 func (p *pool) worker(id int) {
@@ -168,8 +151,8 @@ func (p *pool) worker(id int) {
 // dispatch reserves the next canonical index and asks the Runner to
 // compose its job. Returns ok=false when the run is over: budget
 // dispatched, a Commit stopped the pool, or the context was cancelled.
-// Workers whose id exceeds the adaptive target park here until
-// retuned; a Wait decision parks until another job completes. Every
+// Workers whose id reaches the live-worker target park here until the
+// run ends; a Wait decision parks until another job completes. Every
 // park is woken by a completion's broadcast — a Runner may only Wait
 // while something is in flight, and a cancelled in-flight execution
 // observes ctx at its next scheduling point, so the pool always
@@ -225,62 +208,25 @@ func (p *pool) complete(idx int, job any) {
 			p.stopped = true
 		}
 	}
-	p.retuneLocked()
+	p.clampTargetLocked()
 	p.mu.Unlock()
-	// Wake parked workers (the target may have grown), Wait decisions
-	// pending on this completion, and dispatchers behind a stop.
+	// Wake Wait decisions pending on this completion, and parked
+	// workers so they see a stop or the end of the budget.
 	p.cond.Broadcast()
 }
 
 // observeOccupancyLocked samples how many jobs are in flight at
-// dispatch time — the signal the adaptive controller and the
-// caller's occupancy histogram consume.
+// dispatch time into the caller's occupancy histogram and active gauge.
 func (p *pool) observeOccupancyLocked() {
 	p.cfg.Occupancy.Observe(float64(p.active))
 	p.cfg.Active.Set(float64(p.active))
-	if !p.occInit {
-		p.occ = float64(p.active)
-		p.occInit = true
-		return
-	}
-	p.occ = 0.8*p.occ + 0.2*float64(p.active)
 }
 
-// retuneLocked is the adaptive controller: saturated occupancy grows
-// the target toward Workers, sustained idleness shrinks it toward 1,
-// and the target never exceeds the indices still left in the budget.
-// Without Adaptive the target stays pinned (modulo the budget clamp,
-// which is free parallelism hygiene either way).
-func (p *pool) retuneLocked() {
-	t := p.workers
-	if p.cfg.Adaptive {
-		t = p.target
-		switch {
-		case p.occ >= 0.75*float64(p.target) && p.target < p.workers:
-			t = p.target + 1
-		case p.occ < 0.4*float64(p.target) && p.target > 1:
-			t = p.target - 1
-		}
-		t = p.hwClamp(t)
+// clampTargetLocked lowers the live-worker target to the indices still
+// left in the budget, so workers with nothing left to run park instead
+// of contending for the lock.
+func (p *pool) clampTargetLocked() {
+	if remaining := p.cfg.Budget - p.next; remaining >= 1 && remaining < p.target {
+		p.target = remaining
 	}
-	if remaining := p.cfg.Budget - p.next; remaining >= 1 && t > remaining {
-		t = remaining
-	}
-	if t < 1 {
-		t = 1
-	}
-	p.target = t
-}
-
-// hwClamp bounds an adaptive target by the host's schedulable CPUs;
-// the +1 keeps one successor warm behind the running set. Fixed-size
-// pools honor the caller's Workers choice untouched.
-func (p *pool) hwClamp(t int) int {
-	if !p.cfg.Adaptive {
-		return t
-	}
-	if hw := runtime.GOMAXPROCS(0) + 1; t > hw {
-		return hw
-	}
-	return t
 }

@@ -199,17 +199,6 @@ func TestPoolMetricsInstruments(t *testing.T) {
 	}
 }
 
-func TestPoolAdaptiveStillRunsEverything(t *testing.T) {
-	const n = 300
-	r := newCountRunner(n)
-	if err := Run(context.Background(), Config{Workers: 16, Budget: n, Adaptive: true}, r); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if len(r.committed()) != n {
-		t.Fatalf("%d commits, want %d", len(r.committed()), n)
-	}
-}
-
 // artifactRunner models the replay search's prefix-snapshot handoff:
 // every Run publishes an immutable artifact for its index into a
 // mutex-guarded store and consumes the deepest predecessor artifact

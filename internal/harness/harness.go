@@ -67,9 +67,6 @@ type Config struct {
 	// search the harness runs. 0 keeps the sequential (deterministic)
 	// search.
 	Workers int
-	// AdaptiveWorkers lets each search's pool retune itself between 1
-	// and Workers from the measured dispatch occupancy.
-	AdaptiveWorkers bool
 	// SearchCache, when non-nil, is shared by every replay search the
 	// harness performs: equivalent attempts across searches of the same
 	// recording are answered from memory. Per-recording context digests
@@ -182,14 +179,13 @@ func (c Config) options(scheme sketch.Scheme, scheduleSeed int64) core.Options {
 // bug's search, wired to the harness's observability sinks.
 func (c Config) replayOptions(bugID string) core.ReplayOptions {
 	return core.ReplayOptions{
-		Feedback:        true,
-		MaxAttempts:     c.maxAttempts(),
-		Oracle:          core.MatchBugID(bugID),
-		Workers:         c.Workers,
-		AdaptiveWorkers: c.AdaptiveWorkers,
-		Cache:           c.SearchCache,
-		Metrics:         c.Metrics,
-		Trace:           c.Trace,
+		Feedback:    true,
+		MaxAttempts: c.maxAttempts(),
+		Oracle:      core.MatchBugID(bugID),
+		Workers:     c.Workers,
+		Cache:       c.SearchCache,
+		Metrics:     c.Metrics,
+		Trace:       c.Trace,
 	}
 }
 

@@ -46,41 +46,3 @@ func TestCacheNilAndEmptyKeySafe(t *testing.T) {
 		t.Fatal("empty key stored")
 	}
 }
-
-func TestPolicyComposition(t *testing.T) {
-	// The three built-in policies must compose attempts exactly as the
-	// pre-seam engine did: FeedbackDirected alternates directed/random
-	// with every random attempt seeded; Probabilistic keeps attempt 0 as
-	// the sticky baseline; StickyDirected never directs or seeds.
-	fd := FeedbackDirected{}
-	if !fd.UsesFeedback() {
-		t.Fatal("FeedbackDirected must use feedback")
-	}
-	for idx := 0; idx < 10; idx++ {
-		if got, want := fd.Directed(idx), idx%2 == 0; got != want {
-			t.Fatalf("FeedbackDirected.Directed(%d) = %v, want %v", idx, got, want)
-		}
-		if !fd.Seeded(idx) {
-			t.Fatalf("FeedbackDirected.Seeded(%d) = false", idx)
-		}
-	}
-	pr := Probabilistic{}
-	if pr.UsesFeedback() {
-		t.Fatal("Probabilistic must not use feedback")
-	}
-	if pr.Seeded(0) {
-		t.Fatal("Probabilistic attempt 0 must be the sticky baseline")
-	}
-	for idx := 1; idx < 10; idx++ {
-		if pr.Directed(idx) {
-			t.Fatalf("Probabilistic.Directed(%d) = true", idx)
-		}
-		if !pr.Seeded(idx) {
-			t.Fatalf("Probabilistic.Seeded(%d) = false", idx)
-		}
-	}
-	st := StickyDirected{}
-	if st.UsesFeedback() || st.Directed(4) || st.Seeded(4) {
-		t.Fatal("StickyDirected must neither direct nor seed")
-	}
-}

@@ -1,7 +1,7 @@
 // Package search holds the replay search engine's data layer: the
 // sharded priority frontier directed attempts are queued on, the
-// cross-search schedule cache, and the Policy seam that composes a
-// search's attempt kinds. It sits below internal/core (which owns the
+// cross-search schedule cache, and the byte-budgeted prefix-snapshot
+// cache. It sits below internal/core (which owns the
 // attempt lifecycle and feedback generation) and beside internal/exec
 // (the canonical-commit worker pool the searches run on); see
 // INTERNALS.md for the layering.

@@ -48,7 +48,6 @@ import (
 	"repro/internal/patterns"
 	"repro/internal/race"
 	"repro/internal/sched"
-	"repro/internal/search"
 	"repro/internal/sketch"
 	"repro/internal/ssync"
 	"repro/internal/trace"
@@ -162,11 +161,6 @@ type (
 	// SearchCache memoizes replay-attempt outcomes across searches and
 	// workers (set ReplayOptions.Cache); see NewSearchCache.
 	SearchCache = core.SearchCache
-	// SearchPolicy composes the replay search's attempt kinds — which
-	// canonical indices pop the directed frontier and which sample the
-	// sketch-constrained space randomly (set ReplayOptions.Policy; nil
-	// derives one from ReplayOptions.Feedback).
-	SearchPolicy = search.Policy
 	// FullOrder is a captured total schedule that reproduces a bug
 	// deterministically.
 	FullOrder = trace.FullOrder
@@ -215,17 +209,6 @@ var (
 	// Advise turns a failed replay search's statistics into guidance:
 	// which knob (sketch density, budget, oracle) is binding.
 	Advise = core.Advise
-)
-
-// The built-in search policies (see SearchPolicy): FeedbackDirected is
-// the paper's alternating directed/probabilistic composition,
-// Probabilistic the E5 random-sampling ablation (attempt 0 stays the
-// deterministic sticky baseline), StickyDirected pure deterministic
-// sketch enforcement.
-var (
-	FeedbackDirectedPolicy SearchPolicy = search.FeedbackDirected{}
-	ProbabilisticPolicy    SearchPolicy = search.Probabilistic{}
-	StickyDirectedPolicy   SearchPolicy = search.StickyDirected{}
 )
 
 // Explore exhaustively enumerates every schedule of a small program — a
