@@ -76,13 +76,15 @@ fuzz-short:
 ## that back OBSERVABILITY.md's disabled-means-free claim, the
 ## wire-format/harness-pool benches (BenchmarkEncodeSketch*,
 ## BenchmarkHarnessMatrix*), and the grant-loop trio
-## (BenchmarkSchedulingPoint/SingleStep/Batch) with its zero-alloc
-## gate (TestSchedGrantLoopAllocFree); then the end-to-end benchmark
-## (bench/README.md) over all four workloads. To compare two trees, run
-## bench with -out in each and diff the files with
-## `cd bench && go run . -compare a.jsonl b.jsonl`.
+## (BenchmarkSchedulingPoint/SingleStep/Batch) with the zero-alloc
+## gates of the grant loop, the replay director's pick and the race
+## detector's dedup (TestSchedGrantLoopAllocFree,
+## TestDirectorPickAllocFree, TestDetectorDedupAllocFree); then the
+## end-to-end benchmark (bench/README.md) over all four workloads. To
+## compare two trees, run bench with -out in each and diff the files
+## with `cd bench && go run . -compare a.jsonl b.jsonl`.
 bench:
-	$(GO) test -run TestSchedGrantLoopAllocFree -bench . -benchtime 1s .
+	$(GO) test -run 'AllocFree$$' -bench . -benchtime 1s . ./internal/core ./internal/race
 	bash bench/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
 ## docs-drift: every pres_-prefixed metric name registered anywhere in

@@ -49,17 +49,32 @@ func (f flip) key() string {
 	return fmt.Sprintf("%#x:t%d#%d>t%d#%d", f.addr, f.untilTID, f.untilCnt, f.holdTID, f.holdCount)
 }
 
+// flipEnd is one access of a flip's pair by its (thread, count)
+// identity.
+type flipEnd struct {
+	tid   trace.TID
+	count uint64
+}
+
+// flipPairKey identifies the unordered access pair a flip constrains:
+// the address plus both ends in numeric (tid, count) order, so a flip
+// and its reversal share a key.
+type flipPairKey struct {
+	addr   uint64
+	lo, hi flipEnd
+}
+
 // pairKey identifies the unordered access pair a flip constrains. A
 // flip set constrains each pair at most once: otherwise the search
 // oscillates, flipping the same race back and forth as each attempt
 // re-observes it in the direction the previous flip produced.
-func (f flip) pairKey() string {
-	a := fmt.Sprintf("t%d#%d", f.holdTID, f.holdCount)
-	b := fmt.Sprintf("t%d#%d", f.untilTID, f.untilCnt)
-	if a > b {
+func (f flip) pairKey() flipPairKey {
+	a := flipEnd{tid: f.holdTID, count: f.holdCount}
+	b := flipEnd{tid: f.untilTID, count: f.untilCnt}
+	if b.tid < a.tid || (b.tid == a.tid && b.count < a.count) {
 		a, b = b, a
 	}
-	return fmt.Sprintf("%#x:%s/%s", f.addr, a, b)
+	return flipPairKey{addr: f.addr, lo: a, hi: b}
 }
 
 // flipSet is an ordered set of flips defining one point in the search
@@ -125,6 +140,13 @@ type director struct {
 
 	diverged    bool
 	divergeNote string
+
+	// grantBuf and filterBuf are the arrays collect and applyFlips
+	// append into, reused from pick to pick: Pick consumes the
+	// candidates before it returns, so no scheduling point allocates
+	// them afresh.
+	grantBuf  []sched.Candidate
+	filterBuf []sched.Candidate
 }
 
 func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, rng *rand.Rand) *director {
@@ -132,8 +154,22 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 	// only order-sensitive operation is releaseOneFlip's first-match
 	// scan, and sorting makes the attempt a function of the flip *set* —
 	// the same identity the dedup set and the schedule cache key on.
-	flips := append([]flip(nil), fs.flips...)
-	sort.Slice(flips, func(i, j int) bool { return flips[i].key() < flips[j].key() })
+	// Each key is rendered once, not at every comparison. Keys within a
+	// set are distinct (with rejects a repeated pair), so the order is
+	// total and independent of the sort algorithm.
+	type keyed struct {
+		key string
+		f   flip
+	}
+	byKey := make([]keyed, len(fs.flips))
+	for i, f := range fs.flips {
+		byKey[i] = keyed{key: f.key(), f: f}
+	}
+	sort.Slice(byKey, func(i, j int) bool { return byKey[i].key < byKey[j].key })
+	flips := make([]flip, len(byKey))
+	for i, kf := range byKey {
+		flips[i] = kf.f
+	}
 	return &director{
 		scheme:   scheme,
 		entries:  entries,
@@ -256,6 +292,7 @@ func (d *director) anyFlipPending() bool {
 // held, impossible sketches diverge), and softly after (everything may
 // run, the expected entry is merely preferred via k-advancement).
 func (d *director) collect(view *sched.PickView) (grantable []sched.Candidate, expected *sched.Candidate, ok bool) {
+	grantable = d.grantBuf[:0]
 	for i := range view.Candidates {
 		c := view.Candidates[i]
 		if d.scheme.Records(c.Kind) && d.k < len(d.entries) {
@@ -289,12 +326,13 @@ func (d *director) collect(view *sched.PickView) (grantable []sched.Candidate, e
 		d.divergeNote = fmt.Sprintf("no thread can reach sketch[%d]", d.k)
 		return nil, nil, false
 	}
+	d.grantBuf = grantable[:0]
 	return grantable, expected, true
 }
 
 // applyFlips filters out candidates currently held by an active flip.
 func (d *director) applyFlips(grantable []sched.Candidate) (filtered []sched.Candidate, anyHeld bool) {
-	filtered = grantable[:0:0]
+	filtered = d.filterBuf[:0]
 	for _, c := range grantable {
 		if d.heldByFlip(c) {
 			anyHeld = true
@@ -302,6 +340,7 @@ func (d *director) applyFlips(grantable []sched.Candidate) (filtered []sched.Can
 		}
 		filtered = append(filtered, c)
 	}
+	d.filterBuf = filtered[:0]
 	return filtered, anyHeld
 }
 

@@ -183,6 +183,50 @@ func TestFlipSetPairDedup(t *testing.T) {
 	}
 }
 
+func TestFlipPairKey(t *testing.T) {
+	f := flip{holdTID: 2, holdCount: 9, addr: 0x10, untilTID: 1, untilCnt: 40}
+	swapped := flip{holdTID: f.untilTID, holdCount: f.untilCnt, addr: f.addr, untilTID: f.holdTID, untilCnt: f.holdCount}
+	if f.pairKey() != swapped.pairKey() {
+		t.Fatalf("swapping hold and until changed the key: %+v vs %+v", f.pairKey(), swapped.pairKey())
+	}
+	// Same thread at both ends orders by count.
+	same := flip{holdTID: 3, holdCount: 7, addr: 0x10, untilTID: 3, untilCnt: 2}
+	sameSwapped := flip{holdTID: 3, holdCount: 2, addr: 0x10, untilTID: 3, untilCnt: 7}
+	if same.pairKey() != sameSwapped.pairKey() {
+		t.Fatal("same-thread ends not put in count order")
+	}
+	moved := f
+	moved.addr = 0x20
+	if f.pairKey() == moved.pairKey() {
+		t.Fatal("flips on different addresses share a pair key")
+	}
+}
+
+// TestDirectorPickAllocFree: once its candidate buffers have grown, a
+// directed Pick — sketch consumed, one flip pending and holding a
+// candidate, so collect and applyFlips both run — allocates nothing.
+func TestDirectorPickAllocFree(t *testing.T) {
+	p := race.Pair{
+		First:  race.Access{TID: 1, TCount: 1, Addr: 0x10, Write: true},
+		Second: race.Access{TID: 2, TCount: 5, Addr: 0x10},
+	}
+	fs, _ := flipSet{}.with(flipOf(p))
+	d := newDirector(sketch.SYNC, nil, fs, nil)
+	v := view(cand(1, trace.KindStore, 0x10), cand(2, trace.KindLoad, 0x20), cand(3, trace.KindLoad, 0x30))
+	pick := func() {
+		if tid, ok := d.Pick(v); !ok || tid == 1 {
+			t.Fatalf("pick = %d, %v; the held thread 1 must wait", tid, ok)
+		}
+	}
+	pick()
+	if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
+		t.Fatalf("director.Pick allocated %.1f objects per call, want 0", allocs)
+	}
+	if !d.anyFlipPending() {
+		t.Fatal("flip released; the test no longer exercises the held path")
+	}
+}
+
 func TestFlipSetPairsRoundTrip(t *testing.T) {
 	p := race.Pair{
 		First:  race.Access{TID: 1, TCount: 3, Addr: 0x10, Write: true},

@@ -307,7 +307,7 @@ type searchState struct {
 	// and Commit).
 	directedLive int // dispatched directed attempts not yet completed
 	seen         map[string]bool
-	racesSeen    map[string]bool
+	racesSeen    map[race.PairKey]bool
 	r            *ReplayResult
 }
 

@@ -22,7 +22,7 @@ import (
 // snapshot probe at the added flip's first access (snapshot.go).
 type replayNode struct {
 	fs          flipSet
-	parentRaces map[string]bool
+	parentRaces map[race.PairKey]bool
 	parentKey   string
 	bound       uint64
 }
@@ -49,7 +49,7 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 	if s.snaps != nil {
 		pk = snapKey(s.digest, canonicalFlipKey(nd.fs))
 	}
-	myRaces := make(map[string]bool, len(out.races))
+	myRaces := make(map[race.PairKey]bool, len(out.races))
 	for _, p := range out.races {
 		myRaces[p.Key()] = true
 	}

@@ -278,7 +278,7 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 		maxW:      max(1, opts.Workers),
 		failTID:   trace.NoTID,
 		seen:      map[string]bool{"": true},
-		racesSeen: map[string]bool{},
+		racesSeen: map[race.PairKey]bool{},
 		r:         &ReplayResult{},
 	}
 	s.cancel.Store(cancelNone)

@@ -9,7 +9,7 @@
 //
 // When Config.Metrics is set, every recording and replay the harness
 // performs feeds the shared registry, and each experiment stamps its
-// own wall time into harness_experiment_seconds{exp=...} — so a full
+// own wall time into pres_harness_experiment_seconds{exp=...} — so a full
 // presbench run yields one aggregate metric snapshot alongside its
 // tables (rendered by PrintMetrics, written by presbench
 // -metrics-out). Config.Trace likewise captures every replay attempt
@@ -190,15 +190,15 @@ func (c Config) replayOptions(bugID string) core.ReplayOptions {
 }
 
 // timeExperiment opens an experiment-scoped span: it counts the run in
-// harness_experiments_total{exp} and times it into
-// harness_experiment_seconds{exp}. Use as
+// pres_harness_experiments_total{exp} and times it into
+// pres_harness_experiment_seconds{exp}. Use as
 // `defer cfg.timeExperiment("e1")()`.
 func (c Config) timeExperiment(exp string) func() {
 	if c.Metrics == nil {
 		return func() {}
 	}
-	c.Metrics.Counter("harness_experiments_total", "exp", exp).Inc()
-	sp := c.Metrics.Timer("harness_experiment_seconds", "exp", exp).Start()
+	c.Metrics.Counter("pres_harness_experiments_total", "exp", exp).Inc()
+	sp := c.Metrics.Timer("pres_harness_experiment_seconds", "exp", exp).Start()
 	return func() { sp.Stop() }
 }
 

@@ -1,6 +1,8 @@
 package race
 
 import (
+	"unsafe"
+
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -27,7 +29,7 @@ func (d *Detector) Clone() *Detector {
 		writes:  cloneHistory(d.writes),
 		reads:   cloneHistory(d.reads),
 		pairs:   append([]Pair(nil), d.pairs...),
-		seen:    make(map[string]bool, len(d.seen)),
+		seen:    make(map[PairKey]bool, len(d.seen)),
 	}
 	for k := range d.seen {
 		c.seen[k] = true
@@ -56,17 +58,17 @@ func (d *Detector) Footprint() int64 {
 	n += historyFootprint(d.writes)
 	n += historyFootprint(d.reads)
 	n += int64(len(d.pairs)) * recBytes
-	for k := range d.seen {
-		n += mapSlot + int64(len(k))
-	}
+	n += int64(len(d.seen)) * (mapSlot + pairKeyBytes)
 	return n
 }
 
 // mapSlot and recBytes are the flat per-entry overheads Footprint
-// charges for map slots and access records.
+// charges for map slots and access records; pairKeyBytes is a dedup
+// key's fixed size.
 const (
-	mapSlot  = 48
-	recBytes = 64
+	mapSlot      = 48
+	recBytes     = 64
+	pairKeyBytes = int64(unsafe.Sizeof(PairKey{}))
 )
 
 func cloneVCMapTID(m map[trace.TID]vclock.VC) map[trace.TID]vclock.VC {
@@ -113,7 +115,7 @@ func (d *LocksetDetector) Clone() *LocksetDetector {
 		held:  make(map[trace.TID]map[uint64]bool, len(d.held)),
 		state: make(map[uint64]*addrState, len(d.state)),
 		pairs: append([]Pair(nil), d.pairs...),
-		seen:  make(map[string]bool, len(d.seen)),
+		seen:  make(map[PairKey]bool, len(d.seen)),
 	}
 	for tid, hs := range d.held {
 		c.held[tid] = copySet(hs)
@@ -150,8 +152,6 @@ func (d *LocksetDetector) Footprint() int64 {
 		n += int64(len(st.lastBy)) * (mapSlot + recBytes)
 	}
 	n += int64(len(d.pairs)) * recBytes
-	for k := range d.seen {
-		n += mapSlot + int64(len(k))
-	}
+	n += int64(len(d.seen)) * (mapSlot + pairKeyBytes)
 	return n
 }

@@ -22,7 +22,7 @@ type LocksetDetector struct {
 	state map[uint64]*addrState
 
 	pairs []Pair
-	seen  map[string]bool
+	seen  map[PairKey]bool
 }
 
 type addrMode uint8
@@ -50,7 +50,7 @@ func NewLocksetDetector() *LocksetDetector {
 	return &LocksetDetector{
 		held:  make(map[trace.TID]map[uint64]bool),
 		state: make(map[uint64]*addrState),
-		seen:  make(map[string]bool),
+		seen:  make(map[PairKey]bool),
 	}
 }
 

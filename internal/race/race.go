@@ -59,9 +59,29 @@ type Pair struct {
 // Window returns the distance in global steps between the two accesses.
 func (p Pair) Window() uint64 { return p.SecondSeq - p.FirstSeq }
 
+// PairKey is a pair's identity: the address plus the (thread, count)
+// identity of each access, in execution order. It is comparable, so
+// dedup sets key maps on it without formatting a string per report.
+// Two pairs have equal keys exactly when they race on the same address
+// between the same two accesses in the same order; the access kinds
+// and the global steps are not part of the identity.
+type PairKey struct {
+	Addr         uint64
+	FirstTID     trace.TID
+	FirstTCount  uint64
+	SecondTID    trace.TID
+	SecondTCount uint64
+}
+
 // Key returns a stable identity for deduplication across attempts.
-func (p Pair) Key() string {
-	return fmt.Sprintf("%#x:t%d#%d/t%d#%d", p.First.Addr, p.First.TID, p.First.TCount, p.Second.TID, p.Second.TCount)
+func (p Pair) Key() PairKey {
+	return PairKey{
+		Addr:         p.First.Addr,
+		FirstTID:     p.First.TID,
+		FirstTCount:  p.First.TCount,
+		SecondTID:    p.Second.TID,
+		SecondTCount: p.Second.TCount,
+	}
 }
 
 // String renders the pair for diagnostics.
@@ -93,7 +113,7 @@ type Detector struct {
 	reads  map[uint64][]accessRec // recent reads per address
 
 	pairs []Pair
-	seen  map[string]bool
+	seen  map[PairKey]bool
 }
 
 // NewDetector returns an empty detector.
@@ -105,7 +125,7 @@ func NewDetector() *Detector {
 		exited:  make(map[trace.TID]vclock.VC),
 		writes:  make(map[uint64][]accessRec),
 		reads:   make(map[uint64][]accessRec),
-		seen:    make(map[string]bool),
+		seen:    make(map[PairKey]bool),
 	}
 }
 

@@ -1,6 +1,8 @@
 package race
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -181,7 +183,8 @@ func TestAccessAndPairStrings(t *testing.T) {
 		t.Fatalf("named Access.String() = %q", named.String())
 	}
 	p := Pair{First: a, Second: Access{TID: 2, TCount: 5, Addr: 0x40}, SecondSeq: 9}
-	if p.Key() == "" || !strings.Contains(p.String(), "race{") {
+	want := PairKey{Addr: 0x40, FirstTID: 1, FirstTCount: 3, SecondTID: 2, SecondTCount: 5}
+	if p.Key() != want || !strings.Contains(p.String(), "race{") {
 		t.Fatal("pair rendering broken")
 	}
 }
@@ -208,5 +211,78 @@ func TestRacesOrderedBySecondSeq(t *testing.T) {
 	}
 	if len(pairs) == 0 {
 		t.Fatal("expected races on x and y")
+	}
+}
+
+// stringKey is the string identity Pair.Key rendered before it became a
+// struct; TestPairKeyMatchesStringKey checks the two agree.
+func stringKey(p Pair) string {
+	return fmt.Sprintf("%#x:t%d#%d/t%d#%d", p.First.Addr, p.First.TID, p.First.TCount, p.Second.TID, p.Second.TCount)
+}
+
+// TestPairKeyMatchesStringKey: two pairs have equal PairKeys exactly
+// when their old string keys are equal, over boundary coordinates —
+// so every dedup set keyed by PairKey holds the same members it did
+// when keyed by the string.
+func TestPairKeyMatchesStringKey(t *testing.T) {
+	var accs []Access
+	for _, addr := range []uint64{0, 1, 0x10, math.MaxUint64} {
+		for _, tid := range []trace.TID{0, 1, math.MaxInt32} {
+			for _, tc := range []uint64{0, 1, math.MaxUint64} {
+				accs = append(accs, Access{TID: tid, TCount: tc, Addr: addr})
+			}
+		}
+	}
+	var pairs []Pair
+	for _, a := range accs {
+		for _, b := range accs {
+			if b.Addr != a.Addr {
+				continue
+			}
+			pairs = append(pairs, Pair{First: a, Second: b})
+			// Access kinds and steps are not identity: the same two
+			// accesses as writes at other steps key the same.
+			aw, bw := a, b
+			aw.Write, bw.Write = true, true
+			pairs = append(pairs, Pair{First: aw, Second: bw, FirstSeq: 7, SecondSeq: 9})
+		}
+	}
+	strs := make([]string, len(pairs))
+	for i, p := range pairs {
+		strs[i] = stringKey(p)
+	}
+	for i, p := range pairs {
+		for j, q := range pairs {
+			if (p.Key() == q.Key()) != (strs[i] == strs[j]) {
+				t.Fatalf("%v vs %v: struct keys equal=%v, string keys %q %q",
+					p, q, p.Key() == q.Key(), strs[i], strs[j])
+			}
+		}
+	}
+}
+
+// TestDetectorDedupAllocFree: re-reporting a pair the detector has
+// already seen costs a map probe and nothing else — the common case on
+// hot addresses, where the same racing accesses are re-checked against
+// every later access.
+func TestDetectorDedupAllocFree(t *testing.T) {
+	d := NewDetector()
+	for _, ev := range []trace.Event{
+		{Seq: 1, TID: 1, TCount: 1, Kind: trace.KindStore, Obj: 0x10},
+		{Seq: 2, TID: 2, TCount: 1, Kind: trace.KindStore, Obj: 0x10},
+	} {
+		d.OnEvent(ev)
+	}
+	if len(d.Pairs()) != 1 {
+		t.Fatalf("setup: %d pairs, want 1", len(d.Pairs()))
+	}
+	prior := d.writes[0x10][:1]
+	cur := d.writes[0x10][1]
+	allocs := testing.AllocsPerRun(100, func() { d.reportConcurrent(prior, cur, cur.seq) })
+	if allocs != 0 {
+		t.Fatalf("re-reporting a seen pair allocated %.1f objects, want 0", allocs)
+	}
+	if len(d.Pairs()) != 1 {
+		t.Fatalf("re-report added pairs: %d", len(d.Pairs()))
 	}
 }

@@ -30,8 +30,31 @@ type FlipID struct {
 // lexicographic string order a total order on the tuples and keeps the
 // encoding injective.
 func (f FlipID) encode() string {
-	return fmt.Sprintf("%016x.%08x.%016x.%08x.%016x",
-		f.Addr, uint32(f.HoldTID), f.HoldCount, uint32(f.UntilTID), f.UntilCount)
+	b := make([]byte, 0, flipIDLen)
+	b = appendHex(b, f.Addr, 16)
+	b = append(b, '.')
+	b = appendHex(b, uint64(uint32(f.HoldTID)), 8)
+	b = append(b, '.')
+	b = appendHex(b, f.HoldCount, 16)
+	b = append(b, '.')
+	b = appendHex(b, uint64(uint32(f.UntilTID)), 8)
+	b = append(b, '.')
+	b = appendHex(b, f.UntilCount, 16)
+	return string(b)
+}
+
+// flipIDLen is the length of an encoded FlipID: three 16-digit and two
+// 8-digit hex fields joined by dots.
+const flipIDLen = 3*16 + 2*8 + 4
+
+// appendHex appends the low width hex digits of v, zero-padded, in
+// lower case — the bytes fmt's %0<width>x gives for a v that fits.
+func appendHex(b []byte, v uint64, width int) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+		b = append(b, digits[(v>>uint(shift))&0xf])
+	}
+	return b
 }
 
 // FlipSetKey returns the canonical key of a flip set: the same multiset

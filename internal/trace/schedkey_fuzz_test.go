@@ -2,6 +2,8 @@ package trace
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 )
@@ -126,4 +128,28 @@ func FuzzScheduleCacheKey(f *testing.F) {
 				sameAttempt, ka == kb, ka, kb)
 		}
 	})
+}
+
+// TestFlipIDEncodeMatchesSprintf: the hand-rolled encoder writes the
+// same bytes as the fmt reference below, over boundary values of every
+// field, so flip-set keys and schedule-cache keys are unchanged.
+func TestFlipIDEncodeMatchesSprintf(t *testing.T) {
+	reference := func(f FlipID) string {
+		return fmt.Sprintf("%016x.%08x.%016x.%08x.%016x",
+			f.Addr, uint32(f.HoldTID), f.HoldCount, uint32(f.UntilTID), f.UntilCount)
+	}
+	words := []uint64{0, 1, 0xa, 0xdeadbeef, 1 << 63, math.MaxUint64}
+	tids := []TID{0, 1, 0xf, math.MaxInt32, -1, math.MinInt32}
+	for _, w := range words {
+		for _, tid := range tids {
+			for _, f := range []FlipID{
+				{Addr: w, HoldTID: tid, HoldCount: w, UntilTID: tid, UntilCount: w},
+				{Addr: ^w, HoldTID: tid, HoldCount: 0, UntilTID: -tid, UntilCount: math.MaxUint64 - w},
+			} {
+				if got, want := f.encode(), reference(f); got != want {
+					t.Fatalf("encode(%+v) = %q, want %q", f, got, want)
+				}
+			}
+		}
+	}
 }
