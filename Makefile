@@ -40,9 +40,10 @@ test:
 
 ## stress: the concurrency gate — the canonical-commit worker pool
 ## itself (exec: dispatch, park, budget clamp, drain-on-cancel), the
-## work-stealing search (core) and the experiment cell pool (harness)
-## twice under -race, so the dedup/commit/cache/dispatch paths get
-## different goroutine schedules on each pass.
+## work-stealing search (core: concurrent Workers 8 searches) and the
+## experiment cell pool (harness) twice under -race, so the
+## dedup/commit/snapshot/dispatch paths get different goroutine
+## schedules on each pass.
 stress:
 	$(GO) test -race -count=2 ./internal/exec/...
 	$(GO) test -race -count=2 ./internal/core/...
@@ -59,12 +60,13 @@ scenarios:
 	$(GO) test -run 'TestMatrix|TestGen|TestInject' ./internal/scenario ./internal/sched
 	$(GO) run ./cmd/presgen -sweep 100
 
-## fuzz-short: run every native fuzz target in internal/trace and
-## internal/scenario for FUZZTIME each (the canonical-key
-## collision-freedom targets, the decoder robustness targets, and the
-## generator round-tripper), seeded from testdata/fuzz corpora.
+## fuzz-short: run every native fuzz target in internal/trace,
+## internal/scenario and internal/core for FUZZTIME each (the
+## canonical-key collision-freedom targets, the decoder robustness
+## targets, the generator round-tripper, and the decode-then-replay
+## target FuzzReadRecordingReplay), seeded from testdata/fuzz corpora.
 fuzz-short:
-	@set -e; for pkg in ./internal/trace ./internal/scenario; do \
+	@set -e; for pkg in ./internal/trace ./internal/scenario ./internal/core; do \
 		for t in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$t ($(FUZZTIME)) [$$pkg]"; \
 			$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg; \
@@ -93,9 +95,13 @@ bench:
 ## (`| \`pres_...`) in OBSERVABILITY.md must name a metric registered
 ## in non-test code; every CLI flag README.md mentions in inline code
 ## (`-flag`) must be registered by some tool in cmd/, by the shared
-## observability flags in internal/obs, or by the benchmark in bench/.
-## A metric or flag documented without code (or vice versa) fails the
-## gate. FLAG_ALLOW lists README tokens that look like flags but are
+## observability flags in internal/obs, or by the benchmark in bench/;
+## every JSONL trace field (a `json:"..."` tag on the event structs in
+## internal/obs/sink.go, except the `event` discriminator) must be named
+## in the first cell of a row of OBSERVABILITY.md's `record`, `attempt`
+## or `summary` field tables and, in reverse, every name in those cells
+## must be such a tag. A metric, flag or trace field documented without
+## code (or vice versa) fails the gate. FLAG_ALLOW lists README tokens that look like flags but are
 ## not ours (e.g. go test's -race).
 FLAG_ALLOW = race bench benchtime
 docs-drift:
@@ -120,5 +126,19 @@ docs-drift:
 			echo "docs-drift: flag -$$f is documented in README.md but no tool in cmd/ or bench/ (or the shared obs flags) registers it"; missing=1; \
 		fi; \
 	done; \
+	tags=$$(grep -oE 'json:"[a-z_]+' internal/obs/sink.go | sed 's/^json:"//' | grep -vx event | sort -u); \
+	fields=$$(awk '/^\*\*`(record|attempt|summary)`\*\*/ { tbl = 1; rows = 0; next } \
+		tbl && /^\|/ { rows = 1; split($$0, cell, "|"); print cell[2]; next } \
+		tbl && rows { tbl = 0 }' OBSERVABILITY.md | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u); \
+	for g in $$tags; do \
+		if ! echo "$$fields" | grep -qx "$$g"; then \
+			echo "docs-drift: trace field $$g is emitted by internal/obs/sink.go but has no row in OBSERVABILITY.md's trace field tables"; missing=1; \
+		fi; \
+	done; \
+	for g in $$fields; do \
+		if ! echo "$$tags" | grep -qx "$$g"; then \
+			echo "docs-drift: trace field $$g has a row in OBSERVABILITY.md but no json tag in internal/obs/sink.go"; missing=1; \
+		fi; \
+	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
-	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics, $$(echo "$$rows" | wc -l) OBSERVABILITY.md rows and $$(echo "$$flags" | wc -l) README flags all in sync"
+	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics, $$(echo "$$rows" | wc -l) OBSERVABILITY.md rows, $$(echo "$$flags" | wc -l) README flags and $$(echo "$$tags" | wc -l) trace fields all in sync"

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sketch"
@@ -42,7 +41,6 @@ func main() {
 	replays := flag.Int("e6-replays", 100, "re-replays per bug in E6")
 	jobs := flag.Int("j", 0, "experiment cells run in parallel (0 = GOMAXPROCS, 1 = sequential; tables are identical at any value)")
 	workers := flag.Int("workers", 0, "work-stealing attempt workers per replay search (0 = sequential)")
-	cacheSize := flag.Int("search-cache", 0, "shared schedule-cache capacity in attempts (0 disables, -1 = default size)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the whole run (0 = none); SIGINT also cancels gracefully")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	scenarios := flag.Bool("scenarios", false, "run only the failure-injection scenarios (shorthand for -exp e12)")
@@ -95,13 +93,6 @@ func main() {
 		Workers:       *workers,
 		Metrics:       o.Registry,
 		Trace:         o.Trace,
-	}
-	if *cacheSize != 0 {
-		size := *cacheSize
-		if size < 0 {
-			size = 0 // core.NewSearchCache's default capacity
-		}
-		cfg.SearchCache = core.NewSearchCache(size)
 	}
 
 	results := map[string]any{}
@@ -194,7 +185,7 @@ func main() {
 		}
 		return rows
 	})
-	run("e11", "work-stealing search scaling and schedule-cache reuse (extension)", func() any {
+	run("e11", "work-stealing search scaling (extension)", func() any {
 		rows := harness.RunE11(nil, nil, cfg)
 		if !*asJSON {
 			harness.PrintE11(os.Stdout, rows, cfg)

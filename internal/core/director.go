@@ -153,7 +153,7 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 	// Enforce flips in canonical (key) order, not discovery order: the
 	// only order-sensitive operation is releaseOneFlip's first-match
 	// scan, and sorting makes the attempt a function of the flip *set* —
-	// the same identity the dedup set and the schedule cache key on.
+	// the same identity the dedup set keys on.
 	// Each key is rendered once, not at every comparison. Keys within a
 	// set are distinct (with rejects a repeated pair), so the order is
 	// total and independent of the sort algorithm.

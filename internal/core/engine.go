@@ -29,8 +29,8 @@ type attemptOutcome struct {
 	clean    bool
 	// cancelled marks an attempt the context cut short: the execution
 	// unwound at a scheduling point before reaching a verdict, so the
-	// outcome describes a truncated run and must never feed the schedule
-	// cache or the feedback frontier.
+	// outcome describes a truncated run and must never feed the
+	// feedback frontier.
 	cancelled bool
 	// horizon is the step nearest the recorded execution's end: the
 	// step at which the sketch was fully consumed, or where the attempt
@@ -43,18 +43,9 @@ type attemptOutcome struct {
 	consumed int
 	note     string
 	wall     time.Duration
-	// rawFailure is the execution's failure before oracle
-	// classification (failure above is only set for the target bug) —
-	// what the schedule cache stores so a hit can be re-judged under
-	// any oracle.
-	rawFailure *sched.Failure
-	// cached marks an outcome served by the schedule cache instead of
-	// an execution.
-	cached bool
 	// steps, handoffs and fastSteps are the execution's scheduler
 	// counters (sched.Result): committed points, strategy handoffs and
-	// fast-path grants. Zero for cached outcomes — the cache stores
-	// verdicts, not executions.
+	// fast-path grants.
 	steps     uint64
 	handoffs  uint64
 	fastSteps uint64
@@ -202,7 +193,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 
 	out := attemptOutcome{
 		races: det.Pairs(), horizon: dir.exhaustStep, consumed: dir.k,
-		note: dir.divergeNote, rawFailure: res.Failure,
+		note:  dir.divergeNote,
 		steps: res.Steps, handoffs: res.Handoffs, fastSteps: res.FastPathSteps,
 	}
 	if out.horizon == 0 {
@@ -255,12 +246,11 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 // searchJob is one dispatched attempt: its canonical index, what kind
 // of exploration it performs, and (after running) its outcome.
 type searchJob struct {
-	idx       int // 0-based canonical attempt index
-	directed  bool
-	nd        replayNode
-	seed      int64
-	likelyWin bool // cache says this attempt reproduced last time
-	out       attemptOutcome
+	idx      int // 0-based canonical attempt index
+	directed bool
+	nd       replayNode
+	seed     int64
+	out      attemptOutcome
 }
 
 // searchState is one replay search, expressed as the exec pool's
@@ -274,14 +264,13 @@ type searchJob struct {
 //     `seen`, racesSeen, the result) needs no further locking — the
 //     same single-lock discipline the old engine had, now borrowed
 //     from the pool.
-//   - the frontier and the schedule cache (internal/search) carry
-//     their own finer locks, so pushes, steals and cache probes from
-//     other workers never wait on a commit in progress.
-//   - cancel and likelyWinner are the cross-worker atomics, mutated
-//     from Run (which holds no lock): cancel is the lowest attempt
-//     index known to have reproduced, polled by in-flight attempts at
-//     every scheduling point; likelyWinner is the lowest in-flight
-//     attempt whose cache entry says it reproduced last time.
+//   - the frontier and the snapshot cache (internal/search) carry
+//     their own finer locks, so pushes, steals and snapshot probes
+//     from other workers never wait on a commit in progress.
+//   - cancel is the cross-worker atomic, mutated from Run (which
+//     holds no lock): the lowest attempt index known to have
+//     reproduced, polled by in-flight attempts at every scheduling
+//     point.
 type searchState struct {
 	prog     *appkit.Program
 	rec      *Recording
@@ -289,7 +278,7 @@ type searchState struct {
 	feedback bool
 	budget   int
 	maxW     int
-	digest   uint64 // schedule-cache / snapshot-key context digest
+	digest   uint64 // snapshot-key context digest
 	failTID  trace.TID
 	frontier *search.Frontier[replayNode]
 	// snaps is the prefix-snapshot cache (nil unless PrefixSnapshots is
@@ -297,11 +286,6 @@ type searchState struct {
 	// It carries its own lock; workers probe and store directly.
 	snaps  *search.SnapshotCache
 	cancel atomic.Int64
-	// likelyWinner is the lowest in-flight attempt whose cache entry
-	// says it reproduced last time (re-executing to capture a fresh
-	// order); dispatch pauses past it rather than speculate on attempts
-	// its success is about to cancel. -1 when no such attempt is known.
-	likelyWinner atomic.Int64
 
 	// Guarded by the pool's mutex (only touched from Dispatch, Complete
 	// and Commit).
@@ -320,7 +304,7 @@ func directedSlot(feedback bool, idx int) bool { return feedback && idx%2 == 0 }
 // index-seeded random schedule. Only the no-feedback ablation (the
 // paper's E5 baseline) runs its attempt 0 as the deterministic sticky
 // baseline instead. Both rules are pure functions of the index, which
-// the canonical-order commits and the schedule-cache key rely on.
+// the canonical-order commits rely on.
 func seededSlot(feedback bool, idx int) bool { return feedback || idx != 0 }
 
 // Dispatch composes the attempt for canonical index idx: directedSlot
@@ -337,12 +321,6 @@ func seededSlot(feedback bool, idx int) bool { return feedback || idx != 0 }
 // no other attempt is ever in flight, so the sequential composition —
 // pop if available, else random — is untouched.
 func (s *searchState) Dispatch(worker, idx int) exec.Decision {
-	if lw := s.likelyWinner.Load(); lw >= 0 && int64(idx) > lw {
-		// A warm-cache attempt below us is re-executing a known
-		// reproduction; its success cancels everything we would start
-		// now, so wait for it instead of burning CPU.
-		return exec.Decision{Wait: true}
-	}
 	if directedSlot(s.feedback, idx) {
 		if nd, ok := s.frontier.Pop(worker); ok {
 			s.directedLive++
@@ -355,52 +333,11 @@ func (s *searchState) Dispatch(worker, idx int) exec.Decision {
 	return exec.Decision{Job: &searchJob{idx: idx, seed: int64(idx)}}
 }
 
-// Run produces the attempt's outcome: from the schedule cache when an
-// equivalent attempt already executed (and its failure is not the
-// target bug — reproductions always re-execute so the captured order
-// is fresh), otherwise by running the simulated execution.
+// Run produces the attempt's outcome by running the simulated
+// execution.
 func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 	j := job.(*searchJob)
 	seeded := !j.directed && seededSlot(s.feedback, j.idx)
-	var key string
-	if s.opts.Cache != nil {
-		key = trace.ScheduleCacheKey(s.digest, j.seed, seeded, canonicalFlipKey(j.nd.fs))
-		if e, ok := s.opts.Cache.Lookup(key); ok {
-			if !s.isTargetBug(e.Failure) {
-				start := time.Now()
-				j.out = attemptOutcome{
-					races:      e.Races,
-					horizon:    e.Horizon,
-					consumed:   e.Consumed,
-					note:       e.Note,
-					rawFailure: e.Failure,
-					cached:     true,
-				}
-				switch {
-				case e.Failure == nil:
-					j.out.clean = true
-				case e.Failure.Reason == sched.ReasonDiverged:
-					j.out.diverged = true
-				}
-				j.out.wall = time.Since(start)
-				return
-			}
-			// The cache says this attempt reproduced the target bug
-			// last time. It must re-execute so this search captures a
-			// fresh full order — but flag it so dispatch stops
-			// speculating on attempts its success is about to cancel.
-			for {
-				cur := s.likelyWinner.Load()
-				if cur >= 0 && cur <= int64(j.idx) {
-					break
-				}
-				if s.likelyWinner.CompareAndSwap(cur, int64(j.idx)) {
-					j.likelyWin = true
-					break
-				}
-			}
-		}
-	}
 	var rng *rand.Rand
 	if seeded {
 		rng = rand.New(rand.NewSource(j.seed))
@@ -430,24 +367,6 @@ func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 			}
 		}
 	}
-	if s.opts.Cache != nil && !j.out.cancelled && s.cancel.Load() >= int64(j.idx) {
-		// Store only complete executions: a cancelled attempt's outcome
-		// is truncated. A reproduction's raw failure is stored too — as
-		// the likely-winner hint above — but never served in place of a
-		// re-execution, so every search captures its own order.
-		s.opts.Cache.Store(search.Entry{
-			Key:      key,
-			Races:    j.out.races,
-			Failure:  j.out.rawFailure,
-			Horizon:  j.out.horizon,
-			Consumed: j.out.consumed,
-			Note:     j.out.note,
-		})
-	}
-}
-
-func (s *searchState) isTargetBug(f *sched.Failure) bool {
-	return f != nil && f.IsBug() && s.opts.oracle()(f)
 }
 
 // Complete records an attempt's completion (in completion order,
@@ -457,9 +376,6 @@ func (s *searchState) Complete(idx int, job any) {
 	j := job.(*searchJob)
 	if j.directed {
 		s.directedLive--
-	}
-	if j.likelyWin {
-		s.likelyWinner.CompareAndSwap(int64(j.idx), -1)
 	}
 }
 
@@ -471,13 +387,6 @@ func (s *searchState) Commit(idx int, job any) bool {
 	j := job.(*searchJob)
 	r := s.r
 	r.Attempts++
-	if s.opts.Cache != nil {
-		if j.out.cached {
-			r.Stats.CacheHits++
-		} else {
-			r.Stats.CacheMisses++
-		}
-	}
 	r.Stats.Steps += j.out.steps
 	r.Stats.Handoffs += j.out.handoffs
 	r.Stats.FastPathSteps += j.out.fastSteps

@@ -12,7 +12,7 @@ import (
 // attempt's observed races become child flip sets on the search
 // frontier (the paper's "compare the failed replay with the
 // recording"), and the canonical identities (flip-set key, search
-// digest) the dedup set and the schedule cache are keyed by.
+// digest) the dedup set and the prefix snapshots are keyed by.
 
 // replayNode is one point in the directed search tree: a flip set plus
 // the race keys its parent attempt observed — feedback prioritizes races
@@ -115,7 +115,7 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 const maxFlipDepth = 4
 
 // canonicalFlipKey is the order-independent identity of a flip set —
-// the dedup and cache key. Distinct sets never collide
+// the dedup and snapshot key. Distinct sets never collide
 // (trace.FlipSetKey is injective; FuzzFlipSetKey pins it).
 func canonicalFlipKey(fs flipSet) string {
 	if len(fs.flips) == 0 {
@@ -136,9 +136,9 @@ func canonicalFlipKey(fs flipSet) string {
 
 // searchDigest hashes everything that determines what a replay attempt
 // of this search executes — program, recording (sketch, inputs, world)
-// and the replay knobs that alter enforcement — into the schedule
-// cache's context component. Searches with equal digests run equal
-// attempts for equal (policy, flip set) pairs.
+// and the replay knobs that alter enforcement — into the context
+// component of the snapshot keys (snapKey). Searches with equal digests
+// run equal directed attempts for equal flip sets.
 func searchDigest(prog *appkit.Program, rec *Recording, opts ReplayOptions) uint64 {
 	d := trace.NewDigest()
 	d.String(prog.Name)
@@ -160,9 +160,9 @@ func searchDigest(prog *appkit.Program, rec *Recording, opts ReplayOptions) uint
 	entries := rec.Sketch.Entries
 	if cp, ok := activeCheckpoint(rec, opts); ok {
 		// Checkpointed attempts enforce only the window from the
-		// checkpoint, against a re-executed prefix: the cache context is
+		// checkpoint, against a re-executed prefix: the key context is
 		// the checkpoint's identity plus that window, so searches from
-		// different checkpoints (or from the start) never share entries.
+		// different checkpoints (or from the start) never share keys.
 		d.Word(cp.Step)
 		d.Word(cp.SketchIndex)
 		d.Word(cp.EventDigest)

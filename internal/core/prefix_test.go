@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/sched"
 	"repro/internal/search"
 	"repro/internal/sketch"
 	"repro/internal/trace"
@@ -57,8 +56,8 @@ func withLastCheckpoint(rec *Recording, mut func(*trace.Checkpoint)) *Recording 
 // requireMismatch checks an attempt ended diverged with the given note.
 func requireMismatch(t *testing.T, out attemptOutcome, note string) {
 	t.Helper()
-	if !out.diverged || out.rawFailure == nil || out.rawFailure.Reason != sched.ReasonDiverged {
-		t.Fatalf("attempt not diverged: diverged=%v failure=%v", out.diverged, out.rawFailure)
+	if !out.diverged {
+		t.Fatalf("attempt not diverged: clean=%v bug=%v note=%q", out.clean, out.bug, out.note)
 	}
 	if !strings.HasPrefix(out.note, note) {
 		t.Fatalf("note = %q, want prefix %q", out.note, note)

@@ -108,12 +108,11 @@ func TestPropInputsIdenticalAcrossSchemes(t *testing.T) {
 }
 
 // TestPropParallelSearchEquivalence: over a randomized sample of corpus
-// bugs, the work-stealing search at Workers: 4 (with a schedule cache in
-// play) reproduces exactly when the sequential search does, and every
-// captured FullOrder — sequential or parallel — replays to the
-// *identical* failure 100 times out of 100. This is the conformance
-// property the pool must not break: parallelism and caching buy
-// wall-clock, never reproduction power or fidelity.
+// bugs, the work-stealing search at Workers: 4 reproduces exactly when
+// the sequential search does, and every captured FullOrder — sequential
+// or parallel — replays to the *identical* failure 100 times out of
+// 100. This is the conformance property the pool must not break:
+// parallelism buys wall-clock, never reproduction power or fidelity.
 func TestPropParallelSearchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bugs := apps.AllBugs()
@@ -148,7 +147,7 @@ func TestPropParallelSearchEquivalence(t *testing.T) {
 		checked++
 
 		seq := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 1})
-		par := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 4, Cache: NewSearchCache(0)})
+		par := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 4})
 		if seq.Reproduced != par.Reproduced {
 			t.Fatalf("%s: sequential reproduced=%v but workers=4 reproduced=%v (seq %+v, par %+v)",
 				b.ID, seq.Reproduced, par.Reproduced, seq.Stats, par.Stats)

@@ -39,20 +39,6 @@ func isDeadlockID(id string) bool {
 	return false
 }
 
-// SearchCache is the cross-attempt schedule cache consumed through
-// ReplayOptions.Cache; it lives in internal/search and is re-exported
-// here for the public API.
-type SearchCache = search.Cache
-
-// DefaultSearchCacheSize is the entry cap a zero-capacity
-// NewSearchCache gets.
-const DefaultSearchCacheSize = search.DefaultCacheSize
-
-// NewSearchCache returns an empty cache holding at most capacity
-// entries (<=0 selects DefaultSearchCacheSize), evicting
-// least-recently used.
-func NewSearchCache(capacity int) *SearchCache { return search.NewCache(capacity) }
-
 // ReplayOptions parameterizes the intelligent replayer.
 type ReplayOptions struct {
 	// MaxAttempts bounds the search; the paper uses 1000 as "not
@@ -120,15 +106,6 @@ type ReplayOptions struct {
 	// above GOMAXPROCS are honoured, but on compute-bound searches they
 	// only preempt one another (EXPERIMENTS.md E11).
 	Workers int
-	// Cache, when non-nil, memoizes attempt outcomes across searches
-	// and workers, keyed by the attempt's canonical identity (schedule
-	// policy + flip set + a digest of the recording and replay knobs).
-	// A hit replaces the simulated execution with the stored outcome —
-	// wall-clock changes, the search trajectory does not, and
-	// reproductions are always re-executed so the captured order is
-	// fresh. Share one cache between searches of the same recording to
-	// amortize repeated exploration.
-	Cache *SearchCache
 	// OnAttempt, if set, is called after each attempt (in canonical
 	// order) with its 1-based index, mode ("directed" or "random") and
 	// outcome ("reproduced", "clean", "diverged", "cancelled" or
@@ -137,10 +114,9 @@ type ReplayOptions struct {
 	OnAttempt func(i int, mode, outcome string)
 	// Metrics, when non-nil, receives the search's metrics: attempt
 	// counters by mode and outcome, attempt wall-time histograms,
-	// frontier depth, distinct races seen, worker occupancy, cache
-	// hit/miss counters and the substrate's scheduler counters (see
-	// OBSERVABILITY.md). Nil, the default, keeps the replay hot path
-	// free of measurement cost.
+	// frontier depth, distinct races seen, worker occupancy and the
+	// substrate's scheduler counters (see OBSERVABILITY.md). Nil, the
+	// default, keeps the replay hot path free of measurement cost.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one structured obs.AttemptEvent per
 	// attempt in canonical order, closed by an obs.SummaryEvent — the
@@ -183,14 +159,11 @@ type ReplayStats struct {
 	Cancelled     int // attempts cut short by context cancellation
 	RacesSeen     int // distinct race pairs observed across attempts
 	FlipsEnqueued int // feedback children pushed
-	CacheHits     int // attempts answered by the schedule cache
-	CacheMisses   int // attempts executed with the cache enabled
 	FrontierDried bool
 	// Steps, Handoffs and FastPathSteps total the executed attempts'
 	// scheduler counters (sched.Result): committed points, strategy
 	// handoffs, and grants committed on the run-grant fast path.
-	// Handoffs/Steps is the search's handoff amortization; cached
-	// attempts execute nothing and contribute nothing.
+	// Handoffs/Steps is the search's handoff amortization.
 	Steps         uint64
 	Handoffs      uint64
 	FastPathSteps uint64
@@ -282,8 +255,7 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 		r:         &ReplayResult{},
 	}
 	s.cancel.Store(cancelNone)
-	s.likelyWinner.Store(-1)
-	if opts.Cache != nil || opts.PrefixSnapshots {
+	if opts.PrefixSnapshots {
 		s.digest = searchDigest(prog, rec, opts)
 	}
 	if s.feedback {

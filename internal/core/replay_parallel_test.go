@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -135,5 +136,49 @@ func TestReplayFrontierDriesDeterministically(t *testing.T) {
 	})
 	if res.Reproduced || !res.Stats.FrontierDried {
 		t.Fatalf("workers=4 exhaustion: reproduced=%v dried=%v", res.Reproduced, res.Stats.FrontierDried)
+	}
+}
+
+func TestSearchDedupRaceStress(t *testing.T) {
+	// The dedup set and commit path are mutated only under the pool's
+	// mutex, and the frontier under its shard locks. Hammer both from
+	// several concurrent full searches at Workers: 8 — the -race gate
+	// (make stress runs this with -count=2) must stay silent, and every
+	// search must behave.
+	if testing.Short() {
+		t.Skip("stress test")
+	}
+	prog := atomBugProg(3)
+	rec := recordBuggy(t, prog, sketch.SYNC)
+	done := make(chan error, 6)
+	for i := 0; i < 6; i++ {
+		go func(i int) {
+			oracle := MatchBugID("atom-bug")
+			budget := 0 // full budget for reproducing searches
+			if i%2 == 1 {
+				// Odd searches never match: they exercise exhaustion,
+				// frontier drying and the budget clamp concurrently.
+				oracle = func(*sched.Failure) bool { return false }
+				budget = 60
+			}
+			res := Replay(prog, rec, ReplayOptions{
+				Feedback: true, Oracle: oracle, MaxAttempts: budget,
+				Workers: 8,
+			})
+			if i%2 == 0 && !res.Reproduced {
+				done <- fmt.Errorf("search %d failed to reproduce: %+v", i, res.Stats)
+				return
+			}
+			if i%2 == 1 && res.Reproduced {
+				done <- fmt.Errorf("search %d reproduced against a never-oracle", i)
+				return
+			}
+			done <- nil
+		}(i)
+	}
+	for i := 0; i < 6; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -32,7 +32,6 @@ func (o ReplayOptions) reportAttempt(idx int, directed bool, fs flipSet, out att
 		WallMS:         float64(out.wall) / float64(time.Millisecond),
 		SketchConsumed: out.consumed,
 		Divergence:     out.note,
-		Cached:         out.cached,
 		Cancelled:      out.cancelled,
 	})
 	if m := o.Metrics; m != nil {
@@ -59,8 +58,6 @@ func (o ReplayOptions) reportSearch(r *ReplayResult) {
 		Divergences: r.Stats.Divergences,
 		CleanRuns:   r.Stats.CleanRuns,
 		RacesSeen:   r.Stats.RacesSeen,
-		CacheHits:   r.Stats.CacheHits,
-		CacheMisses: r.Stats.CacheMisses,
 		Cancelled:   r.Err != nil,
 	})
 	if m := o.Metrics; m != nil {
@@ -74,10 +71,6 @@ func (o ReplayOptions) reportSearch(r *ReplayResult) {
 		m.Counter("pres_replay_searches_total", "result", result).Inc()
 		m.Counter("pres_replay_flips_enqueued_total").Add(uint64(r.Stats.FlipsEnqueued))
 		m.Gauge("pres_replay_races_seen").Set(float64(r.Stats.RacesSeen))
-		if r.Stats.CacheHits+r.Stats.CacheMisses > 0 {
-			m.Counter("pres_replay_cache_hits_total").Add(uint64(r.Stats.CacheHits))
-			m.Counter("pres_replay_cache_misses_total").Add(uint64(r.Stats.CacheMisses))
-		}
 	}
 }
 

@@ -69,12 +69,11 @@ func cloneDetector(det raceDetector) (raceDetector, int64) {
 	return nil, 0
 }
 
-// snapKey is a flip-set prefix's snapshot-cache key: the schedule-
-// cache identity of the deterministic directed attempt that executes
-// that prefix (directed attempts are unseeded, so seed 0 / policy
-// "det" names them all).
+// snapKey is a flip-set prefix's snapshot-cache key: the schedule
+// identity of the deterministic directed attempt that executes that
+// prefix.
 func snapKey(digest uint64, flipKey string) string {
-	return trace.ScheduleCacheKey(digest, 0, false, flipKey)
+	return trace.ScheduleCacheKey(digest, flipKey)
 }
 
 // snapPlan is the per-attempt snapshot participation, composed by the

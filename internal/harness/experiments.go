@@ -315,18 +315,11 @@ type E8Row struct {
 	Divergences int
 	CleanRuns   int
 	Reproduced  bool
-	// CacheSaved is how many executions a second search over the same
-	// recording answered from the schedule cache instead of re-running —
-	// the repeated-diagnosis saving the cache buys.
-	CacheSaved int
-	Err        error
+	Err         error
 }
 
 // RunE8 collects the replayer's search statistics for every bug under
-// SYNC sketching. Each bug is searched twice against a shared schedule
-// cache (cfg.SearchCache, or a per-bug cache when unset): the first,
-// cold search fills the table's attempt statistics, the second reports
-// how many of its executions the cache absorbed.
+// SYNC sketching.
 func RunE8(cfg Config) []E8Row {
 	defer cfg.timeExperiment("e8")()
 	bugs := apps.AllBugs()
@@ -343,19 +336,13 @@ func RunE8(cfg Config) []E8Row {
 			row.Err = err
 			return row
 		}
-		c := cfg
-		if c.SearchCache == nil {
-			c.SearchCache = core.NewSearchCache(0)
-		}
-		res := c.replay(prog, rec, c.replayOptions(b.ID))
+		res := cfg.replay(prog, rec, cfg.replayOptions(b.ID))
 		row.Attempts = res.Attempts
 		row.Flips = res.Flips
 		row.RacesSeen = res.Stats.RacesSeen
 		row.Divergences = res.Stats.Divergences
 		row.CleanRuns = res.Stats.CleanRuns
 		row.Reproduced = res.Reproduced
-		warm := c.replay(prog, rec, c.replayOptions(b.ID))
-		row.CacheSaved = warm.Stats.CacheHits
 		return row
 	})
 }
@@ -570,20 +557,15 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 
 // E11Row is one cell of the work-stealing-search scaling experiment (an
 // extension beyond the paper): wall-clock to reproduce one bug at a
-// given worker-pool size, cold and warm against the schedule cache.
+// given worker-pool size.
 type E11Row struct {
 	Bug        string
 	Workers    int
 	Attempts   int
 	Reproduced bool
-	// WallMS is the best-of-3 cold search wall time; WarmWallMS times
-	// the same search with the cache already filled by a prior run.
-	WallMS     float64
-	WarmWallMS float64
-	// CacheSaved counts the warm search's executions answered from the
-	// cache.
-	CacheSaved int
-	// Steps, Handoffs, and FastSteps aggregate the cold search's
+	// WallMS is the best-of-3 search wall time.
+	WallMS float64
+	// Steps, Handoffs, and FastSteps aggregate the search's
 	// executed scheduler work (core.ReplayStats): Handoffs/Steps is the
 	// search's grant amortization, FastSteps the steps committed
 	// without a fresh pick.
@@ -598,10 +580,9 @@ type E11Row struct {
 var E11Bugs = []string{"mysql-169", "lu-atomicity"}
 
 // RunE11 sweeps the replay worker-pool size for a bug subset under SYNC
-// sketching: each (bug, workers) cell reports cold wall-clock (best of
-// 3, no cache) and warm wall-clock (a fresh cache filled by one run,
-// then timed). Workers=1 is the sequential baseline the speedups in
-// EXPERIMENTS.md are quoted against.
+// sketching: each (bug, workers) cell reports wall-clock (best of 3).
+// Workers=1 is the sequential baseline the speedups in EXPERIMENTS.md
+// are quoted against.
 //
 // Only the per-bug preparation (seed search + recording) runs on cfg's
 // pool; the timed sweeps themselves are always sequential, because
@@ -643,7 +624,6 @@ func RunE11(bugs []string, workers []int, cfg Config) []E11Row {
 			}
 			c := cfg
 			c.Workers = w
-			c.SearchCache = nil
 			ropts := c.replayOptions(bug)
 			var res *core.ReplayResult
 			for i := 0; i < 3; i++ {
@@ -659,13 +639,6 @@ func RunE11(bugs []string, workers []int, cfg Config) []E11Row {
 			row.Steps = res.Stats.Steps
 			row.Handoffs = res.Stats.Handoffs
 			row.FastSteps = res.Stats.FastPathSteps
-			warmOpts := ropts
-			warmOpts.Cache = core.NewSearchCache(0)
-			c.replay(prog, rec, warmOpts) // fill
-			start := time.Now()
-			warm := c.replay(prog, rec, warmOpts)
-			row.WarmWallMS = float64(time.Since(start)) / float64(time.Millisecond)
-			row.CacheSaved = warm.Stats.CacheHits
 			rows = append(rows, row)
 		}
 	}

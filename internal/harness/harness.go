@@ -67,11 +67,6 @@ type Config struct {
 	// search the harness runs. 0 keeps the sequential (deterministic)
 	// search.
 	Workers int
-	// SearchCache, when non-nil, is shared by every replay search the
-	// harness performs: equivalent attempts across searches of the same
-	// recording are answered from memory. Per-recording context digests
-	// in the cache key keep different bugs from cross-talking.
-	SearchCache *core.SearchCache
 	// Metrics, when non-nil, receives metrics from every recording and
 	// replay the harness performs, plus per-experiment wall-time spans.
 	// Nil disables collection at zero cost.
@@ -183,7 +178,6 @@ func (c Config) replayOptions(bugID string) core.ReplayOptions {
 		MaxAttempts: c.maxAttempts(),
 		Oracle:      core.MatchBugID(bugID),
 		Workers:     c.Workers,
-		Cache:       c.SearchCache,
 		Metrics:     c.Metrics,
 		Trace:       c.Trace,
 	}

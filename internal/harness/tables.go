@@ -187,14 +187,14 @@ func PrintE7(w io.Writer, rows []E7Row) {
 func PrintE8(w io.Writer, rows []E8Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	defer tw.Flush()
-	fmt.Fprintln(tw, "bug\tattempts\tflips\traces seen\tdivergences\tclean runs\treproduced\tcache saved")
+	fmt.Fprintln(tw, "bug\tattempts\tflips\traces seen\tdivergences\tclean runs\treproduced")
 	for _, r := range rows {
 		if r.Err != nil {
-			fmt.Fprintf(tw, "%s\tn/a\t-\t-\t-\t-\t-\t-\n", r.Bug)
+			fmt.Fprintf(tw, "%s\tn/a\t-\t-\t-\t-\t-\n", r.Bug)
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%v\t%d\n",
-			r.Bug, r.Attempts, r.Flips, r.RacesSeen, r.Divergences, r.CleanRuns, r.Reproduced, r.CacheSaved)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
+			r.Bug, r.Attempts, r.Flips, r.RacesSeen, r.Divergences, r.CleanRuns, r.Reproduced)
 	}
 }
 
@@ -263,12 +263,12 @@ func PrintE10(w io.Writer, rows []E10Row, cfg Config) {
 }
 
 // PrintE11 renders the work-stealing scaling sweep: wall-clock per
-// pool size, with speedups quoted against each bug's workers=1 cold
+// pool size, with speedups quoted against each bug's workers=1
 // search.
 func PrintE11(w io.Writer, rows []E11Row, cfg Config) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	defer tw.Flush()
-	fmt.Fprintln(tw, "bug\tworkers\tattempts\tcold ms\tspeedup\twarm ms\tcache saved\thandoffs/step\tfast steps")
+	fmt.Fprintln(tw, "bug\tworkers\tattempts\twall ms\tspeedup\thandoffs/step\tfast steps")
 	base := map[string]float64{}
 	for _, r := range rows {
 		if r.Err == nil && r.Workers == 1 {
@@ -277,7 +277,7 @@ func PrintE11(w io.Writer, rows []E11Row, cfg Config) {
 	}
 	for _, r := range rows {
 		if r.Err != nil {
-			fmt.Fprintf(tw, "%s\t%d\tn/a\t-\t-\t-\t-\t-\t-\n", r.Bug, r.Workers)
+			fmt.Fprintf(tw, "%s\t%d\tn/a\t-\t-\t-\t-\n", r.Bug, r.Workers)
 			continue
 		}
 		att := fmt.Sprintf("%d", r.Attempts)
@@ -292,8 +292,8 @@ func PrintE11(w io.Writer, rows []E11Row, cfg Config) {
 		if r.Steps > 0 {
 			hps = fmt.Sprintf("%.3f", float64(r.Handoffs)/float64(r.Steps))
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.2f\t%s\t%.2f\t%d\t%s\t%d\n",
-			r.Bug, r.Workers, att, r.WallMS, speedup, r.WarmWallMS, r.CacheSaved, hps, r.FastSteps)
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%.2f\t%s\t%s\t%d\n",
+			r.Bug, r.Workers, att, r.WallMS, speedup, hps, r.FastSteps)
 	}
 }
 

@@ -41,9 +41,6 @@ type AttemptEvent struct {
 	// Divergence is the director's note when the recorded schedule
 	// could no longer be honored; empty otherwise.
 	Divergence string `json:"divergence,omitempty"`
-	// Cached marks an attempt answered by the schedule cache instead of
-	// an execution; its outcome fields reproduce the memoized run.
-	Cached bool `json:"cached,omitempty"`
 	// Cancelled marks an attempt the search's context cut short: the
 	// execution unwound at a scheduling point, so the outcome describes
 	// a truncated run.
@@ -73,10 +70,6 @@ type SummaryEvent struct {
 	Divergences int    `json:"divergences"`
 	CleanRuns   int    `json:"clean_runs"`
 	RacesSeen   int    `json:"races_seen"`
-	// CacheHits/CacheMisses report schedule-cache traffic; both are
-	// omitted when the search ran without a cache.
-	CacheHits   int `json:"cache_hits,omitempty"`
-	CacheMisses int `json:"cache_misses,omitempty"`
 	// Cancelled marks a search ended by context cancellation or deadline
 	// rather than by reproduction or budget exhaustion; the counts above
 	// describe the committed prefix.

@@ -1,10 +1,9 @@
 // Package search holds the replay search engine's data layer: the
-// sharded priority frontier directed attempts are queued on, the
-// cross-search schedule cache, and the byte-budgeted prefix-snapshot
-// cache. It sits below internal/core (which owns the
-// attempt lifecycle and feedback generation) and beside internal/exec
-// (the canonical-commit worker pool the searches run on); see
-// INTERNALS.md for the layering.
+// sharded priority frontier directed attempts are queued on and the
+// byte-budgeted prefix-snapshot cache. It sits below internal/core
+// (which owns the attempt lifecycle and feedback generation) and beside
+// internal/exec (the canonical-commit worker pool the searches run on);
+// see INTERNALS.md for the layering.
 package search
 
 import (

@@ -26,8 +26,8 @@ const DefaultSnapshotBudget int64 = 64 << 20
 // invalidates a resume already in flight.
 type Snapshot struct {
 	// Key is the capturing attempt's prefix identity — its
-	// trace.ScheduleCacheKey with the deterministic (unseeded) policy —
-	// so children look up snapshots by their parent's flip set.
+	// trace.ScheduleCacheKey — so children look up snapshots by their
+	// parent's flip set.
 	Key string
 	// Step is the committed-event count at capture; a snapshot is
 	// usable for a child whose first divergence point lies strictly

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzFlipPrefixKey pins the keying discipline of the snapshot tree
 // (internal/core snapshot.go): a directed attempt stores snapshots
-// under the cache key of its own flip set, and a child looks up the
+// under the schedule key of its own flip set, and a child looks up the
 // key of its parent prefix — the child's flips minus the one it added.
 // The tree is only sound if every proper prefix of a flip sequence
 // keys differently from the full set (a collision would let an attempt
@@ -26,7 +26,7 @@ func FuzzFlipPrefixKey(f *testing.F) {
 		flips := flipsFromBytes(b)
 		keys := make([]string, len(flips)+1)
 		for i := 0; i <= len(flips); i++ {
-			keys[i] = ScheduleCacheKey(ctx, 0, false, FlipSetKey(flips[:i]))
+			keys[i] = ScheduleCacheKey(ctx, FlipSetKey(flips[:i]))
 		}
 		for i := 0; i <= len(flips); i++ {
 			for j := i + 1; j <= len(flips); j++ {
@@ -39,7 +39,7 @@ func FuzzFlipPrefixKey(f *testing.F) {
 		// A context change must move every key: two searches with
 		// different digests can never serve each other's snapshots.
 		for i := 0; i <= len(flips); i++ {
-			if other := ScheduleCacheKey(ctx+1, 0, false, FlipSetKey(flips[:i])); other == keys[i] {
+			if other := ScheduleCacheKey(ctx+1, FlipSetKey(flips[:i])); other == keys[i] {
 				t.Fatalf("depth %d key %q ignores the context digest", i, keys[i])
 			}
 		}

@@ -5,14 +5,14 @@ import (
 	"sort"
 )
 
-// This file defines the canonical identity of a replay attempt: the
-// flip-set key (which race reversals the attempt enforces, order
-// ignored) and the schedule-cache key (flip set plus the schedule
-// policy plus a digest of everything else that determines the
-// execution — program, sketch prefix, inputs, replay knobs). The
-// replayer's cross-attempt schedule cache and its dedup set are keyed
-// by these strings, so they must be injective: distinct attempts must
-// never share a key, or the search would silently skip live work.
+// This file defines the canonical identity of a directed replay
+// attempt: the flip-set key (which race reversals the attempt enforces,
+// order ignored) and the schedule key (flip set plus a digest of
+// everything else that determines the execution — program, sketch
+// prefix, inputs, replay knobs). The replayer's dedup set and its
+// prefix-snapshot cache are keyed by these strings, so they must be
+// injective: distinct attempts must never share a key, or the search
+// would silently skip live work or resume from the wrong prefix.
 // FuzzFlipSetKey and FuzzScheduleCacheKey pin that property.
 
 // FlipID names one race flip — "hold thread HoldTID's HoldCount-th
@@ -85,31 +85,23 @@ func FlipSetKey(flips []FlipID) string {
 	return string(b)
 }
 
-// ScheduleCacheKey is the full identity of one replay attempt:
+// ScheduleCacheKey is the full identity of one deterministic
+// (unseeded) directed replay attempt:
 //
 //   - ctx digests the search context — program, scheme, sketch prefix,
 //     input log, world seed and every replay knob that changes what an
 //     attempt executes (build it with Digest);
-//   - seeded/seed identify the exploration policy: seeded attempts
-//     sample the sketch-constrained space with that RNG seed, unseeded
-//     ones run the deterministic sticky policy (seed is ignored, so two
-//     unseeded attempts differ only by flip set);
 //   - flipKey is the FlipSetKey of the enforced flips.
 //
-// Two attempts share a key iff they are the same execution, so a cache
-// hit can stand in for actually running the attempt.
-func ScheduleCacheKey(ctx uint64, seed int64, seeded bool, flipKey string) string {
-	policy := "det"
-	if seeded {
-		policy = fmt.Sprintf("%016x", uint64(seed))
-	}
-	return fmt.Sprintf("%016x/%s/%s", ctx, policy, flipKey)
+// Two attempts share a key iff they are the same execution.
+func ScheduleCacheKey(ctx uint64, flipKey string) string {
+	return fmt.Sprintf("%016x/%s", ctx, flipKey)
 }
 
 // Digest accumulates an FNV-1a 64-bit hash over the components of a
 // search context. It is not cryptographic — it only needs to make
-// unrelated searches vanishingly unlikely to collide in the schedule
-// cache, where a collision costs a wrong-but-complete attempt outcome.
+// unrelated searches vanishingly unlikely to collide in a shared key
+// space.
 type Digest struct{ h uint64 }
 
 const (

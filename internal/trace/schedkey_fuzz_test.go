@@ -11,8 +11,8 @@ import (
 // Fuzz targets for the replay search's canonical keys. The invariant
 // under test is injectivity both ways: equal flip multisets (in any
 // order) must share a key, and distinct multisets must never collide —
-// a collision would make the schedule cache serve one attempt's
-// outcome for a different attempt, silently corrupting the search.
+// a collision would make the dedup set skip a live attempt, or the
+// snapshot tree resume an attempt from another attempt's prefix.
 
 // flipsFromBytes decodes up to maxFuzzFlips FlipIDs from raw fuzz
 // bytes, 36 bytes per flip.
@@ -109,20 +109,17 @@ func FuzzFlipSetKey(f *testing.F) {
 }
 
 func FuzzScheduleCacheKey(f *testing.F) {
-	f.Add(uint64(0), int64(0), false, []byte{}, uint64(0), int64(0), false, []byte{})
-	f.Add(uint64(1), int64(5), true, flipSeed(36), uint64(1), int64(5), false, flipSeed(36))
-	f.Add(uint64(7), int64(-1), true, flipSeed(72), uint64(7), int64(3), true, flipSeed(36))
-	f.Fuzz(func(t *testing.T, ctxA uint64, seedA int64, seededA bool, rawA []byte,
-		ctxB uint64, seedB int64, seededB bool, rawB []byte) {
+	f.Add(uint64(0), []byte{}, uint64(0), []byte{})
+	f.Add(uint64(1), flipSeed(36), uint64(1), flipSeed(36))
+	f.Add(uint64(7), flipSeed(72), uint64(7), flipSeed(36))
+	f.Fuzz(func(t *testing.T, ctxA uint64, rawA []byte, ctxB uint64, rawB []byte) {
 		fa, fb := flipsFromBytes(rawA), flipsFromBytes(rawB)
-		ka := ScheduleCacheKey(ctxA, seedA, seededA, FlipSetKey(fa))
-		kb := ScheduleCacheKey(ctxB, seedB, seededB, FlipSetKey(fb))
+		ka := ScheduleCacheKey(ctxA, FlipSetKey(fa))
+		kb := ScheduleCacheKey(ctxB, FlipSetKey(fb))
 
-		// Two attempts are the same execution iff: same search context,
-		// same schedule policy (seed matters only for seeded attempts)
-		// and same flip multiset.
-		sameAttempt := ctxA == ctxB && seededA == seededB &&
-			(!seededA || seedA == seedB) && sameMultiset(fa, fb)
+		// Two attempts are the same execution iff they share the search
+		// context and the flip multiset.
+		sameAttempt := ctxA == ctxB && sameMultiset(fa, fb)
 		if sameAttempt != (ka == kb) {
 			t.Fatalf("collision contract violated: sameAttempt=%v key-equal=%v\nka=%q\nkb=%q",
 				sameAttempt, ka == kb, ka, kb)
@@ -132,7 +129,7 @@ func FuzzScheduleCacheKey(f *testing.F) {
 
 // TestFlipIDEncodeMatchesSprintf: the hand-rolled encoder writes the
 // same bytes as the fmt reference below, over boundary values of every
-// field, so flip-set keys and schedule-cache keys are unchanged.
+// field, so flip-set keys and schedule keys are unchanged.
 func TestFlipIDEncodeMatchesSprintf(t *testing.T) {
 	reference := func(f FlipID) string {
 		return fmt.Sprintf("%016x.%08x.%016x.%08x.%016x",

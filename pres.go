@@ -158,9 +158,6 @@ type (
 	// Oracle matches a manifested failure against the bug under
 	// diagnosis.
 	Oracle = core.Oracle
-	// SearchCache memoizes replay-attempt outcomes across searches and
-	// workers (set ReplayOptions.Cache); see NewSearchCache.
-	SearchCache = core.SearchCache
 	// FullOrder is a captured total schedule that reproduces a bug
 	// deterministically.
 	FullOrder = trace.FullOrder
@@ -195,9 +192,6 @@ var (
 	ReproduceContext = core.ReproduceContext
 	// MatchBugID builds an oracle for a specific corpus bug id.
 	MatchBugID = core.MatchBugID
-	// NewSearchCache returns an empty cross-attempt schedule cache
-	// (capacity <= 0 selects the default size).
-	NewSearchCache = core.NewSearchCache
 	// ReadRecording deserializes a recording written with
 	// Recording.Write.
 	ReadRecording = core.ReadRecording
