@@ -4,10 +4,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint test bench stress scenarios fuzz-short docs-drift
+.PHONY: check build vet lint test bench stress scenarios fuzz-short docs-drift experiments-drift
 
 ## check: the full gate — build everything, lint (gofmt + vet), verify
-## the metric docs are in sync, test under -race (including the
+## the metric docs and the experiment tables are in sync, test under -race (including the
 ## fast-path equivalence properties in internal/sched and internal/core
 ## and the concurrent-recording gate TestRecordConcurrentRaceClean),
 ## stress the search engine, run the failure-injection matrix and
@@ -16,7 +16,7 @@ FUZZTIME ?= 30s
 ## vet and smoke-test the benchmark module in bench/ — it builds
 ## against internal/..., so an internal API change that breaks it
 ## fails here.
-check: build lint docs-drift stress scenarios fuzz-short
+check: build lint docs-drift experiments-drift stress scenarios fuzz-short
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -142,3 +142,26 @@ docs-drift:
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
 	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics, $$(echo "$$rows" | wc -l) OBSERVABILITY.md rows, $$(echo "$$flags" | wc -l) README flags and $$(echo "$$tags" | wc -l) trace fields all in sync"
+
+## experiments-drift: every experiment table in EXPERIMENTS.md — a
+## fenced block whose first line is presbench's `== E…` header — must
+## match `presbench -exp all` cell for cell, and every experiment
+## presbench prints must have its block. Runs of spaces compare equal;
+## the `(E… in …)` timing lines and E11's `wall ms` and `speedup`
+## columns (the 7-field data rows' 4th and 5th fields) are wall clock
+## and are ignored.
+EXP_NORM = /^\(E[0-9]+ in .*\)$$/ || NF == 0 { next } \
+	/^== E/ { e11 = /^== E11:/ } \
+	e11 && NF == 7 { $$4 = "~"; $$5 = "~" } \
+	{ $$1 = $$1; print }
+experiments-drift:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/presbench -exp all | awk '$(EXP_NORM)' > "$$tmp/got"; \
+	awk '/^```/ { inb = !inb; first = inb; next } \
+		inb && first { first = 0; keep = /^== E/ } \
+		inb && keep' EXPERIMENTS.md | awk '$(EXP_NORM)' > "$$tmp/doc"; \
+	if ! diff -u "$$tmp/doc" "$$tmp/got" > "$$tmp/diff"; then \
+		echo "experiments-drift: EXPERIMENTS.md (-) differs from presbench -exp all (+):"; \
+		cat "$$tmp/diff"; exit 1; \
+	fi; \
+	echo "experiments-drift: $$(grep -c '^== E' "$$tmp/got") experiment tables in EXPERIMENTS.md match presbench -exp all"

@@ -290,42 +290,6 @@ func branchName(n int) string {
 	return map[int]string{2: "branch2", 8: "branch8", 16: "branch16"}[n]
 }
 
-// BenchmarkAblationDetector compares feedback driven by the exact
-// happens-before detector against the predictive Eraser-style lockset
-// detector, on bugs whose reproduction needs flips.
-func BenchmarkAblationDetector(b *testing.B) {
-	bugs := []string{"lu-atomicity", "cherokee-326", "mysql-791"}
-	for _, lockset := range []bool{false, true} {
-		name := "happens-before"
-		if lockset {
-			name = "lockset"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, bug := range bugs {
-					prog, _ := repro.ProgramForBug(bug)
-					_, rec, err := harness.FindBuggySeed(prog, bug, sketch.SYNC, benchCfg)
-					if err != nil {
-						continue
-					}
-					res := core.Replay(prog, rec, core.ReplayOptions{
-						Feedback:   true,
-						UseLockset: lockset,
-						Oracle:     core.MatchBugID(bug),
-					})
-					if res.Reproduced {
-						total += res.Attempts
-					} else {
-						total += benchCfg.MaxAttempts
-					}
-				}
-				b.ReportMetric(float64(total)/float64(len(bugs)), "attempts/bug")
-			}
-		})
-	}
-}
-
 // BenchmarkParallelReplay measures wall-clock speedup from running
 // replay attempts concurrently (they are independent executions).
 func BenchmarkParallelReplay(b *testing.B) {

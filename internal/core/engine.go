@@ -125,10 +125,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	}
 	dir := newDirector(rec.Scheme, entries, fs, rng)
 	dir.soft = dir.soft || softStart
-	var det raceDetector = race.NewDetector()
-	if opts.UseLockset {
-		det = race.NewLocksetDetector()
-	}
+	det := race.NewDetector()
 	cap := &orderCapture{}
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
@@ -160,19 +157,16 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 				return ok && st.dir.executed[nf.holdTID]+1 < nf.holdCount
 			})
 			if snap != nil {
-				if st := snap.State.(*snapState); st != nil {
-					if rdet, _ := cloneDetector(st.det); rdet != nil {
-						installDirState(dir, st.dir)
-						ps = snapshotPrefix(snap, dir, world)
-						det = rdet
-						strat = ps
-						// The clone already holds the prefix, so it sees
-						// suffix events only; registering it directly would
-						// replay the prefix into it a second time.
-						observers = []sched.Observer{dir, &suffixFeed{det: rdet, skip: snap.Step}, cap, ps}
-						digest, base = ps.digest, snap.Step
-					}
-				}
+				st := snap.State.(*snapState)
+				installDirState(dir, st.dir)
+				ps = snapshotPrefix(snap, dir, world)
+				det = st.det.Clone()
+				strat = ps
+				// The clone already holds the prefix, so it sees suffix
+				// events only; registering it directly would replay the
+				// prefix into it a second time.
+				observers = []sched.Observer{dir, &suffixFeed{det: det, skip: snap.Step}, cap, ps}
+				digest, base = ps.digest, snap.Step
 			} else {
 				snapMiss = true
 			}
@@ -279,7 +273,6 @@ type searchState struct {
 	budget   int
 	maxW     int
 	digest   uint64 // snapshot-key context digest
-	failTID  trace.TID
 	frontier *search.Frontier[replayNode]
 	// snaps is the prefix-snapshot cache (nil unless PrefixSnapshots is
 	// on, feedback is in play and no recording checkpoint overrides it).

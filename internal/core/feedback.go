@@ -31,11 +31,12 @@ type replayNode struct {
 // the resulting child flip sets onto the frontier. Ranking: races the
 // parent's deviation newly created beat pre-existing ones (at most two
 // slots go to the latter — they are reachable from other nodes too),
-// and within a tier, races closest to the recorded horizon — the step
-// where the truncated production sketch ran out, i.e. where the
-// production run died — go first; races involving the production run's
-// failing thread lead overall, preferring flips that hold *its* access
-// while the partner slips in.
+// and within each group, races closest to the recorded horizon — the
+// step where the truncated production sketch ran out, i.e. where the
+// production run died — go first. The ranking reads only the
+// attempt's own races and the persisted sketch, so an in-memory
+// recording and one read back from its serialized form run the same
+// search.
 //
 // Dedup happens here, under the pool's commit lock, against canonical
 // flip-set keys — so two orderings of the same flips are one node, and
@@ -44,7 +45,6 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 	if len(nd.fs.flips) >= maxFlipDepth {
 		return 0 // deep chains are noise; let siblings run
 	}
-	failTID := s.failTID
 	var pk string
 	if s.snaps != nil {
 		pk = snapKey(s.digest, canonicalFlipKey(nd.fs))
@@ -57,16 +57,6 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 		d := out.horizon - p.SecondSeq
 		if p.SecondSeq >= out.horizon {
 			d = p.SecondSeq - out.horizon
-		}
-		if failTID != trace.NoTID {
-			switch {
-			case p.First.TID == failTID:
-				// best tier: no penalty
-			case p.Second.TID == failTID:
-				d += 1 << 24
-			default:
-				d += 1 << 32
-			}
 		}
 		return d
 	}
@@ -152,11 +142,6 @@ func searchDigest(prog *appkit.Program, rec *Recording, opts ReplayOptions) uint
 	}
 	d.Word(maxSteps)
 	d.Int(int64(opts.SketchTail))
-	if opts.UseLockset {
-		d.Word(1)
-	} else {
-		d.Word(0)
-	}
 	entries := rec.Sketch.Entries
 	if cp, ok := activeCheckpoint(rec, opts); ok {
 		// Checkpointed attempts enforce only the window from the

@@ -87,8 +87,11 @@ func (o Options) processors() int {
 }
 
 // Recording is everything PRES keeps from a production run: the sketch,
-// the input log, and the run's outcome (so the harness knows whether the
-// bug manifested).
+// the input log, and the run's outcome. Result (and BugFailure) tell the
+// recording side whether the bug manifested; Write does not persist it,
+// so the replay side — Replay, Simplify and Reproduce — reads nothing
+// from it, and an in-memory recording replays exactly like the one
+// ReadRecording returns for its serialized form.
 type Recording struct {
 	Scheme  sketch.Scheme
 	Sketch  *trace.SketchLog

@@ -56,10 +56,6 @@ type ReplayOptions struct {
 	Oracle Oracle
 	// MaxSteps bounds each attempt. 0 inherits the recording's bound.
 	MaxSteps uint64
-	// UseLockset selects the Eraser-style lockset detector for feedback
-	// generation instead of the default happens-before detector — an
-	// ablation of the feedback source (see BenchmarkAblationDetector).
-	UseLockset bool
 	// SketchTail, when positive, replays with only the last N sketch
 	// entries, as a soft guide rather than a hard constraint. This
 	// models bounded-storage deployments that truncate the sketch log
@@ -249,7 +245,6 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 		feedback:  opts.Feedback,
 		budget:    opts.maxAttempts(),
 		maxW:      max(1, opts.Workers),
-		failTID:   trace.NoTID,
 		seen:      map[string]bool{"": true},
 		racesSeen: map[race.PairKey]bool{},
 		r:         &ReplayResult{},
@@ -265,11 +260,6 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 			if _, cp := activeCheckpoint(rec, opts); !cp {
 				s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
 			}
-		}
-		// The production run's failing thread, if the recording captured
-		// the failure: races involving it are the prime suspects.
-		if f := rec.BugFailure(); f != nil {
-			s.failTID = f.TID
 		}
 	}
 	var active *obs.Gauge

@@ -6,22 +6,6 @@ import (
 	"repro/internal/sketch"
 )
 
-// TestLocksetFeedbackReproduces: the lockset feedback source must also
-// drive the search to reproduction on a representative bug.
-func TestLocksetFeedbackReproduces(t *testing.T) {
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	res := Replay(prog, rec, ReplayOptions{
-		Feedback:   true,
-		UseLockset: true,
-		Oracle:     MatchBugID("atom-bug"),
-	})
-	if !res.Reproduced {
-		t.Fatalf("lockset feedback failed: %d attempts, %+v", res.Attempts, res.Stats)
-	}
-	t.Logf("lockset feedback reproduced in %d attempts", res.Attempts)
-}
-
 // TestSketchTailReplay: reproduction still works from a truncated
 // sketch tail (soft guidance), the bounded-storage deployment mode.
 func TestSketchTailReplay(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/appkit"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/vsys"
 )
 
 // Simplify reduces a captured full order to an equivalent schedule with
@@ -23,16 +22,23 @@ import (
 // paper's diagnosis story motivates it (a reproduced bug is consumed by
 // a human next).
 //
+// The failure to preserve is the one the input order itself produces:
+// the first re-execution replays it unchanged and takes its bug id as
+// the target, so a simplification never trades one bug for another
+// hosted by the same program. Nothing is read from rec.Result, which a
+// recording read back from its serialized form does not carry.
+//
 // Simplify performs at most budget re-executions (0 means
-// DefaultSimplifyBudget) and returns the best schedule found together
-// with the number of re-executions spent. The input order is not
-// modified.
+// DefaultSimplifyBudget), the target-fixing one included, and returns
+// the best schedule found together with the number of re-executions
+// spent. The input order is not modified.
 func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budget int) (*trace.FullOrder, int) {
 	if budget <= 0 {
 		budget = DefaultSimplifyBudget
 	}
 	oracle := func(f *sched.Failure) bool { return f != nil && f.IsBug() }
-	if f := rec.BugFailure(); f != nil && f.BugID != "" {
+	spent := 1
+	if f := Reproduce(prog, rec, order).Failure; f != nil && f.IsBug() && f.BugID != "" {
 		id := f.BugID
 		oracle = func(f *sched.Failure) bool {
 			return f != nil && f.IsBug() && (f.BugID == id || f.Reason == sched.ReasonDeadlock)
@@ -40,7 +46,6 @@ func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budg
 	}
 
 	cur := append([]trace.TID(nil), order.Order...)
-	spent := 0
 
 	// Repeatedly sweep the schedule, trying to eliminate the first
 	// removable switch of each run boundary; stop when a full sweep
@@ -124,13 +129,8 @@ func spliceRuns(cur []trace.TID, j, next int) []trace.TID {
 // replaysSame re-executes prog under the candidate order and reports
 // whether it reproduces an acceptable failure.
 func replaysSame(prog *appkit.Program, rec *Recording, cand []trace.TID, oracle Oracle) bool {
-	world := vsys.NewWorld(rec.Options.WorldSeed)
-	world.StartReplay(rec.Inputs)
-	res := execute(prog, rec.Options, sched.Config{
-		Strategy: &sched.OrderStrategy{Order: cand},
-		MaxSteps: rec.Options.MaxSteps,
-	}, world)
-	return res.Failure != nil && res.Failure.IsBug() && oracle(res.Failure)
+	f := Reproduce(prog, rec, &trace.FullOrder{Order: cand}).Failure
+	return f != nil && f.IsBug() && oracle(f)
 }
 
 // Switches counts the context switches in a schedule — the metric

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/sketch"
 	"repro/internal/trace"
 )
@@ -129,6 +132,53 @@ func TestRootCausesReported(t *testing.T) {
 	for _, rc := range res.RootCauses {
 		if rc.First.TID == rc.Second.TID {
 			t.Fatalf("degenerate root cause %v", rc)
+		}
+	}
+}
+
+// TestSimplifyIgnoresProvenance: two corpus programs each host two
+// bugs, so Simplify must keep the bug the input order reproduces, and
+// it must find it the same way whether the recording still carries its
+// production outcome (in memory) or was read back from its serialized
+// form (which does not persist it).
+func TestSimplifyIgnoresProvenance(t *testing.T) {
+	for _, id := range []string{"mysql-169", "mysql-791", "apache-25520", "apache-21285"} {
+		prog, ok := apps.ProgramForBug(id)
+		if !ok {
+			t.Fatalf("%s: program missing", id)
+		}
+		oracle := MatchBugID(id)
+		var rec *Recording
+		var opts Options
+		for seed := int64(0); rec == nil; seed++ {
+			if seed >= 2000 {
+				t.Fatalf("%s never manifested in 2000 seeds", id)
+			}
+			opts = Options{Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: seed, WorldSeed: 1, MaxSteps: 300_000}
+			if r := Record(prog, opts); r.BugFailure() != nil && oracle(r.BugFailure()) {
+				rec = r
+			}
+		}
+		var buf bytes.Buffer
+		if err := rec.Write(&buf); err != nil {
+			t.Fatalf("%s: write: %v", id, err)
+		}
+		rr, err := ReadRecording(&buf, opts)
+		if err != nil {
+			t.Fatalf("%s: read: %v", id, err)
+		}
+		res := Replay(prog, rr, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 1})
+		if !res.Reproduced {
+			t.Fatalf("%s: setup: not reproduced in %d attempts", id, res.Attempts)
+		}
+		inMemory, spentMem := Simplify(prog, rec, res.Order, 50)
+		serialized, spentSer := Simplify(prog, rr, res.Order, 50)
+		if !reflect.DeepEqual(inMemory.Order, serialized.Order) || spentMem != spentSer {
+			t.Fatalf("%s: simplification depends on provenance: in-memory %d switches in %d re-executions, serialized %d in %d",
+				id, Switches(inMemory), spentMem, Switches(serialized), spentSer)
+		}
+		if f := Reproduce(prog, rr, serialized).Failure; f == nil || !oracle(f) {
+			t.Fatalf("%s: simplified order lost the bug: %v", id, f)
 		}
 	}
 }

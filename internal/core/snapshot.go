@@ -48,27 +48,6 @@ import (
 // defined. p.FirstSeq — where the parent actually granted the access —
 // upper-bounds the probe.
 
-// raceDetector is the detector surface runAttempt needs: observation
-// plus the accumulated pairs.
-type raceDetector interface {
-	sched.Observer
-	Pairs() []race.Pair
-}
-
-// cloneDetector deep-copies a detector's state for a snapshot (or
-// re-clones a snapshot's master copy for one restore), returning the
-// clone and its modeled byte footprint; (nil, 0) for detector types
-// without a clone path, which disables snapshotting for the attempt.
-func cloneDetector(det raceDetector) (raceDetector, int64) {
-	switch d := det.(type) {
-	case *race.Detector:
-		return d.Clone(), d.Footprint()
-	case *race.LocksetDetector:
-		return d.Clone(), d.Footprint()
-	}
-	return nil, 0
-}
-
 // snapKey is a flip-set prefix's snapshot-cache key: the schedule
 // identity of the deterministic directed attempt that executes that
 // prefix.
@@ -146,7 +125,7 @@ func installDirState(d *director, st dirState) {
 // of children and stays immutable under concurrent workers.
 type snapState struct {
 	dir dirState
-	det raceDetector
+	det *race.Detector
 }
 
 // snapOverhead is the flat per-snapshot byte charge on top of the
@@ -171,7 +150,7 @@ type snapshotter struct {
 	world  *vsys.World
 	cap    *orderCapture
 	dir    *director
-	det    raceDetector
+	det    *race.Detector
 	plan   *snapPlan
 	digest *trace.Digest
 	base   uint64 // restore boundary; captures only strictly past it
@@ -190,7 +169,7 @@ type snapshotter struct {
 // passes its prefix strategy's digest and boundary: the strategy folds
 // the forced prefix, the snapshotter everything past it, so captures
 // cover the full execution from step 0 either way.
-func newSnapshotter(world *vsys.World, cap *orderCapture, dir *director, det raceDetector, plan *snapPlan, digest *trace.Digest, base uint64) *snapshotter {
+func newSnapshotter(world *vsys.World, cap *orderCapture, dir *director, det *race.Detector, plan *snapPlan, digest *trace.Digest, base uint64) *snapshotter {
 	return &snapshotter{
 		world: world, cap: cap, dir: dir, det: det, plan: plan,
 		digest: digest, base: base,
@@ -223,11 +202,7 @@ func (s *snapshotter) OnQuiescent(step uint64) {
 	if !s.capture || step < s.next || step <= s.base {
 		return
 	}
-	det, detBytes := cloneDetector(s.det)
-	if det == nil {
-		s.capture = false
-		return
-	}
+	det := s.det.Clone()
 	// The order slice shares the capture's backing array: the attempt
 	// appends only at indices >= step, restores read only below it, and
 	// growth reallocates, so the sharing is race-free and copy-free.
@@ -239,7 +214,7 @@ func (s *snapshotter) OnQuiescent(step uint64) {
 		WorldDigest: s.world.Digest(),
 		Order:       order,
 		State:       &snapState{dir: captureDirState(s.dir), det: det},
-		Bytes:       4*int64(len(order)) + detBytes + snapOverhead,
+		Bytes:       4*int64(len(order)) + det.Footprint() + snapOverhead,
 	}
 	s.evicted += s.plan.cache.Store(snap)
 	s.captures++
@@ -264,7 +239,7 @@ func snapshotPrefix(snap *search.Snapshot, dir *director, world *vsys.World) *pr
 // prefix, so it accumulates exactly the pair set a from-scratch
 // detector would have.
 type suffixFeed struct {
-	det  raceDetector
+	det  *race.Detector
 	skip uint64 // prefix events still to pass over
 }
 

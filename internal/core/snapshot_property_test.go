@@ -76,26 +76,6 @@ func TestPropPrefixSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestPropPrefixSnapshotLockset pins the same equivalence under the
-// lockset-detector ablation — the second detector type the snapshot
-// clones.
-func TestPropPrefixSnapshotLockset(t *testing.T) {
-	prog, ok := apps.ProgramForBug("lu-atomicity")
-	if !ok {
-		t.Fatal("lu-atomicity missing")
-	}
-	rec := recordBuggy(t, prog, sketch.RW)
-	base := ReplayOptions{Feedback: true, Oracle: MatchBugID("lu-atomicity"), Workers: 1, UseLockset: true}
-	off := Replay(prog, rec, base)
-	on := base
-	on.PrefixSnapshots = true
-	got := Replay(prog, rec, on)
-	if !reflect.DeepEqual(normalizeSnapshotStats(off), normalizeSnapshotStats(got)) {
-		t.Fatalf("lockset snapshot search diverged:\noff: %+v\non:  %+v",
-			normalizeSnapshotStats(off), normalizeSnapshotStats(got))
-	}
-}
-
 // TestPrefixSnapshotOffIsInert pins the byte-identical-when-disabled
 // contract at the options level: the zero value and an explicit false
 // run the same engine, so turning the feature off costs nothing.

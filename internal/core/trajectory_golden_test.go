@@ -19,11 +19,14 @@ var updateTrajectory = flag.Bool("update", false, "rewrite testdata/search_traje
 // TestSearchTrajectoryGolden pins the sequential search, attempt for
 // attempt, over the corpus: for each bug, the first three buggy SYNC
 // recordings (production seeds scanned from 0, as the benchmark's
-// diagnose workloads do) are serialized, read back and searched at
-// Workers: 1. One line per search records what the search did and a
-// hash of the order it captured. Any change to race or flip identity,
-// flip ordering or candidate filtering that moves a single attempt
-// moves a line here; a performance change must leave the file alone.
+// diagnose workloads do) are searched at Workers: 1, once as recorded
+// in memory and once serialized and read back. One line per recording
+// records what the search did and a hash of the order it captured, and
+// both searches must produce that same line: the provenance of a
+// recording does not change its search. Any change to race or flip
+// identity, flip ordering or candidate filtering that moves a single
+// attempt moves a line here; a performance change must leave the file
+// alone.
 //
 // Regenerate deliberately with:
 // go test ./internal/core -run TestSearchTrajectoryGolden -update
@@ -55,16 +58,24 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: read: %v", b.ID, seed, err)
 			}
-			res := Replay(prog, rr, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 1})
-			h := fnv.New64a()
-			if res.Order != nil {
-				for _, tid := range res.Order.Order {
-					fmt.Fprintf(h, "%d,", tid)
+			line := func(rec *Recording) string {
+				res := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 1})
+				h := fnv.New64a()
+				if res.Order != nil {
+					for _, tid := range res.Order.Order {
+						fmt.Fprintf(h, "%d,", tid)
+					}
 				}
+				return fmt.Sprintf("%s seed=%d reproduced=%v attempts=%d flips=%d steps=%d races=%d enqueued=%d order=%016x\n",
+					b.ID, seed, res.Reproduced, res.Attempts, res.Flips, res.Stats.Steps,
+					res.Stats.RacesSeen, res.Stats.FlipsEnqueued, h.Sum64())
 			}
-			fmt.Fprintf(&got, "%s seed=%d reproduced=%v attempts=%d flips=%d steps=%d races=%d enqueued=%d order=%016x\n",
-				b.ID, seed, res.Reproduced, res.Attempts, res.Flips, res.Stats.Steps,
-				res.Stats.RacesSeen, res.Stats.FlipsEnqueued, h.Sum64())
+			serialized, inMemory := line(rr), line(rec)
+			if inMemory != serialized {
+				t.Errorf("%s seed %d: the in-memory recording searched differently from its serialized form:\n in-memory  %s serialized %s",
+					b.ID, seed, inMemory, serialized)
+			}
+			got.WriteString(serialized)
 		}
 	}
 

@@ -107,51 +107,3 @@ func historyFootprint(m map[uint64][]accessRec) int64 {
 	}
 	return n
 }
-
-// Clone returns a deep, independent copy of the lockset detector —
-// the same contract as Detector.Clone for the Eraser-style ablation.
-func (d *LocksetDetector) Clone() *LocksetDetector {
-	c := &LocksetDetector{
-		held:  make(map[trace.TID]map[uint64]bool, len(d.held)),
-		state: make(map[uint64]*addrState, len(d.state)),
-		pairs: append([]Pair(nil), d.pairs...),
-		seen:  make(map[PairKey]bool, len(d.seen)),
-	}
-	for tid, hs := range d.held {
-		c.held[tid] = copySet(hs)
-	}
-	for addr, st := range d.state {
-		ns := &addrState{mode: st.mode, owner: st.owner}
-		if st.candidate != nil {
-			ns.candidate = copySet(st.candidate)
-		}
-		if st.lastBy != nil {
-			ns.lastBy = make(map[trace.TID]accessRec, len(st.lastBy))
-			for tid, r := range st.lastBy {
-				ns.lastBy[tid] = r
-			}
-		}
-		c.state[addr] = ns
-	}
-	for k := range d.seen {
-		c.seen[k] = true
-	}
-	return c
-}
-
-// Footprint estimates the lockset detector's retained bytes, with the
-// same flat per-entry model as Detector.Footprint.
-func (d *LocksetDetector) Footprint() int64 {
-	n := int64(256)
-	for _, hs := range d.held {
-		n += mapSlot + int64(len(hs))*mapSlot
-	}
-	for _, st := range d.state {
-		n += mapSlot + recBytes
-		n += int64(len(st.candidate)) * mapSlot
-		n += int64(len(st.lastBy)) * (mapSlot + recBytes)
-	}
-	n += int64(len(d.pairs)) * recBytes
-	n += int64(len(d.seen)) * (mapSlot + pairKeyBytes)
-	return n
-}

@@ -9,7 +9,7 @@ import (
 
 // cloneEvents is a synthetic stream with spawns, sync, queue traffic
 // and racy memory accesses across three threads — enough to populate
-// every map the detectors keep.
+// every map the detector keeps.
 func cloneEvents() []trace.Event {
 	mk := func(tid trace.TID, tc uint64, kind trace.Kind, obj, arg, seq uint64) trace.Event {
 		return trace.Event{TID: tid, TCount: tc, Kind: kind, Obj: obj, Arg: arg, Seq: seq}
@@ -94,42 +94,13 @@ func TestDetectorCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestLocksetCloneEquivalence(t *testing.T) {
-	whole := NewLocksetDetector()
-	pre := NewLocksetDetector()
-	for _, ev := range cloneEvents() {
-		whole.OnEvent(ev)
-		pre.OnEvent(ev)
-	}
-	clone := pre.Clone()
-	for _, ev := range cloneSuffix() {
-		whole.OnEvent(ev)
-		clone.OnEvent(ev)
-	}
-	if len(whole.Pairs()) == 0 {
-		t.Fatal("stream produced no lockset reports; the test is vacuous")
-	}
-	if !reflect.DeepEqual(whole.Pairs(), clone.Pairs()) {
-		t.Fatalf("lockset clone diverged:\nwhole: %v\nclone: %v", whole.Pairs(), clone.Pairs())
-	}
-	// Isolation: more events into the original leave the clone's state
-	// untouched.
-	snap := append([]Pair(nil), clone.Pairs()...)
-	whole.OnEvent(trace.Event{TID: 2, TCount: 7, Kind: trace.KindStore, Obj: 0x500, Seq: 20})
-	if !reflect.DeepEqual(clone.Pairs(), snap) {
-		t.Fatal("feeding the original mutated the lockset clone")
-	}
-}
-
 func TestDetectorFootprintPositive(t *testing.T) {
 	d := NewDetector()
-	l := NewLocksetDetector()
 	for _, ev := range cloneEvents() {
 		d.OnEvent(ev)
-		l.OnEvent(ev)
 	}
-	if d.Footprint() <= 0 || l.Footprint() <= 0 {
-		t.Fatalf("footprints must be positive: hb=%d lockset=%d", d.Footprint(), l.Footprint())
+	if d.Footprint() <= 0 {
+		t.Fatalf("footprint must be positive: %d", d.Footprint())
 	}
 	if d.Clone().Footprint() != d.Footprint() {
 		t.Fatal("clone footprint differs from original")
