@@ -39,11 +39,10 @@ test:
 	$(GO) test ./...
 
 ## stress: the concurrency gate — the canonical-commit worker pool
-## itself (exec: dispatch, park, budget clamp, drain-on-cancel), the
-## work-stealing search (core: concurrent Workers 8 searches) and the
-## experiment cell pool (harness) twice under -race, so the
-## dedup/commit/snapshot/dispatch paths get different goroutine
-## schedules on each pass.
+## itself (exec: dispatch, park, drain-on-cancel), the replay search
+## (core: concurrent Workers 8 searches) and the experiment cell pool
+## (harness) twice under -race, so the dedup/commit/snapshot/dispatch
+## paths get different goroutine schedules on each pass.
 stress:
 	$(GO) test -race -count=2 ./internal/exec/...
 	$(GO) test -race -count=2 ./internal/core/...

@@ -40,7 +40,7 @@ func main() {
 	overheadScale := flag.Int("overhead-scale", 800, "workload scale for overhead/log-size runs")
 	replays := flag.Int("e6-replays", 100, "re-replays per bug in E6")
 	jobs := flag.Int("j", 0, "experiment cells run in parallel (0 = GOMAXPROCS, 1 = sequential; tables are identical at any value)")
-	workers := flag.Int("workers", 0, "work-stealing attempt workers per replay search (0 = sequential)")
+	workers := flag.Int("workers", 0, "attempts run at once per replay search (0 = one; wall clock only: every value runs the same search)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the whole run (0 = none); SIGINT also cancels gracefully")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	scenarios := flag.Bool("scenarios", false, "run only the failure-injection scenarios (shorthand for -exp e12)")
@@ -185,7 +185,7 @@ func main() {
 		}
 		return rows
 	})
-	run("e11", "work-stealing search scaling (extension)", func() any {
+	run("e11", "worker-pool search scaling (extension)", func() any {
 		rows := harness.RunE11(nil, nil, cfg)
 		if !*asJSON {
 			harness.PrintE11(os.Stdout, rows, cfg)

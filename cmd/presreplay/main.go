@@ -41,7 +41,7 @@ func main() {
 	noFeedback := flag.Bool("no-feedback", false, "disable feedback (random exploration ablation)")
 	verify := flag.Int("verify", 3, "re-replays of the captured order after success")
 	simplify := flag.Bool("simplify", true, "minimize context switches in the captured schedule")
-	workers := flag.Int("workers", 1, "work-stealing attempt workers (1 = exact sequential search)")
+	workers := flag.Int("workers", 1, "attempts run at once (wall clock only: every value runs the same search)")
 	prefixSnaps := flag.Bool("prefix-snapshots", false, "resume child attempts from shared-prefix snapshots instead of re-executing from step 0")
 	snapBudget := flag.Int64("snapshot-budget", 0, "prefix-snapshot cache budget in bytes (0 = 64 MiB default)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the search (0 = none); SIGINT also cancels gracefully")

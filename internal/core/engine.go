@@ -251,20 +251,16 @@ type searchJob struct {
 // Runner. The layering splits the old monolith's responsibilities:
 //
 //   - the pool (internal/exec) owns canonical index dispatch, the
-//     strict in-order commit drain, worker lifecycle, context
-//     cancellation and the budget clamp on live workers. Dispatch,
-//     Complete and Commit below run under the pool's mutex, so the
-//     canonical-order state they touch (directedLive, the dedup set
-//     `seen`, racesSeen, the result) needs no further locking — the
-//     same single-lock discipline the old engine had, now borrowed
-//     from the pool.
-//   - the frontier and the snapshot cache (internal/search) carry
-//     their own finer locks, so pushes, steals and snapshot probes
-//     from other workers never wait on a commit in progress.
-//   - cancel is the cross-worker atomic, mutated from Run (which
-//     holds no lock): the lowest attempt index known to have
-//     reproduced, polled by in-flight attempts at every scheduling
-//     point.
+//     strict in-order commit drain, worker lifecycle and context
+//     cancellation. Dispatch and Commit below run under the pool's
+//     mutex, so the state they touch (the frontier, directedLive, the
+//     dedup set `seen`, racesSeen, the result) needs no lock of its
+//     own: the pool's mutex is the search's only lock.
+//   - the snapshot cache (internal/search) is probed and filled from
+//     Run, which holds no lock, so it carries its own.
+//   - cancel is the cross-worker atomic, mutated from Run: the lowest
+//     attempt index known to have reproduced, polled by in-flight
+//     attempts at every scheduling point.
 type searchState struct {
 	prog     *appkit.Program
 	rec      *Recording
@@ -280,9 +276,9 @@ type searchState struct {
 	snaps  *search.SnapshotCache
 	cancel atomic.Int64
 
-	// Guarded by the pool's mutex (only touched from Dispatch, Complete
-	// and Commit).
-	directedLive int // dispatched directed attempts not yet completed
+	// Guarded by the pool's mutex (only touched from Dispatch and
+	// Commit).
+	directedLive int // dispatched directed attempts not yet committed
 	seen         map[string]bool
 	racesSeen    map[race.PairKey]bool
 	r            *ReplayResult
@@ -306,16 +302,27 @@ func seededSlot(feedback bool, idx int) bool { return feedback || idx != 0 }
 // or two reorderings, so all single flips are tried before any pair)
 // or samples the space probabilistically.
 //
-// A directed slot that finds the frontier empty while another directed
-// attempt is still in flight waits for that attempt to commit instead
-// of burning the slot on a speculative random sample: the in-flight
-// attempt's feedback is about to refill the frontier, and the paper's
-// search is worth more per execution than blind sampling. At Workers=1
-// no other attempt is ever in flight, so the sequential composition —
-// pop if available, else random — is untouched.
-func (s *searchState) Dispatch(worker, idx int) exec.Decision {
+// The composition is the sequential search's at every Workers count.
+// Dispatch reads only the frontier and directedLive, and both change
+// only at commits, which run in canonical order. At Workers: 1 every
+// earlier attempt has committed when idx is offered. At Workers > 1
+// some may not have, and the frontier then lacks the children of the
+// uncommitted directed attempts. No commit after the first uncommitted
+// attempt has run, so those missing children have a higher seq than
+// every node already present and, the search tree being breadth-first,
+// no smaller depth: a non-empty frontier's minimum is the node the
+// sequential search pops. An empty frontier with a directed attempt
+// still uncommitted waits for that commit, where the sequential search
+// would pop one of its children. An empty frontier with none
+// uncommitted is empty in the sequential search too, so the slot
+// samples at random as it would.
+//
+// The wait is live: a directed attempt that has completed but not
+// committed is held back by a lower index still in flight, and that
+// attempt's completion re-offers the slot.
+func (s *searchState) Dispatch(idx int) exec.Decision {
 	if directedSlot(s.feedback, idx) {
-		if nd, ok := s.frontier.Pop(worker); ok {
+		if nd, ok := s.frontier.Pop(0); ok {
 			s.directedLive++
 			return exec.Decision{Job: &searchJob{idx: idx, directed: true, nd: nd, seed: int64(idx)}}
 		}
@@ -328,7 +335,7 @@ func (s *searchState) Dispatch(worker, idx int) exec.Decision {
 
 // Run produces the attempt's outcome by running the simulated
 // execution.
-func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
+func (s *searchState) Run(ctx context.Context, idx int, job any) {
 	j := job.(*searchJob)
 	seeded := !j.directed && seededSlot(s.feedback, j.idx)
 	var rng *rand.Rand
@@ -362,22 +369,15 @@ func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 	}
 }
 
-// Complete records an attempt's completion (in completion order,
-// before its canonical commit): the in-flight bookkeeping dispatch
-// consults must not wait for canonical order.
-func (s *searchState) Complete(idx int, job any) {
-	j := job.(*searchJob)
-	if j.directed {
-		s.directedLive--
-	}
-}
-
 // Commit folds one attempt, in canonical order, into the result:
 // observability, stats, and — for failed directed attempts — feedback
 // children into the frontier. Returning false on a reproduction stops
 // the pool: the first success in canonical order wins.
 func (s *searchState) Commit(idx int, job any) bool {
 	j := job.(*searchJob)
+	if j.directed {
+		s.directedLive--
+	}
 	r := s.r
 	r.Attempts++
 	r.Stats.Steps += j.out.steps

@@ -91,16 +91,15 @@ type ReplayOptions struct {
 	// least-recently-used snapshots are evicted past it. 0 means
 	// search.DefaultSnapshotBudget (64 MiB).
 	SnapshotBudgetBytes int64
-	// Workers sizes the work-stealing attempt pool. Each worker pulls
-	// the next canonical attempt — alternating probabilistic samples
-	// and directed frontier pops — and runs it as an independent
-	// execution; results commit strictly in canonical attempt order, so
-	// the first success in that order wins and Attempts reports its
-	// position. The first reproduction cooperatively cancels in-flight
-	// later attempts. Workers <= 1 preserves the exact sequential
-	// search, attempt for attempt — the deterministic baseline. Workers
-	// above GOMAXPROCS are honoured, but on compute-bound searches they
-	// only preempt one another (EXPERIMENTS.md E11).
+	// Workers sizes the attempt pool: how many attempts may run at
+	// once. It is a wall-clock knob only. Attempts are composed and
+	// their results committed in canonical attempt order, so a search
+	// makes the same attempts, flips, steps and captured order at every
+	// Workers count; the first success in that order wins and
+	// cooperatively cancels in-flight later attempts. Workers <= 1 runs
+	// one attempt at a time. Workers above GOMAXPROCS are honoured, but
+	// on compute-bound searches they only preempt one another
+	// (EXPERIMENTS.md E11).
 	Workers int
 	// OnAttempt, if set, is called after each attempt (in canonical
 	// order) with its 1-based index, mode ("directed" or "random") and
@@ -221,16 +220,14 @@ func Replay(prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayRes
 // the paper's ablation baseline.
 //
 // The search runs on the internal/exec canonical-commit pool over the
-// internal/search sharded priority frontier: there is no wave barrier —
-// a failed directed attempt's children enter the frontier the moment it
-// commits, and any idle worker steals them. Attempt outcomes commit
-// strictly in canonical attempt order, so stats, feedback, dedup and
-// every observability surface behave as if the attempts had run
-// sequentially; the first success in canonical order wins and
-// cooperatively cancels in-flight later attempts. With Workers <= 1 the
-// engine degenerates to the exact sequential search — dispatch, execute
-// and commit strictly alternate — which is the deterministic baseline
-// the tests pin.
+// internal/search priority frontier: there is no wave barrier — a
+// failed directed attempt's children enter the frontier the moment it
+// commits. Attempts are composed and their outcomes committed strictly
+// in canonical attempt order, so stats, feedback, dedup and every
+// observability surface are those of the sequential search at any
+// Workers count (see searchState.Dispatch); the first success in
+// canonical order wins and cooperatively cancels in-flight later
+// attempts.
 //
 // Cancelling ctx stops the search cooperatively: no new attempts
 // dispatch, in-flight attempts abort at their next scheduling point,
@@ -238,30 +235,7 @@ func Replay(prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayRes
 // pool drains without leaking a goroutine. The result reports the
 // committed prefix with Err set to the context's error.
 func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, opts ReplayOptions) *ReplayResult {
-	s := &searchState{
-		prog:      prog,
-		rec:       rec,
-		opts:      opts,
-		feedback:  opts.Feedback,
-		budget:    opts.maxAttempts(),
-		maxW:      max(1, opts.Workers),
-		seen:      map[string]bool{"": true},
-		racesSeen: map[race.PairKey]bool{},
-		r:         &ReplayResult{},
-	}
-	s.cancel.Store(cancelNone)
-	if opts.PrefixSnapshots {
-		s.digest = searchDigest(prog, rec, opts)
-	}
-	if s.feedback {
-		s.frontier = search.NewFrontier[replayNode](s.maxW)
-		s.frontier.Push(replayNode{}, 0)
-		if opts.PrefixSnapshots {
-			if _, cp := activeCheckpoint(rec, opts); !cp {
-				s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
-			}
-		}
-	}
+	s := newSearchState(prog, rec, opts)
 	var active *obs.Gauge
 	var occ *obs.Histogram
 	if m := opts.Metrics; m != nil {
@@ -296,6 +270,35 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 	}
 	opts.reportSearch(s.r)
 	return s.r
+}
+
+// newSearchState sets up one search before its first dispatch.
+func newSearchState(prog *appkit.Program, rec *Recording, opts ReplayOptions) *searchState {
+	s := &searchState{
+		prog:      prog,
+		rec:       rec,
+		opts:      opts,
+		feedback:  opts.Feedback,
+		budget:    opts.maxAttempts(),
+		maxW:      max(1, opts.Workers),
+		seen:      map[string]bool{"": true},
+		racesSeen: map[race.PairKey]bool{},
+		r:         &ReplayResult{},
+	}
+	s.cancel.Store(cancelNone)
+	if opts.PrefixSnapshots {
+		s.digest = searchDigest(prog, rec, opts)
+	}
+	if s.feedback {
+		s.frontier = search.NewFrontier[replayNode](0)
+		s.frontier.Push(replayNode{}, 0)
+		if opts.PrefixSnapshots {
+			if _, cp := activeCheckpoint(rec, opts); !cp {
+				s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
+			}
+		}
+	}
+	return s
 }
 
 // Reproduce replays a captured full order and returns the run's result;

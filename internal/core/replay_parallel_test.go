@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/appkit"
 	"repro/internal/apps"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -33,9 +34,10 @@ func TestAttemptComposition(t *testing.T) {
 }
 
 func TestReplayParallelMatchesSequential(t *testing.T) {
-	// fft-barrier reproduces on the first directed attempt — before any
-	// worker could race ahead — so the whole ReplayResult must match the
-	// sequential search bit for bit even at Workers: 4.
+	// fft-barrier reproduces on the first directed attempt, while later
+	// attempts are still in flight at Workers: 4; the first success in
+	// canonical order wins, so the whole ReplayResult matches the
+	// sequential search bit for bit.
 	prog, ok := apps.ProgramForBug("fft-barrier")
 	if !ok {
 		t.Fatal("fft-barrier not in corpus")
@@ -73,27 +75,48 @@ func TestReplayWorkersOneDeterministic(t *testing.T) {
 }
 
 func TestReplayParallelReproduces(t *testing.T) {
-	// At Workers > 1 the search is not attempt-for-attempt deterministic
-	// (which attempts go directed depends on frontier timing), but the
-	// contract is: it reproduces whenever the sequential search does, and
-	// the captured order replays to the identical failure.
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	seq := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug"), Workers: 1})
-	if !seq.Reproduced {
-		t.Fatal("sequential search failed")
+	// At every Workers count the search is the sequential one, attempt
+	// for attempt: the whole ReplayResult equals Workers: 1's, and the
+	// captured order replays to the bug. atom-bug reproduces on a random
+	// sample; the corpus bug lu-atomicity, on its first buggy SYNC
+	// recording, needs a flip.
+	atom := atomBugProg(3)
+	lu, ok := apps.ProgramForBug("lu-atomicity")
+	if !ok {
+		t.Fatal("lu-atomicity not in corpus")
 	}
-	for _, w := range []int{2, 4, 8} {
-		par := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug"), Workers: w})
-		if !par.Reproduced {
-			t.Fatalf("workers=%d failed to reproduce: %+v", w, par.Stats)
+	luRec := func() *Recording {
+		oracle := MatchBugID("lu-atomicity")
+		for seed := int64(0); seed < 3000; seed++ {
+			r := Record(lu, trajectoryOptions(seed))
+			if f := r.BugFailure(); f != nil && oracle(f) {
+				return r
+			}
 		}
-		out := Reproduce(prog, rec, par.Order)
-		if out.Failure == nil || out.Failure.BugID != "atom-bug" {
-			t.Fatalf("workers=%d captured order lost the bug: %v", w, out.Failure)
+		t.Fatal("lu-atomicity: no buggy seed")
+		return nil
+	}()
+	for _, c := range []struct {
+		bug  string
+		prog *appkit.Program
+		rec  *Recording
+	}{
+		{"atom-bug", atom, recordBuggy(t, atom, sketch.SYNC)},
+		{"lu-atomicity", lu, luRec},
+	} {
+		seq := Replay(c.prog, c.rec, ReplayOptions{Feedback: true, Oracle: MatchBugID(c.bug), Workers: 1})
+		if !seq.Reproduced {
+			t.Fatalf("%s: sequential search failed", c.bug)
 		}
-		if par.Attempts < 1 || par.Attempts > seq.Stats.Divergences+seq.Stats.CleanRuns+seq.Stats.OtherFailures+DefaultMaxAttempts {
-			t.Fatalf("workers=%d implausible attempt count %d", w, par.Attempts)
+		for _, w := range []int{2, 4, 8} {
+			par := Replay(c.prog, c.rec, ReplayOptions{Feedback: true, Oracle: MatchBugID(c.bug), Workers: w})
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("%s: workers=%d result differs from workers=1:\nseq: %+v\npar: %+v", c.bug, w, seq, par)
+			}
+			out := Reproduce(c.prog, c.rec, par.Order)
+			if out.Failure == nil || out.Failure.BugID != c.bug {
+				t.Fatalf("%s: workers=%d captured order lost the bug: %v", c.bug, w, out.Failure)
+			}
 		}
 	}
 }
@@ -129,20 +152,19 @@ func TestReplayFrontierDriesDeterministically(t *testing.T) {
 			t.Fatalf("frontier-dried search nondeterministic:\na: %+v\nb: %+v", want, res)
 		}
 	}
-	// The same exhaustion at Workers: 4 must also report the dried
-	// frontier (stats beyond that may differ run to run).
+	// The same exhaustion at Workers: 4 is the same search.
 	res := Replay(prog, rec, ReplayOptions{
 		Feedback: true, Oracle: never, MaxAttempts: 12, Workers: 4,
 	})
-	if res.Reproduced || !res.Stats.FrontierDried {
-		t.Fatalf("workers=4 exhaustion: reproduced=%v dried=%v", res.Reproduced, res.Stats.FrontierDried)
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("workers=4 exhaustion differs from workers=1:\nseq: %+v\npar: %+v", want, res)
 	}
 }
 
 func TestSearchDedupRaceStress(t *testing.T) {
-	// The dedup set and commit path are mutated only under the pool's
-	// mutex, and the frontier under its shard locks. Hammer both from
-	// several concurrent full searches at Workers: 8 — the -race gate
+	// The frontier, the dedup set and the commit path are mutated only
+	// under the pool's mutex. Hammer them from several concurrent full
+	// searches at Workers: 8 — the -race gate
 	// (make stress runs this with -count=2) must stay silent, and every
 	// search must behave.
 	if testing.Short() {
@@ -156,8 +178,8 @@ func TestSearchDedupRaceStress(t *testing.T) {
 			oracle := MatchBugID("atom-bug")
 			budget := 0 // full budget for reproducing searches
 			if i%2 == 1 {
-				// Odd searches never match: they exercise exhaustion,
-				// frontier drying and the budget clamp concurrently.
+				// Odd searches never match: they exercise exhaustion
+				// and frontier drying concurrently.
 				oracle = func(*sched.Failure) bool { return false }
 				budget = 60
 			}

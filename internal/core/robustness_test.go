@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/sched"
 	"repro/internal/sketch"
 )
@@ -100,58 +99,6 @@ func TestReplayBudgetOne(t *testing.T) {
 	})
 	if res.Attempts != 1 || res.Reproduced {
 		t.Fatalf("attempts=%d reproduced=%v", res.Attempts, res.Reproduced)
-	}
-}
-
-// TestParallelReplayMatchesSequential: the work-stealing pool must find
-// the bug whenever the sequential search does, and its captured order
-// must replay to the same failure; Workers=1 must preserve the exact
-// sequential search.
-func TestParallelReplayMatchesSequential(t *testing.T) {
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	seq := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug")})
-	if !seq.Reproduced {
-		t.Fatal("sequential failed")
-	}
-	par := Replay(prog, rec, ReplayOptions{
-		Feedback: true, Oracle: MatchBugID("atom-bug"), Workers: 4,
-	})
-	if !par.Reproduced {
-		t.Fatalf("parallel failed: %+v", par.Stats)
-	}
-	out := Reproduce(prog, rec, par.Order)
-	if out.Failure == nil || out.Failure.BugID != "atom-bug" {
-		t.Fatalf("parallel capture lost the bug: %v", out.Failure)
-	}
-	// Workers=1 must preserve the exact sequential search, attempt for
-	// attempt — for a fixed seed the attempt count cannot move.
-	one := Replay(prog, rec, ReplayOptions{
-		Feedback: true, Oracle: MatchBugID("atom-bug"), Workers: 1,
-	})
-	if one.Attempts != seq.Attempts {
-		t.Fatalf("W=1 diverged from sequential: %d vs %d", one.Attempts, seq.Attempts)
-	}
-}
-
-// TestParallelReplayCorpusBug: parallelism on a real corpus bug.
-func TestParallelReplayCorpusBug(t *testing.T) {
-	prog, _ := apps.Get("lu")
-	oracle := MatchBugID("lu-atomicity")
-	var rec *Recording
-	for seed := int64(0); seed < 3000; seed++ {
-		r := Record(prog, Options{Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: seed, WorldSeed: 1, MaxSteps: 300_000})
-		if f := r.BugFailure(); f != nil && oracle(f) {
-			rec = r
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatal("no buggy seed")
-	}
-	res := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, Workers: 8})
-	if !res.Reproduced {
-		t.Fatalf("not reproduced: %+v", res.Stats)
 	}
 }
 

@@ -24,9 +24,9 @@ func newCountRunner(n int) *countRunner {
 	return &countRunner{runs: make([]atomic.Int32, max(n, 1)), stopAt: -1}
 }
 
-func (r *countRunner) Dispatch(worker, idx int) Decision { return Decision{Job: idx} }
+func (r *countRunner) Dispatch(idx int) Decision { return Decision{Job: idx} }
 
-func (r *countRunner) Run(ctx context.Context, worker, idx int, job any) {
+func (r *countRunner) Run(ctx context.Context, idx int, job any) {
 	if job.(int) != idx {
 		panic("job does not carry its own index")
 	}
@@ -35,8 +35,6 @@ func (r *countRunner) Run(ctx context.Context, worker, idx int, job any) {
 		r.onRun(ctx, idx)
 	}
 }
-
-func (r *countRunner) Complete(idx int, job any) {}
 
 func (r *countRunner) Commit(idx int, job any) bool {
 	r.mu.Lock()
@@ -157,7 +155,7 @@ type waitRunner struct {
 	done []atomic.Bool
 }
 
-func (r *waitRunner) Dispatch(worker, idx int) Decision {
+func (r *waitRunner) Dispatch(idx int) Decision {
 	if idx%2 == 1 && !r.done[idx-1].Load() {
 		return Decision{Wait: true}
 	}
@@ -233,8 +231,8 @@ func artifactFor(idx int) []byte {
 	return b
 }
 
-func (r *artifactRunner) Run(ctx context.Context, worker, idx int, job any) {
-	r.countRunner.Run(ctx, worker, idx, job)
+func (r *artifactRunner) Run(ctx context.Context, idx int, job any) {
+	r.countRunner.Run(ctx, idx, job)
 	// Consume: deepest already-published predecessor, verified intact.
 	r.mu.Lock()
 	best := -1

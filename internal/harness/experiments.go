@@ -555,7 +555,7 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 	return rows
 }
 
-// E11Row is one cell of the work-stealing-search scaling experiment (an
+// E11Row is one cell of the worker-pool search scaling experiment (an
 // extension beyond the paper): wall-clock to reproduce one bug at a
 // given worker-pool size.
 type E11Row struct {

@@ -63,9 +63,9 @@ type Config struct {
 	// the harness forces sequential cells so the JSONL event stream
 	// keeps its documented canonical order.
 	Jobs int
-	// Workers sizes the replayer's work-stealing attempt pool for every
-	// search the harness runs. 0 keeps the sequential (deterministic)
-	// search.
+	// Workers sizes the replayer's attempt pool for every search the
+	// harness runs. It changes wall clock only; 0 runs one attempt at a
+	// time.
 	Workers int
 	// Metrics, when non-nil, receives metrics from every recording and
 	// replay the harness performs, plus per-experiment wall-time spans.

@@ -44,10 +44,9 @@ type cellRunner struct {
 	cells *obs.Counter
 }
 
-func (r *cellRunner) Dispatch(worker, idx int) exec.Decision            { return exec.Decision{} }
-func (r *cellRunner) Run(ctx context.Context, worker, idx int, job any) { r.cell(idx) }
-func (r *cellRunner) Complete(idx int, job any)                         {}
-func (r *cellRunner) Commit(idx int, job any) bool                      { r.cells.Inc(); return true }
+func (r *cellRunner) Dispatch(idx int) exec.Decision            { return exec.Decision{} }
+func (r *cellRunner) Run(ctx context.Context, idx int, job any) { r.cell(idx) }
+func (r *cellRunner) Commit(idx int, job any) bool              { r.cells.Inc(); return true }
 
 // Run executes cell(0..n-1) on the pool under ctx. Each cell must
 // write only to its own result slot; Run returns once every worker has

@@ -262,7 +262,7 @@ func PrintE10(w io.Writer, rows []E10Row, cfg Config) {
 	}
 }
 
-// PrintE11 renders the work-stealing scaling sweep: wall-clock per
+// PrintE11 renders the worker-pool scaling sweep: wall-clock per
 // pool size, with speedups quoted against each bug's workers=1
 // search.
 func PrintE11(w io.Writer, rows []E11Row, cfg Config) {

@@ -1,13 +1,10 @@
 package search
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-func TestFrontierSingleShardIsFIFO(t *testing.T) {
-	// One shard (the workers=1 shape) must pop in exact push order when
-	// depth never decreases — the sequential engine's BFS queue.
+func TestFrontierIsFIFO(t *testing.T) {
+	// Pops come in exact push order when depth never decreases — the
+	// sequential engine's BFS queue.
 	f := NewFrontier[uint64](1)
 	var want []uint64
 	for i := uint64(0); i < 20; i++ {
@@ -29,73 +26,23 @@ func TestFrontierSingleShardIsFIFO(t *testing.T) {
 	}
 }
 
-func TestFrontierPriorityAcrossShards(t *testing.T) {
-	// Shallower items pop first even when pushed later and landed on
-	// other shards: the breadth-first shape survives sharding.
-	f := NewFrontier[uint64](4)
+func TestFrontierShallowFirst(t *testing.T) {
+	// A shallower item pops before deeper ones pushed earlier, and
+	// items of equal depth keep their push order.
+	f := NewFrontier[uint64](1)
 	for i := uint64(0); i < 8; i++ {
 		f.Push(100+i, 3)
 	}
 	f.Push(7, 1)
-	got, ok := f.Pop(2)
-	if !ok || got != 7 {
-		t.Fatalf("expected the depth-1 item first, got %d (ok=%v)", got, ok)
-	}
-	if f.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", f.Len())
-	}
-}
-
-func TestFrontierConcurrentNeverLosesItems(t *testing.T) {
-	// Hammer pushes and pops from many goroutines: every pushed item is
-	// popped exactly once. Runs under -race in the tier-1 gate.
-	f := NewFrontier[uint64](8)
-	const producers, perProducer = 8, 200
-	var mu sync.Mutex
-	seen := make(map[uint64]int)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				tag := uint64(p*perProducer + i)
-				f.Push(tag, 1+int(tag%3))
-			}
-		}(p)
-	}
-	prodDone := make(chan struct{})
-	go func() { wg.Wait(); close(prodDone) }()
-	var cg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		cg.Add(1)
-		go func(home int) {
-			defer cg.Done()
-			for {
-				tag, ok := f.Pop(home)
-				if !ok {
-					select {
-					case <-prodDone:
-						if f.Len() == 0 {
-							return
-						}
-					default:
-					}
-					continue
-				}
-				mu.Lock()
-				seen[tag]++
-				mu.Unlock()
-			}
-		}(c)
-	}
-	cg.Wait()
-	if len(seen) != producers*perProducer {
-		t.Fatalf("popped %d distinct items, want %d", len(seen), producers*perProducer)
-	}
-	for tag, n := range seen {
-		if n != 1 {
-			t.Fatalf("item %d popped %d times", tag, n)
+	f.Push(8, 1)
+	want := []uint64{7, 8, 100, 101, 102, 103, 104, 105, 106, 107}
+	for i, tag := range want {
+		got, ok := f.Pop(0)
+		if !ok || got != tag {
+			t.Fatalf("pop %d: got %d (ok=%v), want %d", i, got, ok, tag)
+		}
+		if f.Len() != len(want)-i-1 {
+			t.Fatalf("pop %d: Len = %d, want %d", i, f.Len(), len(want)-i-1)
 		}
 	}
 }
