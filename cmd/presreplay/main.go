@@ -6,12 +6,14 @@
 // Usage:
 //
 //	presreplay -app mysqld -bug mysql-169 run.pres
-//	presreplay -app mysqld -bug mysql-169 -seed 7 -from-checkpoint run.pres
+//	presreplay -app mysqld -bug mysql-169 -seed 7 run.pres
 //
-// An epoch-ring recording (presrun -epoch-steps/-epoch-ring/
-// -checkpoint-every) additionally carries checkpoints; -from-checkpoint
-// starts every attempt at the newest one, which needs the recording's
-// schedule seed (-seed) to re-execute the prefix deterministically.
+// The recording decides where replay starts. An epoch-ring recording
+// (presrun -epoch-steps/-epoch-ring/-checkpoint-every) that carries a
+// checkpoint starts every attempt at the newest one, which needs the
+// recording's schedule seed (-seed) to re-execute the prefix
+// deterministically; a ring that evicted its head without one is
+// replayed with its retained window as a soft guide.
 package main
 
 import (
@@ -35,8 +37,7 @@ func main() {
 	procs := flag.Int("procs", 4, "processor count used for the recording")
 	scale := flag.Int("scale", 0, "workload scale used for the recording")
 	worldSeed := flag.Int64("world-seed", 1, "world seed used for the recording")
-	seed := flag.Int64("seed", 0, "schedule seed used for the recording (required by -from-checkpoint's prefix re-execution)")
-	fromCP := flag.Bool("from-checkpoint", false, "start every attempt at the recording's newest retained checkpoint instead of process start")
+	seed := flag.Int64("seed", 0, "schedule seed used for the recording (required for any checkpointed recording)")
 	maxAttempts := flag.Int("max-attempts", 1000, "replay attempt budget")
 	noFeedback := flag.Bool("no-feedback", false, "disable feedback (random exploration ablation)")
 	verify := flag.Int("verify", 3, "re-replays of the captured order after success")
@@ -83,11 +84,7 @@ func main() {
 	if ring := rec.Epochs; ring != nil {
 		fmt.Printf("epochs: %d retained (+%d evicted), %d checkpoints, window=%d entries\n",
 			len(ring.Epochs), ring.Evicted, len(ring.Checkpoints), ring.WindowLen())
-	}
-	if *fromCP {
-		if rec.Epochs == nil || len(rec.Epochs.Checkpoints) == 0 {
-			log.Print("warning: -from-checkpoint set but the recording carries no checkpoints; replaying from process start")
-		} else if cp := rec.Epochs.Checkpoints[len(rec.Epochs.Checkpoints)-1]; true {
+		if cp, ok := ring.LastCheckpoint(); ok {
 			fmt.Printf("replaying from checkpoint at epoch %d (step %d, %d inputs consumed)\n",
 				cp.Epoch, cp.Step, cp.InputIndex)
 		}
@@ -114,7 +111,6 @@ func main() {
 		MaxAttempts:         *maxAttempts,
 		Oracle:              oracle,
 		Workers:             *workers,
-		FromCheckpoint:      *fromCP,
 		PrefixSnapshots:     *prefixSnaps,
 		SnapshotBudgetBytes: *snapBudget,
 	}

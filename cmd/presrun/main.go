@@ -161,9 +161,6 @@ func main() {
 		if *bugID != "" {
 			fmt.Printf(" -bug %s", *bugID)
 		}
-		if rec.Epochs != nil && len(rec.Epochs.Checkpoints) > 0 {
-			fmt.Printf(" -from-checkpoint")
-		}
 		fmt.Printf(" %s\n", *out)
 	}
 

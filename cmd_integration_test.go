@@ -79,6 +79,16 @@ func TestCommandLineWorkflow(t *testing.T) {
 		t.Fatalf("prometheus metrics:\n%s", prom)
 	}
 
+	// A bounded epoch ring that evicted its head and kept no
+	// checkpoint replays with nothing but the seed presrun printed.
+	ringFile := filepath.Join(dir, "ring.pres")
+	out = run("presrun", "-bug", "mysql-169", "-epoch-steps", "32", "-epoch-ring", "2", "-o", ringFile)
+	seed := flagValue(t, out, "-seed")
+	out = run("presreplay", "-app", "mysqld", "-bug", "mysql-169", "-seed", seed, ringFile)
+	if !strings.Contains(out, "reproduced in") || !strings.Contains(out, "re-reproduced") {
+		t.Fatalf("presreplay of a headless ring:\n%s", out)
+	}
+
 	out = run("presbench", "-exp", "e9", "-json", "-seed-budget", "500")
 	if !strings.Contains(out, "\"e9\"") || !strings.Contains(out, "\"Reproduced\": true") {
 		t.Fatalf("presbench json output:\n%s", out)
@@ -103,6 +113,25 @@ func TestCommandLineWorkflow(t *testing.T) {
 			t.Fatalf("%s %v did not report the trace failure:\n%s", c[0], args, out)
 		}
 	}
+}
+
+// flagValue returns the value following flag on the "replay with:" line
+// of presrun's output.
+func flagValue(t *testing.T, out, flag string) string {
+	t.Helper()
+	for _, ln := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(ln, "replay with:") {
+			continue
+		}
+		f := strings.Fields(ln)
+		for i := range f[:len(f)-1] {
+			if f[i] == flag {
+				return f[i+1]
+			}
+		}
+	}
+	t.Fatalf("no %s in presrun's replay hint:\n%s", flag, out)
+	return ""
 }
 
 // checkMetricsJSON asserts the file is a valid repro.MetricsSnapshot

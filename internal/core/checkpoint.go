@@ -6,17 +6,35 @@ import (
 	"repro/internal/vsys"
 )
 
-// Replay from a checkpoint. A checkpoint (trace.Checkpoint) names an
-// epoch boundary by its committed-event count and carries digests of
-// the event stream and the virtual world at that point. An attempt
-// reaches it the way every restore works (prefix.go): the prefix
-// strategy forces the production strategy — sched.NewRandomMP over the
-// recorded seeds — for exactly cp.Step committed events, then checks
-// both digests. The production schedule is a pure function of those
-// seeds (RandomMP consumes randomness only per granted pick, identically
-// with or without run budgets), so the prefix re-executes the recording
-// draw for draw. Past the validated boundary the director enforces the
-// retained sketch window strictly from its first entry.
+// Where replay starts is decided by the recording alone, with one rule
+// for its three shapes (runAttempt in engine.go applies it):
+//
+//   - a recording that retained a checkpoint starts every attempt at
+//     the newest one, re-executing the prefix up to it and enforcing
+//     the sketch window after it strictly;
+//   - a recording whose head was evicted (an epoch ring that dropped
+//     epochs and kept no checkpoint) starts at process start with the
+//     retained window as a soft guide, since nothing constrains the
+//     unrecorded prefix;
+//   - every other recording (classic, or an unbounded ring without
+//     checkpoints) enforces its whole sketch strictly from process
+//     start.
+//
+// Every attempt is bounded by the recording's own step bound.
+//
+// A checkpoint (trace.Checkpoint) names an epoch boundary by its
+// committed-event count and carries digests of the event stream and the
+// virtual world at that point. An attempt reaches it the way every
+// restore works (prefix.go): the prefix strategy forces the production
+// strategy — sched.NewRandomMP over the recorded seeds — for exactly
+// cp.Step committed events, then checks both digests. The production
+// schedule is a pure function of those seeds (RandomMP consumes
+// randomness only per granted pick, identically with or without run
+// budgets), so the prefix re-executes the recording draw for draw. Past
+// the validated boundary the director enforces the retained sketch
+// window strictly from its first entry. A checkpoint that fails the
+// check ends the attempt diverged; there is no fallback to another
+// start.
 //
 // The prefix runs with the world in Live mode, not Replay mode: the
 // production world seed regenerates every recorded input
@@ -35,11 +53,10 @@ import (
 // checkpoint, so search depth is bounded by the flip candidates of the
 // retained epochs, not the whole execution.
 
-// activeCheckpoint resolves the checkpoint a replay attempt starts
-// from: the newest retained one, when the caller asked for
-// checkpointed replay and the recording carries any.
-func activeCheckpoint(rec *Recording, opts ReplayOptions) (trace.Checkpoint, bool) {
-	if !opts.FromCheckpoint || rec.Epochs == nil {
+// activeCheckpoint returns the checkpoint replay attempts start from:
+// the recording's newest retained one, if it carries any.
+func activeCheckpoint(rec *Recording) (trace.Checkpoint, bool) {
+	if rec.Epochs == nil {
 		return trace.Checkpoint{}, false
 	}
 	return rec.Epochs.LastCheckpoint()

@@ -101,36 +101,25 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	start := time.Now()
 	world := vsys.NewWorld(rec.Options.WorldSeed)
 	entries := rec.Sketch.Entries
-	softStart := false
-	cp, fromCP := activeCheckpoint(rec, opts)
-	if !fromCP {
+	cp, fromCP := activeCheckpoint(rec)
+	if fromCP {
+		// Checkpointed attempts leave the world in Live mode: the prefix
+		// re-execution regenerates the recorded inputs from the world
+		// seed, and the prefix strategy's boundary hook flips to Replay
+		// mode at the validated boundary (see checkpoint.go). The prefix
+		// is re-executed exactly, so the window from the checkpoint is
+		// enforced strictly from its first entry.
+		entries = windowFrom(rec, cp)
+	} else {
 		world.StartReplay(rec.Inputs)
 	}
-	// Checkpointed attempts leave the world in Live mode: the prefix
-	// re-execution regenerates the recorded inputs from the world seed,
-	// and the prefix strategy's boundary hook flips to Replay mode at the
-	// validated boundary (see checkpoint.go).
-	switch {
-	case fromCP:
-		// Checkpointed replay: the prefix is re-executed exactly, so the
-		// window from the checkpoint is enforced strictly from entry 0 —
-		// no soft start. Overrides SketchTail (the checkpoint decides
-		// where constrained replay begins).
-		entries = windowFrom(rec, cp)
-	case opts.SketchTail > 0 && opts.SketchTail < len(entries):
-		// Tail-only replay: the prefix of the execution is
-		// unconstrained, so the sketch can only ever be a soft guide.
-		entries = entries[len(entries)-opts.SketchTail:]
-		softStart = true
-	}
 	dir := newDirector(rec.Scheme, entries, fs, rng)
-	dir.soft = dir.soft || softStart
+	// A recording whose head was evicted and that kept no checkpoint
+	// leaves the start of the execution unconstrained, so its sketch
+	// can only ever be a soft guide.
+	dir.soft = dir.soft || !fromCP && rec.Epochs != nil && rec.Epochs.EvictedEntries > 0
 	det := race.NewDetector()
 	cap := &orderCapture{}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = rec.Options.MaxSteps
-	}
 
 	var strat sched.Strategy = dir
 	observers := []sched.Observer{dir, det, cap}
@@ -180,7 +169,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	res := execute(prog, rec.Options, sched.Config{
 		Strategy:  strat,
 		Observers: observers,
-		MaxSteps:  maxSteps,
+		MaxSteps:  rec.Options.MaxSteps,
 		Metrics:   opts.Metrics,
 		Ctx:       ctx,
 	}, world)

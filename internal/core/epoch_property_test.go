@@ -61,7 +61,7 @@ func TestPropEpochUnboundedByteIdentical(t *testing.T) {
 }
 
 // TestPropEpochTrajectoryEquivalence: with the ring unbounded and
-// checkpointed replay off, the search trajectory over an epoch-recorded
+// checkpoint-free, the search trajectory over an epoch-recorded
 // recording is DeepEqual to the classic one — same attempts, same
 // reproduction, same captured order, same stats.
 func TestPropEpochTrajectoryEquivalence(t *testing.T) {
@@ -96,9 +96,9 @@ func TestPropEpochTrajectoryEquivalence(t *testing.T) {
 
 // TestPropReplayFromCheckpointReproduces: on corpus apps, a recording
 // made with checkpointing reproduces the same bug when the search
-// starts from the newest checkpoint as when it starts from the
-// beginning — and the checkpointed search's captured order replays the
-// failure deterministically.
+// starts from the newest checkpoint as the classic recording of the
+// same seed does from the beginning — and the checkpointed search's
+// captured order replays the failure deterministically.
 func TestPropReplayFromCheckpointReproduces(t *testing.T) {
 	// Five corpus apps whose buggy runs live long enough to seal at
 	// least one checkpoint before dying (short-lived bugs like
@@ -113,11 +113,13 @@ func TestPropReplayFromCheckpointReproduces(t *testing.T) {
 		}
 		oracle := MatchBugID(id)
 		var rec *Recording
+		var opts Options
 		for seed := int64(0); seed < 400; seed++ {
-			r := Record(prog, Options{
+			opts = Options{
 				Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: seed, WorldSeed: 1, MaxSteps: 200_000,
 				EpochRing: &EpochRingOptions{Steps: 32, CheckpointEvery: 2},
-			})
+			}
+			r := Record(prog, opts)
 			if f := r.BugFailure(); f != nil && oracle(f) && len(r.Epochs.Checkpoints) > 0 {
 				rec = r
 				break
@@ -128,8 +130,9 @@ func TestPropReplayFromCheckpointReproduces(t *testing.T) {
 		}
 		checked++
 
-		base := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle})
-		cp := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle, FromCheckpoint: true})
+		opts.EpochRing = nil
+		base := Replay(prog, Record(prog, opts), ReplayOptions{Feedback: true, Oracle: oracle})
+		cp := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: oracle})
 		if !base.Reproduced {
 			t.Fatalf("%s: whole-execution replay failed to reproduce", id)
 		}

@@ -125,36 +125,20 @@ func canonicalFlipKey(fs flipSet) string {
 }
 
 // searchDigest hashes everything that determines what a replay attempt
-// of this search executes — program, recording (sketch, inputs, world)
-// and the replay knobs that alter enforcement — into the context
-// component of the snapshot keys (snapKey). Searches with equal digests
-// run equal directed attempts for equal flip sets.
-func searchDigest(prog *appkit.Program, rec *Recording, opts ReplayOptions) uint64 {
+// of this search executes — program and recording (sketch, inputs,
+// world, step bound) — into the context component of the snapshot keys
+// (snapKey). Searches with equal digests run equal directed attempts
+// for equal flip sets. Only searches without a recording checkpoint
+// take snapshots, so the whole retained sketch is the enforced one.
+func searchDigest(prog *appkit.Program, rec *Recording) uint64 {
 	d := trace.NewDigest()
 	d.String(prog.Name)
 	d.String(rec.Scheme.String())
 	d.Int(rec.Options.WorldSeed)
 	d.Int(int64(rec.Options.Processors))
 	d.Int(int64(rec.Options.Scale))
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = rec.Options.MaxSteps
-	}
-	d.Word(maxSteps)
-	d.Int(int64(opts.SketchTail))
-	entries := rec.Sketch.Entries
-	if cp, ok := activeCheckpoint(rec, opts); ok {
-		// Checkpointed attempts enforce only the window from the
-		// checkpoint, against a re-executed prefix: the key context is
-		// the checkpoint's identity plus that window, so searches from
-		// different checkpoints (or from the start) never share keys.
-		d.Word(cp.Step)
-		d.Word(cp.SketchIndex)
-		d.Word(cp.EventDigest)
-		d.Word(cp.WorldDigest)
-		entries = windowFrom(rec, cp)
-	}
-	for _, e := range entries {
+	d.Word(rec.Options.MaxSteps)
+	for _, e := range rec.Sketch.Entries {
 		d.Entry(e)
 	}
 	for _, in := range rec.Inputs.Records {

@@ -67,7 +67,7 @@ func requireMismatch(t *testing.T, out attemptOutcome, note string) {
 func TestCheckpointBoundaryMismatch(t *testing.T) {
 	rec := checkpointedRecording(t)
 	prog, _ := apps.ProgramForBug("mysql-169")
-	opts := ReplayOptions{Feedback: true, FromCheckpoint: true}
+	opts := ReplayOptions{Feedback: true}
 	run := func(r *Recording) attemptOutcome {
 		return runAttempt(context.Background(), prog, r, flipSet{}, nil, opts, 0, nil, nil)
 	}
@@ -87,15 +87,16 @@ func TestCheckpointBoundaryMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointMismatchSearch: a whole FromCheckpoint search over a
-// recording whose newest checkpoint lies ends as an exhausted search —
-// not reproduced, no error, every attempt a counted divergence.
+// TestCheckpointMismatchSearch: a whole search over a recording whose
+// newest checkpoint lies ends as an exhausted search — not reproduced,
+// no error, every attempt a counted divergence, no fallback to another
+// start.
 func TestCheckpointMismatchSearch(t *testing.T) {
 	rec := checkpointedRecording(t)
 	prog, _ := apps.ProgramForBug("mysql-169")
 	bad := withLastCheckpoint(rec, func(cp *trace.Checkpoint) { cp.EventDigest ^= 1 })
 	res := Replay(prog, bad, ReplayOptions{
-		Feedback: true, FromCheckpoint: true, MaxAttempts: 20, Oracle: MatchBugID("mysql-169"),
+		Feedback: true, MaxAttempts: 20, Oracle: MatchBugID("mysql-169"),
 	})
 	if res.Reproduced || res.Err != nil {
 		t.Fatalf("Reproduced=%v Err=%v, want false, nil", res.Reproduced, res.Err)

@@ -39,7 +39,9 @@ func isDeadlockID(id string) bool {
 	return false
 }
 
-// ReplayOptions parameterizes the intelligent replayer.
+// ReplayOptions parameterizes the intelligent replayer. Where each
+// attempt starts and how many steps it may take are not options: the
+// recording decides both (see checkpoint.go).
 type ReplayOptions struct {
 	// MaxAttempts bounds the search; the paper uses 1000 as "not
 	// reproduced". 0 means DefaultMaxAttempts.
@@ -54,26 +56,6 @@ type ReplayOptions struct {
 	BranchFactor int
 	// Oracle matches the target bug; nil accepts any manifested bug.
 	Oracle Oracle
-	// MaxSteps bounds each attempt. 0 inherits the recording's bound.
-	MaxSteps uint64
-	// SketchTail, when positive, replays with only the last N sketch
-	// entries, as a soft guide rather than a hard constraint. This
-	// models bounded-storage deployments that truncate the sketch log
-	// (the paper's answer to log growth is checkpointing; ours is tail
-	// retention) — experiment E9 measures how reproduction degrades as
-	// the retained fraction shrinks.
-	SketchTail int
-	// FromCheckpoint starts every attempt from the recording's newest
-	// retained checkpoint (recordings made with Options.EpochRing and
-	// CheckpointEvery > 0): the prefix up to the checkpoint is
-	// re-executed deterministically under the production strategy and
-	// validated against the checkpoint's digests, then the director
-	// enforces only the sketch window from the checkpoint on. Flip-point
-	// enumeration is likewise confined to races after the boundary, so
-	// search depth is bounded by the retained epochs, not the whole
-	// execution. Ignored (with no effect on the search trajectory) when
-	// the recording carries no checkpoint. Overrides SketchTail.
-	FromCheckpoint bool
 	// PrefixSnapshots enables snapshot-tree search (snapshot.go):
 	// directed attempts capture world + engine snapshots at scheduler
 	// quiescent points, keyed by flip-set prefix, and child attempts
@@ -83,7 +65,7 @@ type ReplayOptions struct {
 	// equivalence property tests pin this); what changes is the work: a
 	// restored attempt fast-forwards its shared prefix mechanically and
 	// pays detection and scheduling-decision cost only on its divergent
-	// suffix. Ignored under FromCheckpoint (the recording checkpoint
+	// suffix. Ignored when the recording carries a checkpoint (it
 	// already anchors every attempt) and without Feedback (without a
 	// frontier there are no shared prefixes).
 	PrefixSnapshots bool
@@ -241,7 +223,7 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 	if m := opts.Metrics; m != nil {
 		active = m.Gauge("pres_replay_workers_active")
 		occ = m.Histogram("pres_replay_wave_occupancy", waveBuckets)
-		if _, ok := activeCheckpoint(rec, opts); ok {
+		if _, ok := activeCheckpoint(rec); ok {
 			m.Counter("pres_replay_from_checkpoint_total", "scheme", rec.Scheme.String()).Inc()
 		}
 	}
@@ -286,16 +268,12 @@ func newSearchState(prog *appkit.Program, rec *Recording, opts ReplayOptions) *s
 		r:         &ReplayResult{},
 	}
 	s.cancel.Store(cancelNone)
-	if opts.PrefixSnapshots {
-		s.digest = searchDigest(prog, rec, opts)
-	}
 	if s.feedback {
 		s.frontier = search.NewFrontier[replayNode](0)
 		s.frontier.Push(replayNode{}, 0)
-		if opts.PrefixSnapshots {
-			if _, cp := activeCheckpoint(rec, opts); !cp {
-				s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
-			}
+		if _, cp := activeCheckpoint(rec); opts.PrefixSnapshots && !cp {
+			s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
+			s.digest = searchDigest(prog, rec)
 		}
 	}
 	return s

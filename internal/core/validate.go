@@ -67,6 +67,10 @@ func (r *Recording) Validate() error {
 				return fmt.Errorf("core: checkpoint %d sketch index %d is outside the retained entries [%d, %d]",
 					i, cp.SketchIndex, ring.EvictedEntries, entry)
 			}
+			if cp.InputIndex > uint64(r.Inputs.Len()) {
+				return fmt.Errorf("core: checkpoint %d input index %d is past the %d logged inputs",
+					i, cp.InputIndex, r.Inputs.Len())
+			}
 		}
 	}
 	return nil

@@ -73,3 +73,20 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		t.Error("zero call code accepted")
 	}
 }
+
+// TestValidateRejectsCheckpointPastInputs: a checkpoint whose input
+// index lies past the input log is rejected. No digest covers the
+// index, so the replay would otherwise clamp it or serve no inputs.
+func TestValidateRejectsCheckpointPastInputs(t *testing.T) {
+	rec := checkpointedRecording(t)
+	if err := rec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(rec.Inputs.Len())
+	if err := withLastCheckpoint(rec, func(cp *trace.Checkpoint) { cp.InputIndex = n }).Validate(); err != nil {
+		t.Fatalf("input index at the log's end rejected: %v", err)
+	}
+	if withLastCheckpoint(rec, func(cp *trace.Checkpoint) { cp.InputIndex = n + 1 }).Validate() == nil {
+		t.Fatal("input index past the input log accepted")
+	}
+}

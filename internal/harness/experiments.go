@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/patterns"
 	"repro/internal/sketch"
+	"repro/internal/trace"
 )
 
 // E1Row is one cell of the bug-reproduction table: replay attempts to
@@ -361,7 +362,9 @@ type E9Row struct {
 // E9Bugs is the default subset for the truncation sweep.
 var E9Bugs = []string{"mysql-169", "openldap-deadlock", "lu-atomicity", "fft-barrier"}
 
-// RunE9 sweeps the retained sketch fraction for a bug subset under SYNC.
+// RunE9 sweeps the retained sketch fraction for a bug subset under SYNC:
+// each fraction below 100% replays a headless copy of the recording,
+// which the replayer searches with the retained tail as a soft guide.
 func RunE9(bugs []string, fractions []int, cfg Config) []E9Row {
 	defer cfg.timeExperiment("e9")()
 	if bugs == nil {
@@ -381,13 +384,11 @@ func RunE9(bugs []string, fractions []int, cfg Config) []E9Row {
 		for _, pct := range fractions {
 			row := E9Row{Bug: bug, Retained: pct, Err: err}
 			if err == nil {
-				tail := 0 // 0 = full sketch, strictly enforced
+				r := rec // the full sketch, strictly enforced
 				if pct < 100 {
-					tail = max(1, rec.Sketch.Len()*pct/100)
+					r = headless(rec, max(1, rec.Sketch.Len()*pct/100))
 				}
-				ropts := cfg.replayOptions(bug)
-				ropts.SketchTail = tail
-				res := cfg.replay(prog, rec, ropts)
+				res := cfg.replay(prog, r, cfg.replayOptions(bug))
 				row.Attempts = res.Attempts
 				row.Reproduced = res.Reproduced
 			}
@@ -400,6 +401,27 @@ func RunE9(bugs []string, fractions []int, cfg Config) []E9Row {
 		rows = append(rows, r...)
 	}
 	return rows
+}
+
+// headless returns a copy of rec that keeps only its last n sketch
+// entries, as one epoch of a ring that evicted everything before them:
+// the recording a bounded-storage deployment leaves behind. rec itself
+// is returned when it has no more than n entries.
+func headless(rec *core.Recording, n int) *core.Recording {
+	dropped := rec.Sketch.Len() - n
+	if dropped <= 0 {
+		return rec
+	}
+	sk := *rec.Sketch
+	sk.Entries = sk.Entries[dropped:]
+	out := *rec
+	out.Sketch = &sk
+	out.Epochs = &trace.EpochRing{
+		Scheme: sk.Scheme, TotalOps: sk.TotalOps, Records: sk.Records,
+		Size: 1, Evicted: 1, EvictedEntries: uint64(dropped),
+		Epochs: []trace.Epoch{{ID: 1, StartEntry: uint64(dropped), Entries: sk.Entries}},
+	}
+	return &out
 }
 
 // E10Row is one cell of the bug-pattern matrix (extension): attempts to
@@ -540,9 +562,7 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 			row.Checkpoints = len(ring.Checkpoints)
 			row.WindowEntries = erec.Sketch.Len()
 			row.WindowBytes = sketch.EncodedSize(erec.Sketch)
-			ropts := cfg.replayOptions(bug)
-			ropts.FromCheckpoint = true
-			res := cfg.replay(prog, erec, ropts)
+			res := cfg.replay(prog, erec, cfg.replayOptions(bug))
 			row.Attempts, row.Reproduced = res.Attempts, res.Reproduced
 			out = append(out, row)
 		}

@@ -213,7 +213,6 @@ func FuzzScenarioGen(f *testing.F) {
 			Feedback:    true,
 			MaxAttempts: 5,
 			Oracle:      core.MatchBugID(g.BugID),
-			MaxSteps:    50_000,
 		})
 		if res.Err != nil {
 			t.Fatalf("seed %d: replay error: %v", seed, res.Err)

@@ -70,9 +70,8 @@ type Cell struct {
 	Want  Outcome
 	// EpochRing selects the always-on recording variant of the cell:
 	// the production run records into a bounded epoch ring with
-	// periodic checkpoints (core.Options.EpochRing) and the replay
-	// starts from the newest retained checkpoint
-	// (core.ReplayOptions.FromCheckpoint). The expectation is
+	// periodic checkpoints (core.Options.EpochRing), so the replay
+	// starts from the newest retained checkpoint. The expectation is
 	// unchanged — the injected failure must still be found and
 	// reproduced from the bounded recording.
 	EpochRing bool
@@ -234,11 +233,10 @@ func RunCell(cell Cell, cfg Config) CellResult {
 		return res
 	}
 	rep := core.ReplayContext(cfg.ctx(), prog, rec, core.ReplayOptions{
-		Feedback:       true,
-		MaxAttempts:    cfg.maxAttempts(),
-		Oracle:         oracleFor(cell.Want, rec.Result.Failure),
-		FromCheckpoint: cell.EpochRing,
-		Metrics:        cfg.Metrics,
+		Feedback:    true,
+		MaxAttempts: cfg.maxAttempts(),
+		Oracle:      oracleFor(cell.Want, rec.Result.Failure),
+		Metrics:     cfg.Metrics,
 	})
 	res.Attempts, res.Reproduced = rep.Attempts, rep.Reproduced
 	if !rep.Reproduced {

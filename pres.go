@@ -146,8 +146,8 @@ type (
 	Options = core.Options
 	// EpochRingOptions selects always-on recording (set Options.EpochRing):
 	// the sketch is sealed into fixed-length epochs kept in a bounded
-	// ring, with periodic world checkpoints replay can restart from (set
-	// ReplayOptions.FromCheckpoint).
+	// ring, with periodic world checkpoints; replay of such a recording
+	// starts at its newest retained checkpoint.
 	EpochRingOptions = core.EpochRingOptions
 	// Recording holds a production run's sketch, input log and outcome.
 	Recording = core.Recording
