@@ -79,8 +79,8 @@ fuzz-short:
 ## BenchmarkHarnessMatrix*), and the grant-loop trio
 ## (BenchmarkSchedulingPoint/SingleStep/Batch) with the zero-alloc
 ## gates of the grant loop, the replay director's pick and the race
-## detector's dedup (TestSchedGrantLoopAllocFree,
-## TestDirectorPickAllocFree, TestDetectorDedupAllocFree); then the
+## detector's memory access (TestSchedGrantLoopAllocFree,
+## TestDirectorPickAllocFree, TestDetectorAccessAllocFree); then the
 ## end-to-end benchmark (bench/README.md) over all four workloads. To
 ## compare two trees, run bench with -out in each and diff the files
 ## with `cd bench && go run . -compare a.jsonl b.jsonl`.

@@ -3,7 +3,6 @@ package race
 import (
 	"unsafe"
 
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -12,98 +11,68 @@ import (
 // restored from that snapshot resumes detection at the boundary instead
 // of re-observing the whole prefix. A clone must be fully independent:
 // vclock.VC values mutate in place on Tick/Join when no growth is
-// needed, and appendBounded shifts its slice's backing array, so both
-// get fresh storage here. The per-access clocks stored inside
-// accessRec values are the one thing safely shared — checkAccess stores
-// a private Clone at insert time and nothing mutates it afterwards.
+// needed, and each address's history rings are overwritten in place, so
+// both get fresh storage here. A history holds no pointers (an access
+// record is its epoch, not a clock), so copying it by value is a deep
+// copy.
 
 // Clone returns a deep, independent copy of the detector's state.
 // Feeding the original and the clone identical event suffixes yields
 // identical pair sets; events fed to one never affect the other.
 func (d *Detector) Clone() *Detector {
 	c := &Detector{
-		threads: cloneVCMapTID(d.threads),
-		objects: cloneVCMapObj(d.objects),
-		born:    cloneVCMapTID(d.born),
-		exited:  cloneVCMapTID(d.exited),
-		writes:  cloneHistory(d.writes),
-		reads:   cloneHistory(d.reads),
+		threads: make([]vclock.VC, len(d.threads)),
+		objects: cloneVCMap(d.objects),
+		born:    cloneVCMap(d.born),
+		exited:  cloneVCMap(d.exited),
+		history: make(map[uint64]*history, len(d.history)),
 		pairs:   append([]Pair(nil), d.pairs...),
-		seen:    make(map[PairKey]bool, len(d.seen)),
 	}
-	for k := range d.seen {
-		c.seen[k] = true
+	for i, vc := range d.threads {
+		c.threads[i] = vc.Clone()
+	}
+	for addr, h := range d.history {
+		hc := *h
+		c.history[addr] = &hc
 	}
 	return c
 }
 
 // Footprint estimates the detector's retained bytes — the snapshot
 // cache's accounting currency. It is a model, not a measurement: map
-// and slice headers are charged at a flat overhead and clocks at
-// 8 bytes per component.
+// and slice headers are charged at a flat overhead, clocks at 8 bytes
+// per component and each address's history at its fixed size.
 func (d *Detector) Footprint() int64 {
-	n := int64(256)
+	n := int64(256) + mapFootprint(d.objects) + mapFootprint(d.born) + mapFootprint(d.exited)
 	for _, vc := range d.threads {
-		n += mapSlot + 8*int64(len(vc))
+		n += 8 * int64(len(vc))
 	}
-	for _, vc := range d.objects {
-		n += mapSlot + 8*int64(len(vc))
-	}
-	for _, vc := range d.born {
-		n += mapSlot + 8*int64(len(vc))
-	}
-	for _, vc := range d.exited {
-		n += mapSlot + 8*int64(len(vc))
-	}
-	n += historyFootprint(d.writes)
-	n += historyFootprint(d.reads)
-	n += int64(len(d.pairs)) * recBytes
-	n += int64(len(d.seen)) * (mapSlot + pairKeyBytes)
+	n += int64(len(d.history)) * (mapSlot + historyBytes)
+	n += int64(len(d.pairs)) * pairBytes
 	return n
 }
 
-// mapSlot and recBytes are the flat per-entry overheads Footprint
-// charges for map slots and access records; pairKeyBytes is a dedup
-// key's fixed size.
+// mapSlot is the flat per-entry overhead Footprint charges for map
+// slots; historyBytes and pairBytes are a history's and a pair's fixed
+// sizes.
 const (
 	mapSlot      = 48
-	recBytes     = 64
-	pairKeyBytes = int64(unsafe.Sizeof(PairKey{}))
+	historyBytes = int64(unsafe.Sizeof(history{}))
+	pairBytes    = int64(unsafe.Sizeof(Pair{}))
 )
 
-func cloneVCMapTID(m map[trace.TID]vclock.VC) map[trace.TID]vclock.VC {
-	out := make(map[trace.TID]vclock.VC, len(m))
+func cloneVCMap[K comparable](m map[K]vclock.VC) map[K]vclock.VC {
+	out := make(map[K]vclock.VC, len(m))
 	for k, v := range m {
 		out[k] = v.Clone()
 	}
 	return out
 }
 
-func cloneVCMapObj(m map[uint64]vclock.VC) map[uint64]vclock.VC {
-	out := make(map[uint64]vclock.VC, len(m))
-	for k, v := range m {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-func cloneHistory(m map[uint64][]accessRec) map[uint64][]accessRec {
-	out := make(map[uint64][]accessRec, len(m))
-	for k, recs := range m {
-		// New backing array (appendBounded shifts in place); the per-rec
-		// vc values are immutable after insert and shared deliberately.
-		out[k] = append(make([]accessRec, 0, len(recs)), recs...)
-	}
-	return out
-}
-
-func historyFootprint(m map[uint64][]accessRec) int64 {
+func mapFootprint[K comparable](m map[K]vclock.VC) int64 {
 	n := int64(0)
-	for _, recs := range m {
-		n += mapSlot
-		for _, r := range recs {
-			n += recBytes + 8*int64(len(r.vc))
-		}
+	for _, vc := range m {
+		n += mapSlot + 8*int64(len(vc))
 	}
 	return n
 }

@@ -89,43 +89,60 @@ func (p Pair) String() string {
 	return fmt.Sprintf("race{%v <-> %v @ step %d}", p.First, p.Second, p.SecondSeq)
 }
 
-// historyDepth bounds how many prior accesses per address are retained;
-// racing partners further back than this are rare and the memory cost of
-// keeping everything is quadratic-ish on hot addresses.
+// historyDepth bounds how many prior writes and how many prior reads
+// are retained per address; racing partners further back than this are
+// rare and the memory cost of keeping everything is quadratic-ish on
+// hot addresses.
 const historyDepth = 8
 
+// accessRec is one retained access. clock is the access's epoch: its
+// thread's own clock component right after the access ticked it. The
+// epoch alone decides happens-before against any later access (see
+// reportConcurrent), so no vector clock is kept per access.
 type accessRec struct {
-	acc Access
-	seq uint64
-	vc  vclock.VC
+	acc   Access
+	seq   uint64
+	clock uint64
+}
+
+// ring holds an address's historyDepth most recent accesses of one
+// kind, overwriting the oldest.
+type ring struct {
+	recs [historyDepth]accessRec
+	n    int // accesses ever pushed; the ring holds the last min(n, historyDepth)
+}
+
+func (r *ring) push(rec accessRec) {
+	r.recs[r.n%historyDepth] = rec
+	r.n++
+}
+
+// history is one address's retained accesses.
+type history struct {
+	writes, reads ring
 }
 
 // Detector consumes the event stream of one execution and accumulates
 // race pairs. It implements sched.Observer with zero recording cost
 // (it runs at diagnosis time, not during production).
 type Detector struct {
-	threads map[trace.TID]vclock.VC
+	threads []vclock.VC          // per-thread clocks, indexed by TID (the scheduler hands TIDs out densely)
 	objects map[uint64]vclock.VC // sync/syscall object clocks
 	born    map[trace.TID]vclock.VC
 	exited  map[trace.TID]vclock.VC
 
-	writes map[uint64][]accessRec // recent writes per address
-	reads  map[uint64][]accessRec // recent reads per address
+	history map[uint64]*history // recent accesses per address
 
 	pairs []Pair
-	seen  map[PairKey]bool
 }
 
 // NewDetector returns an empty detector.
 func NewDetector() *Detector {
 	return &Detector{
-		threads: make(map[trace.TID]vclock.VC),
 		objects: make(map[uint64]vclock.VC),
 		born:    make(map[trace.TID]vclock.VC),
 		exited:  make(map[trace.TID]vclock.VC),
-		writes:  make(map[uint64][]accessRec),
-		reads:   make(map[uint64][]accessRec),
-		seen:    make(map[PairKey]bool),
+		history: make(map[uint64]*history),
 	}
 }
 
@@ -136,6 +153,9 @@ func (d *Detector) Pairs() []Pair { return d.pairs }
 // OnEvent implements sched.Observer.
 func (d *Detector) OnEvent(ev trace.Event) uint64 {
 	tid := ev.TID
+	for int(tid) >= len(d.threads) {
+		d.threads = append(d.threads, nil)
+	}
 	vc := d.threads[tid]
 
 	switch {
@@ -183,40 +203,40 @@ func (d *Detector) OnEvent(ev trace.Event) uint64 {
 func queueKey(q uint64) uint64 { return q ^ 0x9e3779b97f4a7c15 }
 
 func (d *Detector) checkAccess(ev trace.Event, vc vclock.VC) {
-	acc := Access{TID: ev.TID, TCount: ev.TCount, Addr: ev.Obj, Write: ev.Kind.IsWrite()}
-	rec := accessRec{acc: acc, seq: ev.Seq, vc: vc.Clone()}
+	h := d.history[ev.Obj]
+	if h == nil {
+		h = new(history)
+		d.history[ev.Obj] = h
+	}
+	cur := Access{TID: ev.TID, TCount: ev.TCount, Addr: ev.Obj, Write: ev.Kind.IsWrite()}
 
 	// A write races with concurrent prior reads and writes; a read races
 	// with concurrent prior writes.
-	d.reportConcurrent(d.writes[acc.Addr], rec, ev.Seq)
-	if acc.Write {
-		d.reportConcurrent(d.reads[acc.Addr], rec, ev.Seq)
-		d.writes[acc.Addr] = appendBounded(d.writes[acc.Addr], rec)
+	d.reportConcurrent(&h.writes, cur, ev.Seq, vc)
+	rec := accessRec{acc: cur, seq: ev.Seq, clock: vc[ev.TID]}
+	if cur.Write {
+		d.reportConcurrent(&h.reads, cur, ev.Seq, vc)
+		h.writes.push(rec)
 	} else {
-		d.reads[acc.Addr] = appendBounded(d.reads[acc.Addr], rec)
+		h.reads.push(rec)
 	}
 }
 
-func (d *Detector) reportConcurrent(prior []accessRec, cur accessRec, seq uint64) {
-	for _, p := range prior {
-		if p.acc.TID == cur.acc.TID {
-			continue
-		}
-		if !p.vc.HappensBefore(cur.vc) {
-			pair := Pair{First: p.acc, Second: cur.acc, FirstSeq: p.seq, SecondSeq: seq}
-			if k := pair.Key(); !d.seen[k] {
-				d.seen[k] = true
-				d.pairs = append(d.pairs, pair)
-			}
+// reportConcurrent appends a pair for every retained access in r, oldest
+// first, that is concurrent with cur (clock vc, just ticked at cur). A
+// prior access p happens before cur exactly when vc has seen p's epoch:
+// clocks only move by whole-clock joins, so having seen p's thread at
+// p.clock means having seen its whole clock at p, and cur's own
+// component was ticked at cur, so "at most" is already "strictly
+// before". cur's thread has always seen its own earlier accesses, so a
+// thread never races with itself. No dedup is needed: cur's
+// (TID, TCount) is unique in the execution and each retained access
+// sits once in one ring, so every pair reported is new.
+func (d *Detector) reportConcurrent(r *ring, cur Access, seq uint64, vc vclock.VC) {
+	for i := max(0, r.n-historyDepth); i < r.n; i++ {
+		p := &r.recs[i%historyDepth]
+		if p.clock > vc.Get(int(p.acc.TID)) {
+			d.pairs = append(d.pairs, Pair{First: p.acc, Second: cur, FirstSeq: p.seq, SecondSeq: seq})
 		}
 	}
-}
-
-func appendBounded(s []accessRec, r accessRec) []accessRec {
-	s = append(s, r)
-	if len(s) > historyDepth {
-		copy(s, s[1:])
-		s = s[:historyDepth]
-	}
-	return s
 }

@@ -3,13 +3,18 @@ package race
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/appkit"
+	"repro/internal/apps"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/ssync"
 	"repro/internal/trace"
+	"repro/internal/vclock"
+	"repro/internal/vsys"
 )
 
 func detect(t *testing.T, strategy sched.Strategy, root func(*sched.Thread)) []Pair {
@@ -143,32 +148,107 @@ func TestSemaphoreOrdersAccesses(t *testing.T) {
 	}
 }
 
-func TestPairDedupAcrossSchedule(t *testing.T) {
-	d := NewDetector()
-	ev := func(seq uint64, tid trace.TID, tc uint64, k trace.Kind, obj uint64) trace.Event {
-		return trace.Event{Seq: seq, TID: tid, TCount: tc, Kind: k, Obj: obj}
+// corpusRun is one corpus execution: its name and the event stream the
+// scheduler committed.
+type corpusRun struct {
+	name   string
+	events []trace.Event
+}
+
+// corpusRuns executes every corpus bug's program, unpatched, under five
+// production-like schedule seeds.
+func corpusRuns(t *testing.T) []corpusRun {
+	t.Helper()
+	var runs []corpusRun
+	for _, b := range apps.AllBugs() {
+		prog, ok := apps.Get(b.App)
+		if !ok {
+			t.Fatalf("%s: no program %q", b.ID, b.App)
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			var rec eventLog
+			sched.Run(func(th *sched.Thread) {
+				prog.Run(&appkit.Env{T: th, W: vsys.NewWorld(seed)})
+			}, sched.Config{Strategy: sched.NewRandomMP(4, 0.02, seed), MaxSteps: 200_000, Observers: []sched.Observer{&rec}})
+			runs = append(runs, corpusRun{fmt.Sprintf("%s/seed%d", b.ID, seed), rec})
+		}
 	}
-	d.OnEvent(ev(1, 0, 1, trace.KindStore, 0x10))
-	d.OnEvent(ev(2, 1, 1, trace.KindStore, 0x10))
-	// Same logical race replayed again must not duplicate.
-	before := len(d.Pairs())
-	d.OnEvent(ev(3, 0, 1, trace.KindStore, 0x10)) // same identity (t0#1)
-	if len(d.Pairs()) != before+1 {
-		// t0#1 vs t1#1 already seen; only the new direction (t1#1 first,
-		// t0#1 second) may appear.
-		t.Fatalf("pairs went %d -> %d", before, len(d.Pairs()))
+	return runs
+}
+
+type eventLog []trace.Event
+
+func (l *eventLog) OnEvent(ev trace.Event) uint64 {
+	*l = append(*l, ev)
+	return 0
+}
+
+// TestDetectorMatchesReference: the epoch detector reports exactly the
+// pairs, in exactly the order, of refDetector — the clock-per-access
+// detector it replaced — over the whole corpus.
+func TestDetectorMatchesReference(t *testing.T) {
+	runs := corpusRuns(t)
+	events, total := 0, 0
+	for _, run := range runs {
+		d, ref := NewDetector(), newRefDetector()
+		for _, ev := range run.events {
+			d.OnEvent(ev)
+			ref.OnEvent(ev)
+		}
+		if !reflect.DeepEqual(d.Pairs(), ref.Pairs()) {
+			t.Errorf("%s: epoch detector reported %d pairs, reference %d", run.name, len(d.Pairs()), len(ref.Pairs()))
+		}
+		events += len(run.events)
+		total += len(ref.Pairs())
+	}
+	if total == 0 {
+		t.Fatal("the corpus produced no races; the test is vacuous")
+	}
+	t.Logf("%d executions, %d events, %d pairs", len(runs), events, total)
+}
+
+// TestDetectorNoDuplicateKeys: the detector keeps no dedup set because
+// no execution can make it report one pair twice — the second access's
+// (TID, TCount) is unique per execution and each retained access sits
+// in one ring once.
+func TestDetectorNoDuplicateKeys(t *testing.T) {
+	for _, run := range corpusRuns(t) {
+		d := NewDetector()
+		for _, ev := range run.events {
+			d.OnEvent(ev)
+		}
+		seen := make(map[PairKey]bool, len(d.Pairs()))
+		for _, p := range d.Pairs() {
+			if seen[p.Key()] {
+				t.Fatalf("%s: pair %v reported twice", run.name, p)
+			}
+			seen[p.Key()] = true
+		}
 	}
 }
 
 func TestHistoryBounded(t *testing.T) {
 	d := NewDetector()
-	// 100 sequential writes by one thread to one address must keep the
-	// history bounded.
-	for i := uint64(1); i <= 100; i++ {
-		d.OnEvent(trace.Event{Seq: i, TID: 0, TCount: i, Kind: trace.KindStore, Obj: 0x20})
+	// 100 writes and 100 reads, alternating, by one thread to one
+	// address: writes at odd steps, reads at even ones. Each ring keeps
+	// only its last historyDepth accesses.
+	for i := uint64(1); i <= 200; i++ {
+		kind := trace.KindStore
+		if i%2 == 0 {
+			kind = trace.KindLoad
+		}
+		d.OnEvent(trace.Event{Seq: i, TID: 0, TCount: i, Kind: kind, Obj: 0x20})
 	}
-	if n := len(d.writes[0x20]); n > historyDepth {
-		t.Fatalf("history grew to %d", n)
+	h := d.history[0x20]
+	for first, r := range map[uint64]*ring{1: &h.writes, 2: &h.reads} {
+		if r.n != 100 {
+			t.Fatalf("ring saw %d accesses, want 100", r.n)
+		}
+		for i := r.n - historyDepth; i < r.n; i++ {
+			if got, want := r.recs[i%historyDepth].seq, first+2*uint64(i); got != want {
+				t.Fatalf("access %d of the ring is step %d, want %d", i, got, want)
+			}
+		}
 	}
 }
 
@@ -261,28 +341,137 @@ func TestPairKeyMatchesStringKey(t *testing.T) {
 	}
 }
 
-// TestDetectorDedupAllocFree: re-reporting a pair the detector has
-// already seen costs a map probe and nothing else — the common case on
-// hot addresses, where the same racing accesses are re-checked against
-// every later access.
-func TestDetectorDedupAllocFree(t *testing.T) {
+// TestDetectorAccessAllocFree: a memory access to an address the
+// detector has already seen, reporting no pair, allocates nothing — the
+// common case on hot addresses.
+func TestDetectorAccessAllocFree(t *testing.T) {
 	d := NewDetector()
-	for _, ev := range []trace.Event{
-		{Seq: 1, TID: 1, TCount: 1, Kind: trace.KindStore, Obj: 0x10},
-		{Seq: 2, TID: 2, TCount: 1, Kind: trace.KindStore, Obj: 0x10},
-	} {
+	d.OnEvent(trace.Event{Seq: 1, TID: 1, TCount: 1, Kind: trace.KindStore, Obj: 0x10})
+	ev := trace.Event{TID: 1, Kind: trace.KindStore, Obj: 0x10}
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.Seq++
+		ev.TCount++
 		d.OnEvent(ev)
-	}
-	if len(d.Pairs()) != 1 {
-		t.Fatalf("setup: %d pairs, want 1", len(d.Pairs()))
-	}
-	prior := d.writes[0x10][:1]
-	cur := d.writes[0x10][1]
-	allocs := testing.AllocsPerRun(100, func() { d.reportConcurrent(prior, cur, cur.seq) })
+	})
 	if allocs != 0 {
-		t.Fatalf("re-reporting a seen pair allocated %.1f objects, want 0", allocs)
+		t.Fatalf("an access to a seen address allocated %.1f objects, want 0", allocs)
 	}
-	if len(d.Pairs()) != 1 {
-		t.Fatalf("re-report added pairs: %d", len(d.Pairs()))
+	if len(d.Pairs()) != 0 {
+		t.Fatalf("one thread's accesses reported pairs: %v", d.Pairs())
 	}
+}
+
+// refDetector is the detector as it was before access records kept
+// epochs: every access clones its thread's vector clock, the race test
+// compares whole clocks, each address's history is a pair of shifted
+// slices, and a seen set drops repeated pairs.
+// TestDetectorMatchesReference holds the epoch detector to its pairs.
+type refDetector struct {
+	threads map[trace.TID]vclock.VC
+	objects map[uint64]vclock.VC
+	born    map[trace.TID]vclock.VC
+	exited  map[trace.TID]vclock.VC
+
+	writes map[uint64][]refAccessRec
+	reads  map[uint64][]refAccessRec
+
+	pairs []Pair
+	seen  map[PairKey]bool
+}
+
+type refAccessRec struct {
+	acc Access
+	seq uint64
+	vc  vclock.VC
+}
+
+func newRefDetector() *refDetector {
+	return &refDetector{
+		threads: make(map[trace.TID]vclock.VC),
+		objects: make(map[uint64]vclock.VC),
+		born:    make(map[trace.TID]vclock.VC),
+		exited:  make(map[trace.TID]vclock.VC),
+		writes:  make(map[uint64][]refAccessRec),
+		reads:   make(map[uint64][]refAccessRec),
+		seen:    make(map[PairKey]bool),
+	}
+}
+
+func (d *refDetector) Pairs() []Pair { return d.pairs }
+
+func (d *refDetector) OnEvent(ev trace.Event) uint64 {
+	tid := ev.TID
+	vc := d.threads[tid]
+
+	switch {
+	case ev.Kind == trace.KindThreadStart:
+		if bvc, ok := d.born[tid]; ok {
+			vc = vc.Join(bvc)
+		}
+	case ev.Kind == trace.KindJoin:
+		if evc, ok := d.exited[trace.TID(ev.Obj)]; ok {
+			vc = vc.Join(evc)
+		}
+	case ev.Kind.IsMemory():
+		vc = vc.Tick(int(tid))
+		d.threads[tid] = vc
+		d.checkAccess(ev, vc)
+		return 0
+	case ev.Kind.IsSync():
+		vc = vc.Join(d.objects[ev.Obj])
+	case ev.Kind == trace.KindSyscall && ev.Obj == vsys.CallRecv:
+		vc = vc.Join(d.objects[queueKey(ev.Arg)])
+	}
+
+	vc = vc.Tick(int(tid))
+	d.threads[tid] = vc
+
+	switch {
+	case ev.Kind == trace.KindSpawn:
+		d.born[trace.TID(ev.Arg)] = vc.Clone()
+	case ev.Kind == trace.KindThreadExit:
+		d.exited[tid] = vc.Clone()
+	case ev.Kind.IsSync():
+		d.objects[ev.Obj] = d.objects[ev.Obj].Join(vc)
+	case ev.Kind == trace.KindSyscall && ev.Obj == vsys.CallSend:
+		d.objects[queueKey(ev.Arg)] = d.objects[queueKey(ev.Arg)].Join(vc)
+	}
+	return 0
+}
+
+func (d *refDetector) checkAccess(ev trace.Event, vc vclock.VC) {
+	acc := Access{TID: ev.TID, TCount: ev.TCount, Addr: ev.Obj, Write: ev.Kind.IsWrite()}
+	rec := refAccessRec{acc: acc, seq: ev.Seq, vc: vc.Clone()}
+
+	d.reportConcurrent(d.writes[acc.Addr], rec, ev.Seq)
+	if acc.Write {
+		d.reportConcurrent(d.reads[acc.Addr], rec, ev.Seq)
+		d.writes[acc.Addr] = refAppendBounded(d.writes[acc.Addr], rec)
+	} else {
+		d.reads[acc.Addr] = refAppendBounded(d.reads[acc.Addr], rec)
+	}
+}
+
+func (d *refDetector) reportConcurrent(prior []refAccessRec, cur refAccessRec, seq uint64) {
+	for _, p := range prior {
+		if p.acc.TID == cur.acc.TID {
+			continue
+		}
+		if !p.vc.HappensBefore(cur.vc) {
+			pair := Pair{First: p.acc, Second: cur.acc, FirstSeq: p.seq, SecondSeq: seq}
+			if k := pair.Key(); !d.seen[k] {
+				d.seen[k] = true
+				d.pairs = append(d.pairs, pair)
+			}
+		}
+	}
+}
+
+func refAppendBounded(s []refAccessRec, r refAccessRec) []refAccessRec {
+	s = append(s, r)
+	if len(s) > historyDepth {
+		copy(s, s[1:])
+		s = s[:historyDepth]
+	}
+	return s
 }

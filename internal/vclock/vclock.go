@@ -3,21 +3,15 @@
 // PRES's feedback generator needs to know which pairs of memory accesses
 // are concurrent (racing) during a replay attempt. We track one logical
 // clock component per thread; the usual vector-clock laws give a partial
-// order over events from which concurrency is decided.
+// order over events. The race detector decides it from one component:
+// an access happens before a clock exactly when the clock has seen the
+// access's epoch, its thread's component at the access (internal/race).
 package vclock
-
-import (
-	"fmt"
-	"strings"
-)
 
 // VC is a vector clock. Index i holds the number of events thread i has
 // performed that the owner of the clock knows about. The zero value is a
 // valid clock that happens-before everything.
 type VC []uint64
-
-// New returns a clock sized for n threads, all components zero.
-func New(n int) VC { return make(VC, n) }
 
 // Clone returns an independent copy of v.
 func (v VC) Clone() VC {
@@ -39,14 +33,6 @@ func (v VC) Get(i int) uint64 {
 func (v VC) Tick(i int) VC {
 	v = v.grow(i + 1)
 	v[i]++
-	return v
-}
-
-// Set assigns component i, growing the clock if needed, and returns the
-// (possibly reallocated) clock.
-func (v VC) Set(i int, val uint64) VC {
-	v = v.grow(i + 1)
-	v[i] = val
 	return v
 }
 
@@ -79,51 +65,6 @@ func (v VC) HappensBefore(other VC) bool {
 		}
 	}
 	return le && lt
-}
-
-// Concurrent reports whether neither clock happens before the other and
-// they are not equal.
-func (v VC) Concurrent(other VC) bool {
-	return !v.HappensBefore(other) && !other.HappensBefore(v) && !v.Equal(other)
-}
-
-// Equal reports component-wise equality, treating missing components as
-// zero.
-func (v VC) Equal(other VC) bool {
-	n := max(len(v), len(other))
-	for i := 0; i < n; i++ {
-		if v.Get(i) != other.Get(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare returns -1 if v happens before other, +1 if other happens
-// before v, and 0 if the clocks are equal or concurrent.
-func (v VC) Compare(other VC) int {
-	switch {
-	case v.HappensBefore(other):
-		return -1
-	case other.HappensBefore(v):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// String renders the clock as "[c0 c1 ...]".
-func (v VC) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, c := range v {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", c)
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 func (v VC) grow(n int) VC {
