@@ -146,12 +146,8 @@ docs-drift:
 ## fenced block whose first line is presbench's `== E…` header — must
 ## match `presbench -exp all` cell for cell, and every experiment
 ## presbench prints must have its block. Runs of spaces compare equal;
-## the `(E… in …)` timing lines and E11's `wall ms` and `speedup`
-## columns (the 7-field data rows' 4th and 5th fields) are wall clock
-## and are ignored.
+## only the `(E… in …)` timing lines are wall clock and are ignored.
 EXP_NORM = /^\(E[0-9]+ in .*\)$$/ || NF == 0 { next } \
-	/^== E/ { e11 = /^== E11:/ } \
-	e11 && NF == 7 { $$4 = "~"; $$5 = "~" } \
 	{ $$1 = $$1; print }
 experiments-drift:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

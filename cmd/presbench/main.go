@@ -1,6 +1,6 @@
 // Presbench regenerates every table and figure of the paper's
-// evaluation (experiments E1-E13 in DESIGN.md; paper-vs-measured is
-// recorded in EXPERIMENTS.md).
+// evaluation (experiments E1-E10, E12 and E13 in DESIGN.md;
+// paper-vs-measured is recorded in EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -20,6 +20,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("presbench: ")
 
-	exp := flag.String("exp", "all", "experiment to run: e1..e13 or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e10, e12, e13 or all")
 	schemeList := flag.String("schemes", "", "comma-separated scheme subset (default: all)")
 	procs := flag.Int("procs", 4, "modelled processor count")
 	budget := flag.Int("max-attempts", 1000, "replay attempt budget")
@@ -62,6 +63,107 @@ func main() {
 			}
 			schemes = append(schemes, s)
 		}
+	}
+	experiments := []struct {
+		id, title string
+		run       func(cfg harness.Config) any
+	}{
+		{"e1", "replay attempts to reproduce each bug, per sketching mechanism", func(cfg harness.Config) any {
+			rows := harness.RunE1(schemes, cfg)
+			if !*asJSON {
+				harness.PrintE1(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+		{"e2", "production-run recording overhead, per app and mechanism", func(cfg harness.Config) any {
+			rows := harness.RunE2(schemes, cfg)
+			if !*asJSON {
+				harness.PrintE2(os.Stdout, rows)
+			}
+			return rows
+		}},
+		{"e3", "sketch/input log sizes, per app and mechanism", func(cfg harness.Config) any {
+			rows := harness.RunE3(schemes, cfg)
+			if !*asJSON {
+				harness.PrintE3(os.Stdout, rows)
+			}
+			return rows
+		}},
+		{"e4", "scalability with processor count (SYNC)", func(cfg harness.Config) any {
+			rows := harness.RunE4(nil, nil, cfg)
+			if !*asJSON {
+				harness.PrintE4(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+		{"e5", "feedback-directed search vs. random exploration", func(cfg harness.Config) any {
+			rows := harness.RunE5(nil, cfg)
+			if !*asJSON {
+				harness.PrintE5(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+		{"e6", "reproduce-every-time after first success", func(cfg harness.Config) any {
+			rows := harness.RunE6(nil, *replays, cfg)
+			if !*asJSON {
+				harness.PrintE6(os.Stdout, rows)
+			}
+			return rows
+		}},
+		{"e7", "recording-overhead reduction vs. full RW recording", func(cfg harness.Config) any {
+			rows := harness.RunE7(cfg)
+			if !*asJSON {
+				harness.PrintE7(os.Stdout, rows)
+			}
+			return rows
+		}},
+		{"e8", "replayer search statistics (SYNC)", func(cfg harness.Config) any {
+			rows := harness.RunE8(cfg)
+			if !*asJSON {
+				harness.PrintE8(os.Stdout, rows)
+			}
+			return rows
+		}},
+		{"e9", "sketch-log truncation (extension): attempts vs retained tail", func(cfg harness.Config) any {
+			rows := harness.RunE9(nil, nil, cfg)
+			if !*asJSON {
+				harness.PrintE9(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+		{"e10", "canonical bug-pattern matrix (extension)", func(cfg harness.Config) any {
+			rows := harness.RunE10(schemes, cfg)
+			if !*asJSON {
+				harness.PrintE10(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+		{"e12", "failure-injection matrix and generated-program sweep (extension)", func(cfg harness.Config) any {
+			rows := harness.RunE12(cfg)
+			gen := harness.RunE12Gen(*genSweep, cfg)
+			if !*asJSON {
+				harness.PrintE12(os.Stdout, rows)
+				fmt.Println()
+				harness.PrintE12Gen(os.Stdout, gen)
+			}
+			return map[string]any{"matrix": rows, "gen": gen}
+		}},
+		{"e13", "always-on epoch-ring recording: attempts and window size vs epoch length (extension)", func(cfg harness.Config) any {
+			rows := harness.RunE13(nil, nil, *epochRing, *cpEvery, cfg)
+			if !*asJSON {
+				harness.PrintE13(os.Stdout, rows, cfg)
+			}
+			return rows
+		}},
+	}
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	ids = append(ids, "all")
+	if !slices.ContainsFunc(ids, func(id string) bool { return strings.EqualFold(id, *exp) }) {
+		fmt.Fprintf(os.Stderr, "presbench: unknown experiment -exp %s (valid: %s)\n", *exp, strings.Join(ids, ", "))
+		os.Exit(2)
 	}
 	if *asJSON {
 		o.Report = io.Discard // stdout is the JSON document
@@ -96,119 +198,24 @@ func main() {
 	}
 
 	results := map[string]any{}
-	run := func(id, title string, f func() any) {
-		if *exp != "all" && !strings.EqualFold(*exp, id) {
-			return
+	for _, e := range experiments {
+		if *exp != "all" && !strings.EqualFold(*exp, e.id) {
+			continue
 		}
 		if ctx.Err() != nil {
 			// The run was cancelled: skip remaining experiments instead of
 			// rendering tables of zero-valued cells.
-			return
+			break
 		}
 		start := time.Now()
 		if !*asJSON {
-			fmt.Printf("== %s: %s ==\n", strings.ToUpper(id), title)
+			fmt.Printf("== %s: %s ==\n", strings.ToUpper(e.id), e.title)
 		}
-		results[id] = f()
+		results[e.id] = e.run(cfg)
 		if !*asJSON {
-			fmt.Printf("(%s in %v)\n\n", strings.ToUpper(id), time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s in %v)\n\n", strings.ToUpper(e.id), time.Since(start).Round(time.Millisecond))
 		}
 	}
-
-	run("e1", "replay attempts to reproduce each bug, per sketching mechanism", func() any {
-		rows := harness.RunE1(schemes, cfg)
-		if !*asJSON {
-			harness.PrintE1(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e2", "production-run recording overhead, per app and mechanism", func() any {
-		rows := harness.RunE2(schemes, cfg)
-		if !*asJSON {
-			harness.PrintE2(os.Stdout, rows)
-		}
-		return rows
-	})
-	run("e3", "sketch/input log sizes, per app and mechanism", func() any {
-		rows := harness.RunE3(schemes, cfg)
-		if !*asJSON {
-			harness.PrintE3(os.Stdout, rows)
-		}
-		return rows
-	})
-	run("e4", "scalability with processor count (SYNC)", func() any {
-		rows := harness.RunE4(nil, nil, cfg)
-		if !*asJSON {
-			harness.PrintE4(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e5", "feedback-directed search vs. random exploration", func() any {
-		rows := harness.RunE5(nil, cfg)
-		if !*asJSON {
-			harness.PrintE5(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e6", "reproduce-every-time after first success", func() any {
-		rows := harness.RunE6(nil, *replays, cfg)
-		if !*asJSON {
-			harness.PrintE6(os.Stdout, rows)
-		}
-		return rows
-	})
-	run("e7", "recording-overhead reduction vs. full RW recording", func() any {
-		rows := harness.RunE7(cfg)
-		if !*asJSON {
-			harness.PrintE7(os.Stdout, rows)
-		}
-		return rows
-	})
-	run("e8", "replayer search statistics (SYNC)", func() any {
-		rows := harness.RunE8(cfg)
-		if !*asJSON {
-			harness.PrintE8(os.Stdout, rows)
-		}
-		return rows
-	})
-	run("e9", "sketch-log truncation (extension): attempts vs retained tail", func() any {
-		rows := harness.RunE9(nil, nil, cfg)
-		if !*asJSON {
-			harness.PrintE9(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e10", "canonical bug-pattern matrix (extension)", func() any {
-		rows := harness.RunE10(schemes, cfg)
-		if !*asJSON {
-			harness.PrintE10(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e11", "worker-pool search scaling (extension)", func() any {
-		rows := harness.RunE11(nil, nil, cfg)
-		if !*asJSON {
-			harness.PrintE11(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
-	run("e12", "failure-injection matrix and generated-program sweep (extension)", func() any {
-		rows := harness.RunE12(cfg)
-		gen := harness.RunE12Gen(*genSweep, cfg)
-		if !*asJSON {
-			harness.PrintE12(os.Stdout, rows)
-			fmt.Println()
-			harness.PrintE12Gen(os.Stdout, gen)
-		}
-		return map[string]any{"matrix": rows, "gen": gen}
-	})
-	run("e13", "always-on epoch-ring recording: attempts and window size vs epoch length (extension)", func() any {
-		rows := harness.RunE13(nil, nil, *epochRing, *cpEvery, cfg)
-		if !*asJSON {
-			harness.PrintE13(os.Stdout, rows, cfg)
-		}
-		return rows
-	})
 
 	interrupted := ctx.Err() != nil
 	if interrupted && !*asJSON {

@@ -94,6 +94,15 @@ func TestCommandLineWorkflow(t *testing.T) {
 		t.Fatalf("presbench json output:\n%s", out)
 	}
 
+	// An experiment id presbench does not have, the retired e11 or a
+	// made-up e99, is a usage error rather than an empty run.
+	for _, args := range [][]string{{"-exp", "e11"}, {"-exp", "e99", "-json"}} {
+		out, err := exec.Command(bins["presbench"], args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "e10, e12, e13, all") {
+			t.Fatalf("presbench %v: err=%v, want a usage error listing the experiments:\n%s", args, err, out)
+		}
+	}
+
 	// A trace that cannot be written fails the run: every tool exits
 	// non-zero instead of reporting the trace as written.
 	if _, err := os.Stat("/dev/full"); err != nil {

@@ -80,8 +80,8 @@ type ReplayOptions struct {
 	// Workers count; the first success in that order wins and
 	// cooperatively cancels in-flight later attempts. Workers <= 1 runs
 	// one attempt at a time. Workers above GOMAXPROCS are honoured, but
-	// on compute-bound searches they only preempt one another
-	// (EXPERIMENTS.md E11).
+	// on compute-bound searches they only preempt one another (bench's
+	// exec.worker_speedup measures the scaling).
 	Workers int
 	// OnAttempt, if set, is called after each attempt (in canonical
 	// order) with its 1-based index, mode ("directed" or "random") and

@@ -2,12 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/appkit"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/patterns"
+	"repro/internal/scenario"
 	"repro/internal/sketch"
 	"repro/internal/trace"
 )
@@ -435,7 +434,17 @@ type E10Row struct {
 	Err        error
 }
 
-// RunE10 reproduces every catalog pattern under each scheme. Patterns
+// e10GenClass is the taxonomy bucket of each generator template's
+// pattern-matrix row.
+var e10GenClass = map[string]string{
+	scenario.TplLostLoad: "hang",
+	scenario.TplLivelock: "livelock",
+	scenario.TplABA:      "atomicity",
+	scenario.TplDCL:      "order",
+}
+
+// RunE10 reproduces every catalog pattern, then the noise-free
+// instance of every generator template, under each scheme. Patterns
 // are one-shot programs, so the production sweep covers processor
 // counts down to a loaded uniprocessor (preemption strands a thread
 // mid-window, which is how these windows are hit in the wild).
@@ -445,6 +454,13 @@ func RunE10(schemes []sketch.Scheme, cfg Config) []E10Row {
 		schemes = []sketch.Scheme{sketch.SYNC, sketch.RW}
 	}
 	pats := patterns.All()
+	for _, tpl := range scenario.Templates() {
+		g := scenario.Generate(scenario.NoiseFreeSeeds[tpl])
+		pats = append(pats, patterns.Pattern{
+			Name: fmt.Sprintf("%s/gen-%d", tpl, g.Seed), BugID: g.BugID,
+			Class: e10GenClass[tpl], Build: g.Program,
+		})
+	}
 	return runCells(cfg, "e10", len(pats)*len(schemes), func(i int) E10Row {
 		p, s := pats[i/len(schemes)], schemes[i%len(schemes)]
 		// Build per cell: each worker gets its own program value.
@@ -571,96 +587,6 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 	var rows []E13Row
 	for _, r := range perBug {
 		rows = append(rows, r...)
-	}
-	return rows
-}
-
-// E11Row is one cell of the worker-pool search scaling experiment (an
-// extension beyond the paper): wall-clock to reproduce one bug at a
-// given worker-pool size.
-type E11Row struct {
-	Bug        string
-	Workers    int
-	Attempts   int
-	Reproduced bool
-	// WallMS is the best-of-3 search wall time.
-	WallMS float64
-	// Steps, Handoffs, and FastSteps aggregate the search's
-	// executed scheduler work (core.ReplayStats): Handoffs/Steps is the
-	// search's grant amortization, FastSteps the steps committed
-	// without a fresh pick.
-	Steps     uint64
-	Handoffs  uint64
-	FastSteps uint64
-	Err       error
-}
-
-// E11Bugs is the default subset for the scaling sweep: the two bugs
-// whose searches are long enough for pool effects to matter.
-var E11Bugs = []string{"mysql-169", "lu-atomicity"}
-
-// RunE11 sweeps the replay worker-pool size for a bug subset under SYNC
-// sketching: each (bug, workers) cell reports wall-clock (best of 3).
-// Workers=1 is the sequential baseline the speedups in EXPERIMENTS.md
-// are quoted against.
-//
-// Only the per-bug preparation (seed search + recording) runs on cfg's
-// pool; the timed sweeps themselves are always sequential, because
-// concurrent cells would contend for cores and corrupt the very
-// wall-clock scaling the experiment measures.
-func RunE11(bugs []string, workers []int, cfg Config) []E11Row {
-	defer cfg.timeExperiment("e11")()
-	if bugs == nil {
-		bugs = E11Bugs
-	}
-	if workers == nil {
-		workers = []int{1, 2, 4, 8}
-	}
-	type e11Prep struct {
-		prog *appkit.Program
-		rec  *core.Recording
-		err  error
-	}
-	preps := runCells(cfg, "e11", len(bugs), func(i int) e11Prep {
-		prog, ok := apps.ProgramForBug(bugs[i])
-		if !ok {
-			return e11Prep{err: fmt.Errorf("harness: unknown bug %q", bugs[i])}
-		}
-		_, rec, err := FindBuggySeed(prog, bugs[i], sketch.SYNC, cfg)
-		return e11Prep{prog: prog, rec: rec, err: err}
-	})
-	var rows []E11Row
-	for bi, bug := range bugs {
-		prog, rec, err := preps[bi].prog, preps[bi].rec, preps[bi].err
-		if prog == nil {
-			rows = append(rows, E11Row{Bug: bug, Err: err})
-			continue
-		}
-		for _, w := range workers {
-			row := E11Row{Bug: bug, Workers: w, Err: err}
-			if err != nil {
-				rows = append(rows, row)
-				continue
-			}
-			c := cfg
-			c.Workers = w
-			ropts := c.replayOptions(bug)
-			var res *core.ReplayResult
-			for i := 0; i < 3; i++ {
-				start := time.Now()
-				r := c.replay(prog, rec, ropts)
-				if ms := float64(time.Since(start)) / float64(time.Millisecond); i == 0 || ms < row.WallMS {
-					row.WallMS = ms
-				}
-				res = r
-			}
-			row.Attempts = res.Attempts
-			row.Reproduced = res.Reproduced
-			row.Steps = res.Stats.Steps
-			row.Handoffs = res.Stats.Handoffs
-			row.FastSteps = res.Stats.FastPathSteps
-			rows = append(rows, row)
-		}
 	}
 	return rows
 }

@@ -2,8 +2,8 @@
 // seeds for runs that manifest each corpus bug, measures recording
 // overhead and log sizes for every sketching mechanism, counts replay
 // attempts to reproduction, and renders the tables and figures of
-// EXPERIMENTS.md (experiments E1-E11 in DESIGN.md). Experiment
-// matrices fan their independent cells out to a worker pool
+// EXPERIMENTS.md (experiments E1-E10, E12 and E13 in DESIGN.md).
+// Experiment matrices fan their independent cells out to a worker pool
 // (Config.Jobs, presbench -j) whose results commit in canonical cell
 // order, so the rendered tables are byte-identical at any -j.
 //

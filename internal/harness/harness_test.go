@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/patterns"
+	"repro/internal/scenario"
 	"repro/internal/sketch"
 )
 
@@ -325,8 +326,8 @@ func TestRunE6NotReproducedPath(t *testing.T) {
 
 func TestRunE10Patterns(t *testing.T) {
 	rows := RunE10([]sketch.Scheme{sketch.SYNC}, fastCfg)
-	if len(rows) != len(patterns.All()) {
-		t.Fatalf("rows = %d, want one per catalog pattern", len(rows))
+	if want := len(patterns.All()) + len(scenario.Templates()); len(rows) != want {
+		t.Fatalf("rows = %d, want %d: one per catalog pattern and generator template", len(rows), want)
 	}
 	for _, r := range rows {
 		if r.Err != nil {
@@ -339,7 +340,7 @@ func TestRunE10Patterns(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintE10(&buf, rows, fastCfg)
-	if !strings.Contains(buf.String(), "abba-deadlock") {
+	if !strings.Contains(buf.String(), "abba-deadlock") || !strings.Contains(buf.String(), "lostload/gen-55") {
 		t.Fatal("E10 rendering broken")
 	}
 }

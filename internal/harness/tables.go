@@ -262,41 +262,6 @@ func PrintE10(w io.Writer, rows []E10Row, cfg Config) {
 	}
 }
 
-// PrintE11 renders the worker-pool scaling sweep: wall-clock per
-// pool size, with speedups quoted against each bug's workers=1
-// search.
-func PrintE11(w io.Writer, rows []E11Row, cfg Config) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	defer tw.Flush()
-	fmt.Fprintln(tw, "bug\tworkers\tattempts\twall ms\tspeedup\thandoffs/step\tfast steps")
-	base := map[string]float64{}
-	for _, r := range rows {
-		if r.Err == nil && r.Workers == 1 {
-			base[r.Bug] = r.WallMS
-		}
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(tw, "%s\t%d\tn/a\t-\t-\t-\t-\n", r.Bug, r.Workers)
-			continue
-		}
-		att := fmt.Sprintf("%d", r.Attempts)
-		if !r.Reproduced {
-			att = fmt.Sprintf(">%d", cfg.maxAttempts())
-		}
-		speedup := "-"
-		if b, ok := base[r.Bug]; ok && r.WallMS > 0 {
-			speedup = fmt.Sprintf("%.2fx", b/r.WallMS)
-		}
-		hps := "-"
-		if r.Steps > 0 {
-			hps = fmt.Sprintf("%.3f", float64(r.Handoffs)/float64(r.Steps))
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.2f\t%s\t%s\t%d\n",
-			r.Bug, r.Workers, att, r.WallMS, speedup, hps, r.FastSteps)
-	}
-}
-
 // PrintE13 renders the epoch-ring sweep: per bug, the baseline row
 // ("off") then one row per epoch length.
 func PrintE13(w io.Writer, rows []E13Row, cfg Config) {

@@ -8,10 +8,10 @@
 //
 // The catalog covers: single- and multi-variable atomicity violations,
 // publish- and teardown-order violations, AB/BA and dining-philosopher
-// deadlocks, the lost-wakeup hang, a barrier misuse, the lost wakeup
-// under producer load, a bounded livelock, the ABA problem, and broken
-// double-checked locking. The last four are the templates the scenario
-// generator (internal/scenario) seeds its random programs with.
+// deadlocks, the lost-wakeup hang, and a barrier misuse. The scenario
+// generator (internal/scenario) owns four more shapes — the lost wakeup
+// under producer load, a bounded livelock, the ABA problem and broken
+// double-checked locking — as the templates of its random programs.
 package patterns
 
 import (
@@ -30,8 +30,7 @@ type Pattern struct {
 	BugID string
 	// Class is the taxonomy bucket: "atomicity", "order", "deadlock",
 	// "hang" or "livelock". Deadlock and hang patterns manifest as
-	// detected deadlocks; livelock manifests as a starvation assertion
-	// (a retry bound trips), since threads stay runnable throughout.
+	// detected deadlocks, the rest as assertions with BugID.
 	Class string
 	// Build returns the program; FixBugs in the Env selects the correct
 	// synchronization.
@@ -49,10 +48,6 @@ func All() []Pattern {
 		{"philosophers-deadlock", "pat-phil-deadlock", "deadlock", philosophers},
 		{"lost-wakeup", "pat-lost-deadlock", "hang", lostWakeup},
 		{"barrier-misuse", "pat-barrier", "order", barrierMisuse},
-		{"lost-wakeup-load", "pat-lostload-deadlock", "hang", lostWakeupLoad},
-		{"livelock", "pat-live", "livelock", livelock},
-		{"aba", "pat-aba", "atomicity", aba},
-		{"double-checked-locking", "pat-dcl", "order", doubleCheckedLocking},
 	}
 }
 
@@ -292,233 +287,6 @@ func lostWakeup() *appkit.Program {
 			c.Signal(th, m)
 			m.Unlock(th)
 			th.Join(waiter)
-		},
-	}
-}
-
-// lostWakeupLoad: the lost wakeup under producer load — a work queue
-// with two consumers where the buggy consumer checks the item count
-// outside the lock before deciding to wait. Under load the producer
-// publishes both items (signalling into the void) inside the
-// check-to-wait window; a consumer that then waits sleeps forever while
-// its sibling drains the queue, and the join hangs — the
-// multi-consumer manifestation the single-waiter lost-wakeup pattern
-// cannot express.
-func lostWakeupLoad() *appkit.Program {
-	return &appkit.Program{
-		Name: "pattern-lostload",
-		Bugs: []string{"pat-lostload-deadlock"},
-		Run: func(env *appkit.Env) {
-			th := env.T
-			m := ssync.NewMutex("pat.lostload.lock")
-			c := ssync.NewCond("pat.lostload.cond")
-			count := mem.NewCell("pat.lostload.count", 0)
-			consumer := func(t *sched.Thread) {
-				if env.FixBugs {
-					m.Lock(t)
-					for count.Load(t) == 0 {
-						c.Wait(t, m)
-					}
-					count.Store(t, count.Load(t)-1)
-					m.Unlock(t)
-					return
-				}
-				// BUG: the emptiness check happens outside the lock; both
-				// signals can land between the check and the wait.
-				if count.Load(t) == 0 {
-					m.Lock(t)
-					c.Wait(t, m)
-					m.Unlock(t)
-				}
-				m.Lock(t)
-				count.Store(t, count.Load(t)-1)
-				m.Unlock(t)
-			}
-			c1 := th.Spawn("consumer1", consumer)
-			c2 := th.Spawn("consumer2", consumer)
-			// The producer is the loaded main thread: two items, one
-			// signal each, with compute between them widening the window.
-			for i := 0; i < 2; i++ {
-				appkit.BB(th, "pat.lostload.produce")
-				m.Lock(th)
-				count.Store(th, count.Load(th)+1)
-				c.Signal(th, m)
-				m.Unlock(th)
-			}
-			th.Join(c1)
-			th.Join(c2)
-		},
-	}
-}
-
-// livelock: two polite threads each hold their own lock and TryLock the
-// other's, backing off (release, retry) on failure. Schedules that keep
-// the threads in lockstep starve both until the retry bound trips — the
-// classic livelock, detectable as a starvation assertion because every
-// thread stays runnable the whole time (no deadlock ever forms). The
-// fix is the same as for AB/BA deadlocks: a global acquisition order,
-// under which the first thread to lock wins and the bound can never
-// trip.
-func livelock() *appkit.Program {
-	return &appkit.Program{
-		Name: "pattern-live",
-		Bugs: []string{"pat-live"},
-		Run: func(env *appkit.Env) {
-			th := env.T
-			a := ssync.NewMutex("pat.live.A")
-			b := ssync.NewMutex("pat.live.B")
-			const retries = 3
-			polite := func(first, second *ssync.Mutex) func(*sched.Thread) {
-				return func(t *sched.Thread) {
-					for try := 0; ; try++ {
-						first.Lock(t)
-						if second.TryLock(t) {
-							second.Unlock(t)
-							first.Unlock(t)
-							return
-						}
-						// Back off: release and retry from scratch.
-						first.Unlock(t)
-						t.Check(try < retries, "pat-live",
-							"livelock: no progress after %d polite retries", retries)
-						t.Yield()
-					}
-				}
-			}
-			var t1, t2 *sched.Thread
-			if env.FixBugs {
-				// Global order: both go A then B; blocking Lock on the
-				// second mutex instead of the polite dance.
-				ordered := func(t *sched.Thread) {
-					a.Lock(t)
-					b.Lock(t)
-					b.Unlock(t)
-					a.Unlock(t)
-				}
-				t1 = th.Spawn("t1", ordered)
-				t2 = th.Spawn("t2", ordered)
-			} else {
-				t1 = th.Spawn("t1", polite(a, b))
-				t2 = th.Spawn("t2", polite(b, a))
-			}
-			th.Join(t1)
-			th.Join(t2)
-		},
-	}
-}
-
-// aba: the ABA problem on a CAS-maintained free list. The slow popper
-// loads top=A and next(A)=B, is preempted, and meanwhile a fast thread
-// pops A, pops B, and pushes A back. The slow CAS still sees A on top
-// and succeeds — installing B, a node that was freed — and the list is
-// corrupt. The fix tags the top pointer with a version counter packed
-// into the same cell, so any intervening reuse changes the compared
-// value and the CAS retries.
-func aba() *appkit.Program {
-	return &appkit.Program{
-		Name: "pattern-aba",
-		Bugs: []string{"pat-aba"},
-		Run: func(env *appkit.Env) {
-			th := env.T
-			const (
-				nodeA, nodeB, nodeC = 1, 2, 3
-				nilNode             = 0
-				verShift            = 8 // top = version<<verShift | node
-			)
-			// top and the per-node next pointers; initial stack A->B->C.
-			// Setup uses Poke and the invariant check Peek, so only the
-			// race itself contributes scheduling points — the exhaustive
-			// prover's budget is spent where the bug lives.
-			top := mem.NewCell("pat.aba.top", nodeA)
-			next := mem.NewArray("pat.aba.next", 4)
-			freed := mem.NewCell("pat.aba.freed", 0) // bitmask of freed nodes
-			next.Poke(nodeA, nodeB)
-			next.Poke(nodeB, nodeC)
-			next.Poke(nodeC, nilNode)
-			node := func(v uint64) uint64 { return v & ((1 << verShift) - 1) }
-			// pack is the top-pointer write discipline: the fix tags every
-			// write with a bumped version so a CAS against a stale load can
-			// never succeed, while the buggy variant writes the raw node id
-			// — a pop-pop-push cycle restores the exact compared value.
-			pack := func(ver, n uint64) uint64 {
-				if !env.FixBugs {
-					return n
-				}
-				return ver<<verShift | n
-			}
-			slow := th.Spawn("slow-pop", func(t *sched.Thread) {
-				for {
-					old := top.Load(t)
-					if node(old) == nilNode {
-						return
-					}
-					// The ABA window: between this next-pointer load and
-					// the CAS below, the fast thread can recycle node(old).
-					nxt := next.Load(t, int(node(old)))
-					if top.CAS(t, old, pack(old>>verShift+1, nxt)) {
-						return
-					}
-				}
-			})
-			fast := th.Spawn("fast-reuse", func(t *sched.Thread) {
-				old := top.Load(t)
-				if node(old) != nodeA {
-					return // the slow pop already won; nothing to recycle
-				}
-				ver := old >> verShift
-				// Pop A, pop B (freeing it), push A back: each step writes
-				// top, so the tagged variant bumps the version three times
-				// while the untagged one ends on the very value it started
-				// from.
-				top.Store(t, pack(ver+1, nodeB))
-				top.Store(t, pack(ver+2, nodeC))
-				freed.Store(t, 1<<nodeB)
-				next.Store(t, nodeA, nodeC)
-				top.Store(t, pack(ver+3, nodeA))
-			})
-			th.Join(slow)
-			th.Join(fast)
-			th.Check(freed.Peek()&(1<<node(top.Peek())) == 0, "pat-aba",
-				"ABA: freed node %d reinstalled as top", node(top.Peek()))
-		},
-	}
-}
-
-// doubleCheckedLocking: lazy initialization with the classic broken
-// double-checked idiom — the buggy initializer publishes the instance
-// pointer before filling the instance body, so the other reader's
-// unsynchronized first check can see the pointer and read the
-// uninitialized body without ever taking the lock.
-func doubleCheckedLocking() *appkit.Program {
-	return &appkit.Program{
-		Name: "pattern-dcl",
-		Bugs: []string{"pat-dcl"},
-		Run: func(env *appkit.Env) {
-			th := env.T
-			m := ssync.NewMutex("pat.dcl.lock")
-			ptr := mem.NewCell("pat.dcl.ptr", 0)
-			body := mem.NewCell("pat.dcl.body", 0)
-			getInstance := func(t *sched.Thread) {
-				if ptr.Load(t) == 0 { // first (unsynchronized) check
-					m.Lock(t)
-					if ptr.Load(t) == 0 { // second (locked) check
-						if env.FixBugs {
-							body.Store(t, 7)
-							ptr.Store(t, 1)
-						} else {
-							ptr.Store(t, 1) // BUG: published before init
-							body.Store(t, 7)
-						}
-					}
-					m.Unlock(t)
-				}
-				t.Check(body.Load(t) == 7, "pat-dcl",
-					"DCL: instance observed before initialization")
-			}
-			r1 := th.Spawn("reader1", getInstance)
-			r2 := th.Spawn("reader2", getInstance)
-			th.Join(r1)
-			th.Join(r2)
 		},
 	}
 }

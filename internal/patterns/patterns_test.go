@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/appkit"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sketch"
 	"repro/internal/vsys"
@@ -74,9 +75,26 @@ func TestCatalogFailureKinds(t *testing.T) {
 	}
 }
 
-// TestCatalogReplays: PRES reproduces every pattern from a SYNC sketch.
+// generatedShapes names the scenario generator's noise-free template
+// instances by the catalog names those shapes are known by. The
+// generator is their only implementation; TestGenGroundTruthExhaustive
+// proves their ground truth.
+var generatedShapes = []struct{ name, tpl string }{
+	{"lost-wakeup-load", scenario.TplLostLoad},
+	{"livelock", scenario.TplLivelock},
+	{"aba", scenario.TplABA},
+	{"double-checked-locking", scenario.TplDCL},
+}
+
+// TestCatalogReplays: PRES reproduces every pattern, and every
+// generator template's noise-free instance, from a SYNC sketch.
 func TestCatalogReplays(t *testing.T) {
-	for _, p := range All() {
+	pats := All()
+	for _, s := range generatedShapes {
+		g := scenario.Generate(scenario.NoiseFreeSeeds[s.tpl])
+		pats = append(pats, Pattern{Name: s.name, BugID: g.BugID, Build: g.Program})
+	}
+	for _, p := range pats {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			prog := p.Build()
@@ -121,7 +139,7 @@ func TestCatalogReplays(t *testing.T) {
 }
 
 func TestCatalogLookup(t *testing.T) {
-	if len(All()) != 12 {
+	if len(All()) != 8 {
 		t.Fatalf("catalog has %d patterns", len(All()))
 	}
 	p, ok := Get("abba-deadlock")

@@ -90,39 +90,49 @@ func TestGenSweep(t *testing.T) {
 	}
 }
 
-// TestGenGroundTruthExhaustive reuses the pattern catalog's
-// prove-by-exhaustion trick on noise-free generated instances: the
-// buggy variant fails under some enumerated schedule (and not all),
-// the fixed variant under none within the budget.
+// TestGenGroundTruthExhaustive proves the noise-free generated
+// instances by exhaustive enumeration: the buggy variant fails under
+// some enumerated schedule (and not all), the fixed variant under none
+// within the budget, and every failure has the template's declared
+// kind — a detected deadlock for lostload, an assertion with the
+// instance's BugID for the rest.
 func TestGenGroundTruthExhaustive(t *testing.T) {
-	// Noise-free small instances per template, pinned by scanning the
-	// generator (noise-free and minimum parameters keep the schedule
-	// space inside the enumeration budget).
-	seeds := map[string]uint64{TplABA: 0, TplLostLoad: 55, TplLivelock: 19, TplDCL: 49}
-	for tpl, seed := range seeds {
-		g := Generate(seed)
-		if g.Template != tpl || len(g.Noise) != 0 {
-			t.Fatalf("seed %d: want noise-free %s, got %s with %d noise threads",
-				seed, tpl, g.Template, len(g.Noise))
-		}
-		explore := func(fixed bool) *sched.ExploreResult {
-			prog := g.Program()
-			return sched.Explore(func(th *sched.Thread) {
-				prog.Run(&appkit.Env{T: th, W: vsys.NewWorld(1), FixBugs: fixed})
-			}, sched.ExploreOptions{MaxRuns: 120_000})
-		}
-		buggy := explore(false)
-		if buggy.FailureCount == 0 {
-			t.Errorf("%s (seed %d): buggy variant never fails (%d schedules, complete=%v)",
-				tpl, seed, buggy.Runs, buggy.Complete)
-		}
-		if buggy.Complete && buggy.FailureCount == buggy.Runs {
-			t.Errorf("%s (seed %d): buggy variant always fails — not schedule-dependent", tpl, seed)
-		}
-		fixed := explore(true)
-		if fixed.FailureCount != 0 {
-			t.Errorf("%s (seed %d): fixed variant fails: %v", tpl, seed, fixed.Failures)
-		}
+	for _, tpl := range Templates() {
+		t.Run(tpl, func(t *testing.T) {
+			seed := NoiseFreeSeeds[tpl]
+			g := Generate(seed)
+			if g.Template != tpl || len(g.Noise) != 0 {
+				t.Fatalf("seed %d: want noise-free %s, got %s with %d noise threads",
+					seed, tpl, g.Template, len(g.Noise))
+			}
+			explore := func(fixed bool) *sched.ExploreResult {
+				prog := g.Program()
+				return sched.Explore(func(th *sched.Thread) {
+					prog.Run(&appkit.Env{T: th, W: vsys.NewWorld(1), FixBugs: fixed})
+				}, sched.ExploreOptions{MaxRuns: 120_000})
+			}
+			buggy := explore(false)
+			if buggy.FailureCount == 0 {
+				t.Fatalf("seed %d: buggy variant never fails (%d schedules, complete=%v)",
+					seed, buggy.Runs, buggy.Complete)
+			}
+			if buggy.Complete && buggy.FailureCount == buggy.Runs {
+				t.Errorf("seed %d: buggy variant always fails — not schedule-dependent", seed)
+			}
+			for _, f := range buggy.Failures {
+				if tpl == TplLostLoad {
+					if f.Reason != sched.ReasonDeadlock {
+						t.Errorf("seed %d: failure reason %v, want deadlock", seed, f.Reason)
+					}
+				} else if f.Reason != sched.ReasonAssert || f.BugID != g.BugID {
+					t.Errorf("seed %d: failure %v, want assertion %s", seed, f, g.BugID)
+				}
+			}
+			fixed := explore(true)
+			if fixed.FailureCount != 0 {
+				t.Errorf("seed %d: fixed variant fails: %v", seed, fixed.Failures)
+			}
+		})
 	}
 }
 

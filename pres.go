@@ -292,8 +292,9 @@ var (
 // a tiny parameterized program with exhaustively proven ground truth.
 type BugPattern = patterns.Pattern
 
-// Patterns returns the canonical bug-pattern catalog (atomicity
-// violations, order violations, deadlocks, lost wakeups) — a regression
-// battery independent of the application corpus, and worked examples of
-// every bug class the replayer handles.
+// Patterns returns the 8-entry canonical bug-pattern catalog (atomicity
+// violations, order violations, deadlocks, a lost wakeup, a barrier
+// misuse) — a regression battery independent of the application
+// corpus. The livelock, ABA, double-checked-locking and loaded
+// lost-wakeup shapes are the scenario generator's templates instead.
 var Patterns = patterns.All
