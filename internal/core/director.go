@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/race"
 	"repro/internal/sched"
@@ -23,6 +24,9 @@ type flip struct {
 	// pair is the race this flip reverses, kept for root-cause
 	// reporting when the flip's attempt reproduces the bug.
 	pair race.Pair
+	// key is the flip's text identity, rendered once by flipSet.with
+	// (see renderKey).
+	key string
 }
 
 func flipOf(p race.Pair) flip {
@@ -45,7 +49,11 @@ func (fs flipSet) pairs() []race.Pair {
 	return out
 }
 
-func (f flip) key() string {
+// renderKey renders the flip's text identity, addr:tUntil#n>tHold#n:
+// the order newDirector enforces a set's flips in, the identity a
+// snapshot's released flips are recorded by, and a component of the
+// trace's flip_set_id.
+func (f flip) renderKey() string {
 	return fmt.Sprintf("%#x:t%d#%d>t%d#%d", f.addr, f.untilTID, f.untilCnt, f.holdTID, f.holdCount)
 }
 
@@ -78,14 +86,13 @@ func (f flip) pairKey() flipPairKey {
 }
 
 // flipSet is an ordered set of flips defining one point in the search
-// tree. Order matters only for the key; enforcement is simultaneous.
+// tree. Order matters only for the id; enforcement is simultaneous.
 type flipSet struct {
 	flips []flip
-	id    string
 }
 
-// with returns fs extended by f, or ok=false if fs already constrains
-// f's access pair (in either direction).
+// with returns fs extended by f, with f's key rendered, or ok=false if
+// fs already constrains f's access pair (in either direction).
 func (fs flipSet) with(f flip) (flipSet, bool) {
 	pk := f.pairKey()
 	for _, g := range fs.flips {
@@ -93,9 +100,20 @@ func (fs flipSet) with(f flip) (flipSet, bool) {
 			return flipSet{}, false
 		}
 	}
-	child := flipSet{flips: append(append([]flip(nil), fs.flips...), f)}
-	child.id = fs.id + "|" + f.key()
-	return child, true
+	f.key = f.renderKey()
+	return flipSet{flips: append(append([]flip(nil), fs.flips...), f)}, true
+}
+
+// id is the trace's flip_set_id: the flip keys in discovery order,
+// each after a "|". Only an attached trace reads it, so it is built
+// there and nowhere else.
+func (fs flipSet) id() string {
+	var b strings.Builder
+	for _, f := range fs.flips {
+		b.WriteByte('|')
+		b.WriteString(f.key)
+	}
+	return b.String()
 }
 
 // director is both the replay Strategy and an Observer: it enforces the
@@ -119,11 +137,11 @@ type director struct {
 
 	flips    []flip
 	flipDone []bool
-	executed map[trace.TID]uint64
+	executed perThread[uint64] // each thread's latest TCount
 
-	rng  *rand.Rand            // nil => deterministic sticky policy
-	vt   map[trace.TID]float64 // virtual time for the random policy
-	last trace.TID             // thread granted at the previous pick
+	rng  *rand.Rand         // nil => deterministic sticky policy
+	vt   perThread[float64] // virtual time for the random policy
+	last trace.TID          // thread granted at the previous pick
 
 	// exhaustStep records the global step at which the final sketch
 	// entry was consumed (0 while unconsumed): the recorded horizon.
@@ -149,33 +167,38 @@ type director struct {
 	filterBuf []sched.Candidate
 }
 
+// perThread is a per-thread value indexed by TID (the scheduler hands
+// TIDs out densely); a thread never stored reads as zero.
+type perThread[T uint64 | float64] []T
+
+func (p perThread[T]) at(tid trace.TID) T {
+	if int(tid) < len(p) {
+		return p[tid]
+	}
+	return 0
+}
+
+func (p *perThread[T]) set(tid trace.TID, v T) {
+	for int(tid) >= len(*p) {
+		*p = append(*p, 0)
+	}
+	(*p)[tid] = v
+}
+
 func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, rng *rand.Rand) *director {
 	// Enforce flips in canonical (key) order, not discovery order: the
 	// only order-sensitive operation is releaseOneFlip's first-match
 	// scan, and sorting makes the attempt a function of the flip *set* —
-	// the same identity the dedup set keys on.
-	// Each key is rendered once, not at every comparison. Keys within a
-	// set are distinct (with rejects a repeated pair), so the order is
-	// total and independent of the sort algorithm.
-	type keyed struct {
-		key string
-		f   flip
-	}
-	byKey := make([]keyed, len(fs.flips))
-	for i, f := range fs.flips {
-		byKey[i] = keyed{key: f.key(), f: f}
-	}
-	sort.Slice(byKey, func(i, j int) bool { return byKey[i].key < byKey[j].key })
-	flips := make([]flip, len(byKey))
-	for i, kf := range byKey {
-		flips[i] = kf.f
-	}
+	// the same identity the dedup set keys on. Keys within a set are
+	// distinct (with rejects a repeated pair), so the order is total
+	// and independent of the sort algorithm.
+	flips := append([]flip(nil), fs.flips...)
+	sort.Slice(flips, func(i, j int) bool { return flips[i].key < flips[j].key })
 	return &director{
 		scheme:   scheme,
 		entries:  entries,
 		flips:    flips,
 		flipDone: make([]bool, len(flips)),
-		executed: make(map[trace.TID]uint64),
 		rng:      rng,
 	}
 }
@@ -231,16 +254,13 @@ func (d *director) Pick(view *sched.PickView) (trace.TID, bool) {
 		// Random exploration (the no-feedback ablation): time-weighted
 		// like the production scheduler, so window-hitting odds match
 		// a real stress re-run rather than a uniform event lottery.
-		if d.vt == nil {
-			d.vt = make(map[trace.TID]float64)
-		}
 		choice = filtered[0]
 		for _, c := range filtered[1:] {
-			if d.vt[c.TID] < d.vt[choice.TID] {
+			if d.vt.at(c.TID) < d.vt.at(choice.TID) {
 				choice = c
 			}
 		}
-		d.vt[choice.TID] += float64(choice.Cost) * (0.85 + 0.3*d.rng.Float64())
+		d.vt.set(choice.TID, d.vt.at(choice.TID)+float64(choice.Cost)*(0.85+0.3*d.rng.Float64()))
 	default:
 		// Deterministic sticky policy: keep running the thread that ran
 		// last until it blocks or the sketch/flips hold it. Coarse
@@ -261,7 +281,7 @@ func (d *director) Pick(view *sched.PickView) (trace.TID, bool) {
 		}
 		if !sticky {
 			for _, c := range filtered[1:] {
-				if d.executed[c.TID] < d.executed[choice.TID] {
+				if d.executed.at(c.TID) < d.executed.at(choice.TID) {
 					choice = c
 				}
 			}
@@ -351,7 +371,7 @@ func (d *director) releaseOneFlip(grantable []sched.Candidate) bool {
 		if !c.Kind.IsMemory() {
 			continue
 		}
-		next := d.executed[c.TID] + 1
+		next := d.executed.at(c.TID) + 1
 		for i, f := range d.flips {
 			if !d.flipDone[i] && c.TID == f.holdTID && next == f.holdCount && c.Obj == f.addr {
 				d.flipDone[i] = true
@@ -366,7 +386,7 @@ func (d *director) heldByFlip(c sched.Candidate) bool {
 	if !c.Kind.IsMemory() {
 		return false
 	}
-	next := d.executed[c.TID] + 1
+	next := d.executed.at(c.TID) + 1
 	for i, f := range d.flips {
 		if d.flipDone[i] {
 			continue
@@ -382,7 +402,7 @@ func (d *director) heldByFlip(c sched.Candidate) bool {
 // flip identities ((tid, tcount) pairs) can be matched, and releases
 // flips whose partner access has executed.
 func (d *director) OnEvent(ev trace.Event) uint64 {
-	d.executed[ev.TID] = ev.TCount
+	d.executed.set(ev.TID, ev.TCount)
 	for i, f := range d.flips {
 		if !d.flipDone[i] && ev.TID == f.untilTID && ev.TCount >= f.untilCnt {
 			d.flipDone[i] = true

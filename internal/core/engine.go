@@ -89,6 +89,31 @@ func (c *cancellableStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
 	return c.inner.Pick(view)
 }
 
+// attemptBufs is the storage one attempt borrows from its search and
+// leaves grown for the next: the race detector, the order capture's
+// slice, the director's per-thread counts and virtual times, and a
+// random attempt's generator. The zero value is ready to use. An
+// attempt resets what it borrows before it runs, so a recycled set and
+// a fresh one run identical attempts.
+type attemptBufs struct {
+	det      *race.Detector
+	order    []trace.TID
+	executed perThread[uint64]
+	vt       perThread[float64]
+	rng      *rand.Rand
+}
+
+// seeded returns b's generator reseeded with seed: the sequence
+// rand.New(rand.NewSource(seed)) yields, without allocating a source.
+func (b *attemptBufs) seeded(seed int64) *rand.Rand {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(seed))
+	} else {
+		b.rng.Seed(seed)
+	}
+	return b.rng
+}
+
 // runAttempt performs one coordinated replay: sketch enforcement plus
 // the given flip set, with the race detector watching for feedback.
 // cancel, when non-nil, lets a concurrent earlier success abort this
@@ -96,8 +121,10 @@ func (c *cancellableStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
 // same way, via the scheduler's own context poll. sp, when non-nil,
 // enrolls the attempt in the snapshot tree (snapshot.go): it tries to
 // resume from a parent prefix snapshot and captures its own snapshots
-// for future children.
-func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, opts ReplayOptions, idx int64, cancel *atomic.Int64, sp *snapPlan) attemptOutcome {
+// for future children. The attempt runs in b's storage; its outcome's
+// races and order alias it, so b must not be lent again before the
+// outcome has been committed.
+func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, opts ReplayOptions, idx int64, cancel *atomic.Int64, sp *snapPlan, b *attemptBufs) attemptOutcome {
 	start := time.Now()
 	world := vsys.NewWorld(rec.Options.WorldSeed)
 	entries := rec.Sketch.Entries
@@ -114,12 +141,17 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 		world.StartReplay(rec.Inputs)
 	}
 	dir := newDirector(rec.Scheme, entries, fs, rng)
+	dir.executed, dir.vt = b.executed[:0], b.vt[:0]
 	// A recording whose head was evicted and that kept no checkpoint
 	// leaves the start of the execution unconstrained, so its sketch
 	// can only ever be a soft guide.
 	dir.soft = dir.soft || !fromCP && rec.Epochs != nil && rec.Epochs.EvictedEntries > 0
-	det := race.NewDetector()
-	cap := &orderCapture{}
+	if b.det == nil {
+		b.det = race.NewDetector()
+	}
+	b.det.Reset()
+	det := b.det
+	cap := &orderCapture{order: b.order[:0]}
 
 	var strat sched.Strategy = dir
 	observers := []sched.Observer{dir, det, cap}
@@ -143,7 +175,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 			nf := fs.flips[len(fs.flips)-1]
 			snap := sp.cache.Best(sp.parentKey, sp.bound, func(s *search.Snapshot) bool {
 				st, ok := s.State.(*snapState)
-				return ok && st.dir.executed[nf.holdTID]+1 < nf.holdCount
+				return ok && st.dir.executed.at(nf.holdTID)+1 < nf.holdCount
 			})
 			if snap != nil {
 				st := snap.State.(*snapState)
@@ -173,6 +205,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 		Metrics:   opts.Metrics,
 		Ctx:       ctx,
 	}, world)
+	b.order, b.executed, b.vt = cap.order, dir.executed, dir.vt
 
 	out := attemptOutcome{
 		races: det.Pairs(), horizon: dir.exhaustStep, consumed: dir.k,
@@ -233,6 +266,7 @@ type searchJob struct {
 	directed bool
 	nd       replayNode
 	seed     int64
+	bufs     *attemptBufs
 	out      attemptOutcome
 }
 
@@ -243,8 +277,9 @@ type searchJob struct {
 //     strict in-order commit drain, worker lifecycle and context
 //     cancellation. Dispatch and Commit below run under the pool's
 //     mutex, so the state they touch (the frontier, directedLive, the
-//     dedup set `seen`, racesSeen, the result) needs no lock of its
-//     own: the pool's mutex is the search's only lock.
+//     dedup set `seen`, racesSeen, the free buffer list, the result)
+//     needs no lock of its own: the pool's mutex is the search's only
+//     lock.
 //   - the snapshot cache (internal/search) is probed and filled from
 //     Run, which holds no lock, so it carries its own.
 //   - cancel is the cross-worker atomic, mutated from Run: the lowest
@@ -271,6 +306,10 @@ type searchState struct {
 	seen         map[string]bool
 	racesSeen    map[race.PairKey]bool
 	r            *ReplayResult
+	byDist       []race.Pair // appendChildren's ranking scratch
+	// free holds the buffer sets committed attempts handed back;
+	// Dispatch lends one to every job (see Commit for which come back).
+	free []*attemptBufs
 }
 
 // directedSlot reports whether canonical attempt idx pops the directed
@@ -309,17 +348,26 @@ func seededSlot(feedback bool, idx int) bool { return feedback || idx != 0 }
 // The wait is live: a directed attempt that has completed but not
 // committed is held back by a lower index still in flight, and that
 // attempt's completion re-offers the slot.
+//
+// Every job leaves with a buffer set to run in: one a committed
+// attempt handed back, or a new one.
 func (s *searchState) Dispatch(idx int) exec.Decision {
+	j := &searchJob{idx: idx, seed: int64(idx)}
 	if directedSlot(s.feedback, idx) {
 		if nd, ok := s.frontier.Pop(0); ok {
 			s.directedLive++
-			return exec.Decision{Job: &searchJob{idx: idx, directed: true, nd: nd, seed: int64(idx)}}
-		}
-		if s.directedLive > 0 {
+			j.directed, j.nd = true, nd
+		} else if s.directedLive > 0 {
 			return exec.Decision{Wait: true}
 		}
 	}
-	return exec.Decision{Job: &searchJob{idx: idx, seed: int64(idx)}}
+	if n := len(s.free); n > 0 {
+		j.bufs = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		j.bufs = new(attemptBufs)
+	}
+	return exec.Decision{Job: j}
 }
 
 // Run produces the attempt's outcome by running the simulated
@@ -329,14 +377,14 @@ func (s *searchState) Run(ctx context.Context, idx int, job any) {
 	seeded := !j.directed && seededSlot(s.feedback, j.idx)
 	var rng *rand.Rand
 	if seeded {
-		rng = rand.New(rand.NewSource(j.seed))
+		rng = j.bufs.seeded(j.seed)
 	}
 	var cancel *atomic.Int64
 	if s.maxW > 1 {
 		cancel = &s.cancel
 	}
 	var sp *snapPlan
-	if s.snaps != nil && j.directed {
+	if s.snapshotted(j) {
 		sp = &snapPlan{cache: s.snaps, parentKey: j.nd.parentKey, bound: j.nd.bound}
 		if len(j.nd.fs.flips) < maxFlipDepth {
 			// Attempts at the depth cap never spawn children, so their
@@ -344,7 +392,7 @@ func (s *searchState) Run(ctx context.Context, idx int, job any) {
 			sp.selfKey = snapKey(s.digest, canonicalFlipKey(j.nd.fs))
 		}
 	}
-	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, s.opts, int64(j.idx), cancel, sp)
+	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, s.opts, int64(j.idx), cancel, sp, j.bufs)
 	if j.out.bug {
 		// Publish the reproduction immediately (before its canonical
 		// turn): in-flight attempts with higher indices poll this word
@@ -358,12 +406,30 @@ func (s *searchState) Run(ctx context.Context, idx int, job any) {
 	}
 }
 
-// Commit folds one attempt, in canonical order, into the result:
-// observability, stats, and — for failed directed attempts — feedback
-// children into the frontier. Returning false on a reproduction stops
-// the pool: the first success in canonical order wins.
+// Commit folds one attempt, in canonical order, into the result, then
+// takes back the attempt's buffers: once folded, nothing reads the
+// outcome's races or order any more. Two kinds of attempt keep theirs:
+// a reproduction, whose captured order becomes ReplayResult.Order, and
+// one with a snapshot plan, whose captured snapshots alias its order
+// slice. A job that never commits (the search ended first) keeps its
+// buffers too. Returning false on a reproduction stops the pool: the
+// first success in canonical order wins.
 func (s *searchState) Commit(idx int, job any) bool {
 	j := job.(*searchJob)
+	more := s.fold(j)
+	if more && !s.snapshotted(j) {
+		s.free = append(s.free, j.bufs)
+	}
+	return more
+}
+
+// snapshotted reports whether job j ran with a snapshot plan (see Run).
+func (s *searchState) snapshotted(j *searchJob) bool { return s.snaps != nil && j.directed }
+
+// fold folds one attempt into the result: observability, stats, and —
+// for failed directed attempts — feedback children into the frontier.
+// It reports false on a reproduction.
+func (s *searchState) fold(j *searchJob) bool {
 	if j.directed {
 		s.directedLive--
 	}

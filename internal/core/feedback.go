@@ -60,8 +60,8 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 		}
 		return d
 	}
-	byDist := make([]race.Pair, len(out.races))
-	copy(byDist, out.races)
+	byDist := append(s.byDist[:0], out.races...)
+	s.byDist = byDist
 	sort.SliceStable(byDist, func(i, j int) bool { return dist(byDist[i]) < dist(byDist[j]) })
 
 	added := 0

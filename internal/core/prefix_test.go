@@ -69,7 +69,7 @@ func TestCheckpointBoundaryMismatch(t *testing.T) {
 	prog, _ := apps.ProgramForBug("mysql-169")
 	opts := ReplayOptions{Feedback: true}
 	run := func(r *Recording) attemptOutcome {
-		return runAttempt(context.Background(), prog, r, flipSet{}, nil, opts, 0, nil, nil)
+		return runAttempt(context.Background(), prog, r, flipSet{}, nil, opts, 0, nil, nil, new(attemptBufs))
 	}
 	if out := run(rec); strings.Contains(out.note, "boundary mismatch") {
 		t.Fatalf("unperturbed checkpoint mismatched: %q", out.note)
@@ -114,7 +114,7 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 
 	// A root directed attempt fills the cache with real snapshots.
 	root := runAttempt(context.Background(), prog, rec, flipSet{}, nil, opts, 0, nil,
-		&snapPlan{cache: cache, selfKey: "parent"})
+		&snapPlan{cache: cache, selfKey: "parent"}, new(attemptBufs))
 	if root.captures == 0 {
 		t.Fatal("root attempt captured no snapshots")
 	}
@@ -129,7 +129,7 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 		mut(&s)
 		cache.Store(&s)
 		return runAttempt(context.Background(), prog, rec, child, nil, opts, 0, nil,
-			&snapPlan{cache: cache, parentKey: key, bound: ^uint64(0) >> 1})
+			&snapPlan{cache: cache, parentKey: key, bound: ^uint64(0) >> 1}, new(attemptBufs))
 	}
 	if out := resume("good", func(*search.Snapshot) {}); !out.restored || strings.Contains(out.note, "boundary mismatch") {
 		t.Fatalf("unperturbed snapshot: restored=%v note=%q", out.restored, out.note)

@@ -22,18 +22,20 @@ func (o ReplayOptions) reportAttempt(idx int, directed bool, fs flipSet, out att
 		mode = "directed"
 	}
 	outcome := outcomeName(out)
-	o.Trace.Emit(obs.AttemptEvent{
-		Event:          obs.EventAttempt,
-		Attempt:        idx,
-		Mode:           mode,
-		FlipSetID:      fs.id,
-		FlipDepth:      len(fs.flips),
-		Outcome:        outcome,
-		WallMS:         float64(out.wall) / float64(time.Millisecond),
-		SketchConsumed: out.consumed,
-		Divergence:     out.note,
-		Cancelled:      out.cancelled,
-	})
+	if o.Trace != nil {
+		o.Trace.Emit(obs.AttemptEvent{
+			Event:          obs.EventAttempt,
+			Attempt:        idx,
+			Mode:           mode,
+			FlipSetID:      fs.id(),
+			FlipDepth:      len(fs.flips),
+			Outcome:        outcome,
+			WallMS:         float64(out.wall) / float64(time.Millisecond),
+			SketchConsumed: out.consumed,
+			Divergence:     out.note,
+			Cancelled:      out.cancelled,
+		})
+	}
 	if m := o.Metrics; m != nil {
 		m.Counter("pres_replay_attempts_total", "mode", mode, "outcome", outcome).Inc()
 		if out.cancelled {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/race"
 	"repro/internal/sched"
 	"repro/internal/search"
@@ -70,13 +72,13 @@ type snapPlan struct {
 
 // dirState is the director's pick-side state at a capture point —
 // everything OnEvent alone cannot re-establish in a restored child.
-// The executed map doubles as the safety-bound witness.
+// The executed counts double as the safety-bound witness.
 type dirState struct {
 	k           int
 	last        trace.TID
 	soft        bool
 	exhaustStep uint64
-	executed    map[trace.TID]uint64
+	executed    perThread[uint64]
 	// done holds the keys of flips already released at the capture
 	// point. Keyed by flip identity, not index: the child's flip slice
 	// contains one more flip and is re-sorted.
@@ -84,18 +86,14 @@ type dirState struct {
 }
 
 func captureDirState(d *director) dirState {
-	ex := make(map[trace.TID]uint64, len(d.executed))
-	for tid, n := range d.executed {
-		ex[tid] = n
-	}
 	done := make(map[string]bool, len(d.flips))
 	for i, f := range d.flips {
 		if d.flipDone[i] {
-			done[f.key()] = true
+			done[f.key] = true
 		}
 	}
 	return dirState{k: d.k, last: d.last, soft: d.soft,
-		exhaustStep: d.exhaustStep, executed: ex, done: done}
+		exhaustStep: d.exhaustStep, executed: slices.Clone(d.executed), done: done}
 }
 
 // installDirState primes a restored child's fresh director with the
@@ -109,11 +107,9 @@ func installDirState(d *director, st dirState) {
 	d.last = st.last
 	d.soft = st.soft
 	d.exhaustStep = st.exhaustStep
-	for tid, n := range st.executed {
-		d.executed[tid] = n
-	}
+	d.executed = append(d.executed[:0], st.executed...)
 	for i, f := range d.flips {
-		if st.done[f.key()] {
+		if st.done[f.key] {
 			d.flipDone[i] = true
 		}
 	}

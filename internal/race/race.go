@@ -64,13 +64,14 @@ func (p Pair) Window() uint64 { return p.SecondSeq - p.FirstSeq }
 // dedup sets key maps on it without formatting a string per report.
 // Two pairs have equal keys exactly when they race on the same address
 // between the same two accesses in the same order; the access kinds
-// and the global steps are not part of the identity.
+// and the global steps are not part of the identity. The three words
+// come before the two TIDs so the key packs into 32 bytes, not 40.
 type PairKey struct {
 	Addr         uint64
-	FirstTID     trace.TID
 	FirstTCount  uint64
-	SecondTID    trace.TID
 	SecondTCount uint64
+	FirstTID     trace.TID
+	SecondTID    trace.TID
 }
 
 // Key returns a stable identity for deduplication across attempts.
@@ -132,6 +133,7 @@ type Detector struct {
 	exited  map[trace.TID]vclock.VC
 
 	history map[uint64]*history // recent accesses per address
+	free    []*history          // histories Reset released, for checkAccess to reuse
 
 	pairs []Pair
 }
@@ -147,8 +149,24 @@ func NewDetector() *Detector {
 }
 
 // Pairs returns the races observed so far, in execution order of their
-// second access.
+// second access. The slice is valid until the next Reset.
 func (d *Detector) Pairs() []Pair { return d.pairs }
+
+// Reset empties the detector for a new execution while keeping its
+// storage: the maps keep their buckets, the pair slice its array, and
+// each address's history moves to a free list that checkAccess draws
+// from. A reset detector reports exactly the pairs a fresh one would.
+func (d *Detector) Reset() {
+	for _, h := range d.history {
+		d.free = append(d.free, h)
+	}
+	clear(d.history)
+	clear(d.objects)
+	clear(d.born)
+	clear(d.exited)
+	d.threads = d.threads[:0]
+	d.pairs = d.pairs[:0]
+}
 
 // OnEvent implements sched.Observer.
 func (d *Detector) OnEvent(ev trace.Event) uint64 {
@@ -205,7 +223,15 @@ func queueKey(q uint64) uint64 { return q ^ 0x9e3779b97f4a7c15 }
 func (d *Detector) checkAccess(ev trace.Event, vc vclock.VC) {
 	h := d.history[ev.Obj]
 	if h == nil {
-		h = new(history)
+		if n := len(d.free); n > 0 {
+			// A ring reads only the records its count says were pushed,
+			// so zeroing the counts empties a reused history.
+			h = d.free[n-1]
+			d.free = d.free[:n-1]
+			h.writes.n, h.reads.n = 0, 0
+		} else {
+			h = new(history)
+		}
 		d.history[ev.Obj] = h
 	}
 	cur := Access{TID: ev.TID, TCount: ev.TCount, Addr: ev.Obj, Write: ev.Kind.IsWrite()}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,6 +206,40 @@ func TestDetectorMatchesReference(t *testing.T) {
 		t.Fatal("the corpus produced no races; the test is vacuous")
 	}
 	t.Logf("%d executions, %d events, %d pairs", len(runs), events, total)
+}
+
+// TestDetectorResetMatchesFresh: one detector reused across the whole
+// corpus, Reset between executions, reports for each execution exactly
+// the pairs, in the same order, that a fresh detector reports — no
+// clock, history or pair survives a Reset. Consecutive executions come
+// from the two ends of the corpus list, so from different programs, and
+// recycled histories carry records of another program's accesses that
+// the reused detector must not read.
+func TestDetectorResetMatchesFresh(t *testing.T) {
+	runs := corpusRuns(t)
+	reused := NewDetector()
+	drew := false
+	for i := range runs {
+		run := runs[i/2]
+		if i%2 == 1 {
+			run = runs[len(runs)-1-i/2]
+		}
+		reused.Reset()
+		free := len(reused.free)
+		fresh := NewDetector()
+		for _, ev := range run.events {
+			reused.OnEvent(ev)
+			fresh.OnEvent(ev)
+		}
+		drew = drew || len(reused.free) < free
+		if !slices.Equal(reused.Pairs(), fresh.Pairs()) {
+			t.Fatalf("%s (execution %d): reset detector reported %d pairs, fresh %d",
+				run.name, i, len(reused.Pairs()), len(fresh.Pairs()))
+		}
+	}
+	if !drew {
+		t.Fatal("no execution drew a recycled history; the test is vacuous")
+	}
 }
 
 // TestDetectorNoDuplicateKeys: the detector keeps no dedup set because
