@@ -80,12 +80,13 @@ fuzz-short:
 ## (BenchmarkSchedulingPoint/SingleStep/Batch) with the zero-alloc
 ## gates of the grant loop, the replay director's pick and the race
 ## detector's memory access (TestSchedGrantLoopAllocFree,
-## TestDirectorPickAllocFree, TestDetectorAccessAllocFree); then the
+## TestDirectorPickAllocFree, TestDetectorAccessAllocFree) and the
+## allocation bound of the feedback fold (TestFoldAllocBound); then the
 ## end-to-end benchmark (bench/README.md) over all four workloads. To
 ## compare two trees, run bench with -out in each and diff the files
 ## with `cd bench && go run . -compare a.jsonl b.jsonl`.
 bench:
-	$(GO) test -run 'AllocFree$$' -bench . -benchtime 1s . ./internal/core ./internal/race
+	$(GO) test -run 'AllocFree$$|AllocBound$$' -bench . -benchtime 1s . ./internal/core ./internal/race
 	bash bench/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
 ## docs-drift: every pres_-prefixed metric name registered anywhere in

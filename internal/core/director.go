@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/race"
@@ -13,32 +14,19 @@ import (
 )
 
 // flip is one scheduling constraint learned from a failed attempt: delay
-// the access that originally went first until the originally-second
-// access has executed, reversing one race outcome.
+// the access that originally went first (pair.First, the hold) until
+// the originally-second access (pair.Second, the until) has executed,
+// reversing one race outcome. pair is the exact race the parent
+// observed, Seq fields included: root-cause reporting prints it when
+// the flip's attempt reproduces the bug.
 type flip struct {
-	holdTID   trace.TID
-	holdCount uint64
-	addr      uint64
-	untilTID  trace.TID
-	untilCnt  uint64
-	// pair is the race this flip reverses, kept for root-cause
-	// reporting when the flip's attempt reproduces the bug.
 	pair race.Pair
-	// key is the flip's text identity, rendered once by flipSet.with
+	// key is the flip's text identity, rendered once by flipSet.plus
 	// (see renderKey).
 	key string
 }
 
-func flipOf(p race.Pair) flip {
-	return flip{
-		holdTID:   p.First.TID,
-		holdCount: p.First.TCount,
-		addr:      p.First.Addr,
-		untilTID:  p.Second.TID,
-		untilCnt:  p.Second.TCount,
-		pair:      p,
-	}
-}
+func flipOf(p race.Pair) flip { return flip{pair: p} }
 
 // pairs returns the races a flip set reverses, in order.
 func (fs flipSet) pairs() []race.Pair {
@@ -49,12 +37,24 @@ func (fs flipSet) pairs() []race.Pair {
 	return out
 }
 
-// renderKey renders the flip's text identity, addr:tUntil#n>tHold#n:
-// the order newDirector enforces a set's flips in, the identity a
-// snapshot's released flips are recorded by, and a component of the
-// trace's flip_set_id.
+// renderKey renders the flip's text identity, addr:tUntil#n>tHold#n
+// (addr in 0x-prefixed hex): the order newDirector enforces a set's
+// flips in, the identity a snapshot's released flips are recorded by,
+// and a component of the trace's flip_set_id. It builds the text in
+// one stack buffer, so the string is its only allocation.
 func (f flip) renderKey() string {
-	return fmt.Sprintf("%#x:t%d#%d>t%d#%d", f.addr, f.untilTID, f.untilCnt, f.holdTID, f.holdCount)
+	var buf [96]byte
+	b := append(buf[:0], "0x"...)
+	b = strconv.AppendUint(b, f.pair.First.Addr, 16)
+	b = append(b, ":t"...)
+	b = strconv.AppendInt(b, int64(f.pair.Second.TID), 10)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, f.pair.Second.TCount, 10)
+	b = append(b, ">t"...)
+	b = strconv.AppendInt(b, int64(f.pair.First.TID), 10)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, f.pair.First.TCount, 10)
+	return string(b)
 }
 
 // flipEnd is one access of a flip's pair by its (thread, count)
@@ -77,12 +77,12 @@ type flipPairKey struct {
 // oscillates, flipping the same race back and forth as each attempt
 // re-observes it in the direction the previous flip produced.
 func (f flip) pairKey() flipPairKey {
-	a := flipEnd{tid: f.holdTID, count: f.holdCount}
-	b := flipEnd{tid: f.untilTID, count: f.untilCnt}
+	a := flipEnd{tid: f.pair.First.TID, count: f.pair.First.TCount}
+	b := flipEnd{tid: f.pair.Second.TID, count: f.pair.Second.TCount}
 	if b.tid < a.tid || (b.tid == a.tid && b.count < a.count) {
 		a, b = b, a
 	}
-	return flipPairKey{addr: f.addr, lo: a, hi: b}
+	return flipPairKey{addr: f.pair.First.Addr, lo: a, hi: b}
 }
 
 // flipSet is an ordered set of flips defining one point in the search
@@ -91,17 +91,25 @@ type flipSet struct {
 	flips []flip
 }
 
-// with returns fs extended by f, with f's key rendered, or ok=false if
-// fs already constrains f's access pair (in either direction).
-func (fs flipSet) with(f flip) (flipSet, bool) {
+// constrains reports whether fs already constrains f's access pair, in
+// either direction.
+func (fs flipSet) constrains(f flip) bool {
 	pk := f.pairKey()
 	for _, g := range fs.flips {
 		if g.pairKey() == pk {
-			return flipSet{}, false
+			return true
 		}
 	}
+	return false
+}
+
+// plus returns a copy of fs extended by f, with f's key rendered.
+func (fs flipSet) plus(f flip) flipSet {
 	f.key = f.renderKey()
-	return flipSet{flips: append(append([]flip(nil), fs.flips...), f)}, true
+	flips := make([]flip, len(fs.flips)+1)
+	copy(flips, fs.flips)
+	flips[len(fs.flips)] = f
+	return flipSet{flips: flips}
 }
 
 // id is the trace's flip_set_id: the flip keys in discovery order,
@@ -190,10 +198,10 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 	// only order-sensitive operation is releaseOneFlip's first-match
 	// scan, and sorting makes the attempt a function of the flip *set* —
 	// the same identity the dedup set keys on. Keys within a set are
-	// distinct (with rejects a repeated pair), so the order is total
-	// and independent of the sort algorithm.
+	// distinct (constrains rejects a repeated pair), so the order is
+	// total and independent of the sort algorithm.
 	flips := append([]flip(nil), fs.flips...)
-	sort.Slice(flips, func(i, j int) bool { return flips[i].key < flips[j].key })
+	slices.SortFunc(flips, func(a, b flip) int { return strings.Compare(a.key, b.key) })
 	return &director{
 		scheme:   scheme,
 		entries:  entries,
@@ -373,7 +381,7 @@ func (d *director) releaseOneFlip(grantable []sched.Candidate) bool {
 		}
 		next := d.executed.at(c.TID) + 1
 		for i, f := range d.flips {
-			if !d.flipDone[i] && c.TID == f.holdTID && next == f.holdCount && c.Obj == f.addr {
+			if hold := f.pair.First; !d.flipDone[i] && c.TID == hold.TID && next == hold.TCount && c.Obj == hold.Addr {
 				d.flipDone[i] = true
 				return true
 			}
@@ -391,7 +399,7 @@ func (d *director) heldByFlip(c sched.Candidate) bool {
 		if d.flipDone[i] {
 			continue
 		}
-		if c.TID == f.holdTID && next == f.holdCount && c.Obj == f.addr {
+		if hold := f.pair.First; c.TID == hold.TID && next == hold.TCount && c.Obj == hold.Addr {
 			return true
 		}
 	}
@@ -404,7 +412,7 @@ func (d *director) heldByFlip(c sched.Candidate) bool {
 func (d *director) OnEvent(ev trace.Event) uint64 {
 	d.executed.set(ev.TID, ev.TCount)
 	for i, f := range d.flips {
-		if !d.flipDone[i] && ev.TID == f.untilTID && ev.TCount >= f.untilCnt {
+		if !d.flipDone[i] && ev.TID == f.pair.Second.TID && ev.TCount >= f.pair.Second.TCount {
 			d.flipDone[i] = true
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/race"
@@ -90,10 +92,7 @@ func TestDirectorFlipHoldsAndReleases(t *testing.T) {
 		First:  race.Access{TID: 1, TCount: 1, Addr: 0x10, Write: true},
 		Second: race.Access{TID: 2, TCount: 1, Addr: 0x10},
 	}
-	fs, okAdd := flipSet{}.with(flipOf(p))
-	if !okAdd {
-		t.Fatal("fresh flip rejected")
-	}
+	fs := flipSet{}.plus(flipOf(p))
 	d := newDirector(sketch.SYNC, nil, fs, nil)
 
 	// Thread 1's first op matches the flip's hold identity: thread 2
@@ -121,7 +120,7 @@ func TestDirectorFlipWedgeReleases(t *testing.T) {
 		First:  race.Access{TID: 1, TCount: 1, Addr: 0x10, Write: true},
 		Second: race.Access{TID: 2, TCount: 5, Addr: 0x10},
 	}
-	fs, _ := flipSet{}.with(flipOf(p))
+	fs := flipSet{}.plus(flipOf(p))
 	d := newDirector(sketch.SYNC, nil, fs, nil)
 	// Only the held op is runnable: best-effort gives the flip up
 	// rather than wedging the attempt.
@@ -164,41 +163,67 @@ func TestFlipSetPairDedup(t *testing.T) {
 		Second: race.Access{TID: 2, TCount: 4, Addr: 0x10},
 	}
 	rev := race.Pair{First: p.Second, Second: p.First}
-	fs, ok := flipSet{}.with(flipOf(p))
-	if !ok {
-		t.Fatal("first flip rejected")
+	if (flipSet{}).constrains(flipOf(p)) {
+		t.Fatal("the empty set constrains a pair")
 	}
-	if _, ok := fs.with(flipOf(p)); ok {
+	fs := flipSet{}.plus(flipOf(p))
+	if !fs.constrains(flipOf(p)) {
 		t.Fatal("identical pair accepted twice")
 	}
-	if _, ok := fs.with(flipOf(rev)); ok {
+	if !fs.constrains(flipOf(rev)) {
 		t.Fatal("reversed pair accepted — oscillation guard broken")
 	}
 	other := race.Pair{
 		First:  race.Access{TID: 1, TCount: 9, Addr: 0x20, Write: true},
 		Second: race.Access{TID: 2, TCount: 2, Addr: 0x20},
 	}
-	if _, ok := fs.with(flipOf(other)); !ok {
+	if fs.constrains(flipOf(other)) {
 		t.Fatal("distinct pair rejected")
 	}
 }
 
+// flipFor builds the flip holding thread hold's access hc to addr until
+// thread until's access uc has executed.
+func flipFor(addr uint64, hold trace.TID, hc uint64, until trace.TID, uc uint64) flip {
+	return flipOf(race.Pair{
+		First:  race.Access{TID: hold, TCount: hc, Addr: addr},
+		Second: race.Access{TID: until, TCount: uc, Addr: addr},
+	})
+}
+
 func TestFlipPairKey(t *testing.T) {
-	f := flip{holdTID: 2, holdCount: 9, addr: 0x10, untilTID: 1, untilCnt: 40}
-	swapped := flip{holdTID: f.untilTID, holdCount: f.untilCnt, addr: f.addr, untilTID: f.holdTID, untilCnt: f.holdCount}
+	f := flipFor(0x10, 2, 9, 1, 40)
+	swapped := flipFor(0x10, 1, 40, 2, 9)
 	if f.pairKey() != swapped.pairKey() {
 		t.Fatalf("swapping hold and until changed the key: %+v vs %+v", f.pairKey(), swapped.pairKey())
 	}
 	// Same thread at both ends orders by count.
-	same := flip{holdTID: 3, holdCount: 7, addr: 0x10, untilTID: 3, untilCnt: 2}
-	sameSwapped := flip{holdTID: 3, holdCount: 2, addr: 0x10, untilTID: 3, untilCnt: 7}
+	same := flipFor(0x10, 3, 7, 3, 2)
+	sameSwapped := flipFor(0x10, 3, 2, 3, 7)
 	if same.pairKey() != sameSwapped.pairKey() {
 		t.Fatal("same-thread ends not put in count order")
 	}
-	moved := f
-	moved.addr = 0x20
+	moved := flipFor(0x20, 2, 9, 1, 40)
 	if f.pairKey() == moved.pairKey() {
 		t.Fatal("flips on different addresses share a pair key")
+	}
+}
+
+// TestFlipRenderKey: the flip key renders byte for byte as the fmt
+// form it replaced, at the coordinates' extremes.
+func TestFlipRenderKey(t *testing.T) {
+	for _, addr := range []uint64{0, 1, 0x10, 0xd2b4757833f67c6d, math.MaxUint64} {
+		for _, tid := range []trace.TID{0, 1, 2, math.MaxInt32} {
+			for _, n := range []uint64{0, 1, 69, 1 << 40, math.MaxUint64} {
+				for _, f := range []flip{flipFor(addr, tid, n, 0, math.MaxUint64-n), flipFor(addr, 0, math.MaxUint64-n, tid, n)} {
+					p := f.pair
+					want := fmt.Sprintf("%#x:t%d#%d>t%d#%d", p.First.Addr, p.Second.TID, p.Second.TCount, p.First.TID, p.First.TCount)
+					if got := f.renderKey(); got != want {
+						t.Fatalf("renderKey = %q, want %q", got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -210,7 +235,7 @@ func TestDirectorPickAllocFree(t *testing.T) {
 		First:  race.Access{TID: 1, TCount: 1, Addr: 0x10, Write: true},
 		Second: race.Access{TID: 2, TCount: 5, Addr: 0x10},
 	}
-	fs, _ := flipSet{}.with(flipOf(p))
+	fs := flipSet{}.plus(flipOf(p))
 	d := newDirector(sketch.SYNC, nil, fs, nil)
 	v := view(cand(1, trace.KindStore, 0x10), cand(2, trace.KindLoad, 0x20), cand(3, trace.KindLoad, 0x30))
 	pick := func() {
@@ -232,7 +257,7 @@ func TestFlipSetPairsRoundTrip(t *testing.T) {
 		First:  race.Access{TID: 1, TCount: 3, Addr: 0x10, Write: true},
 		Second: race.Access{TID: 2, TCount: 4, Addr: 0x10},
 	}
-	fs, _ := flipSet{}.with(flipOf(p))
+	fs := flipSet{}.plus(flipOf(p))
 	got := fs.pairs()
 	if len(got) != 1 || got[0].Key() != p.Key() {
 		t.Fatalf("pairs() = %v", got)

@@ -175,7 +175,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 			nf := fs.flips[len(fs.flips)-1]
 			snap := sp.cache.Best(sp.parentKey, sp.bound, func(s *search.Snapshot) bool {
 				st, ok := s.State.(*snapState)
-				return ok && st.dir.executed.at(nf.holdTID)+1 < nf.holdCount
+				return ok && st.dir.executed.at(nf.pair.First.TID)+1 < nf.pair.First.TCount
 			})
 			if snap != nil {
 				st := snap.State.(*snapState)
@@ -277,9 +277,9 @@ type searchJob struct {
 //     strict in-order commit drain, worker lifecycle and context
 //     cancellation. Dispatch and Commit below run under the pool's
 //     mutex, so the state they touch (the frontier, directedLive, the
-//     dedup set `seen`, racesSeen, the free buffer list, the result)
-//     needs no lock of its own: the pool's mutex is the search's only
-//     lock.
+//     flipSetID dedup set `seen`, the race-id table raceIDs, the free
+//     buffer list, the result) needs no lock of its own: the pool's
+//     mutex is the search's only lock.
 //   - the snapshot cache (internal/search) is probed and filled from
 //     Run, which holds no lock, so it carries its own.
 //   - cancel is the cross-worker atomic, mutated from Run: the lowest
@@ -303,10 +303,18 @@ type searchState struct {
 	// Guarded by the pool's mutex (only touched from Dispatch and
 	// Commit).
 	directedLive int // dispatched directed attempts not yet committed
-	seen         map[string]bool
-	racesSeen    map[race.PairKey]bool
-	r            *ReplayResult
-	byDist       []race.Pair // appendChildren's ranking scratch
+	seen         map[flipSetID]bool
+	// raceIDs gives each distinct race the search has folded a dense
+	// id, in first-fold order. Folds run in canonical order, so the ids
+	// are the same at every Workers count.
+	raceIDs map[race.PairKey]int32
+	r       *ReplayResult
+	ids     []int32  // the folded attempt's race ids, index for index
+	rank    []ranked // appendChildren's ranking scratch
+	// considered, when set, sees every candidate child appendChildren
+	// reaches the dedup check with: the parent's flips, the added flip
+	// and the child's flipSetID. Tests use it to pin the dedup key.
+	considered func(parent flipSet, f flip, set flipSetID)
 	// free holds the buffer sets committed attempts handed back;
 	// Dispatch lends one to every job (see Commit for which come back).
 	free []*attemptBufs
@@ -490,12 +498,20 @@ func (s *searchState) fold(j *searchJob) bool {
 		// never finished: no feedback, no race folding.
 		return true
 	}
+	ids := s.ids[:0]
 	for _, p := range j.out.races {
-		s.racesSeen[p.Key()] = true
+		k := p.Key()
+		id, ok := s.raceIDs[k]
+		if !ok {
+			id = int32(len(s.raceIDs))
+			s.raceIDs[k] = id
+		}
+		ids = append(ids, id)
 	}
-	r.Stats.RacesSeen = len(s.racesSeen)
+	s.ids = ids
+	r.Stats.RacesSeen = len(s.raceIDs)
 	if j.directed {
-		r.Stats.FlipsEnqueued += s.appendChildren(j.nd, j.out)
+		r.Stats.FlipsEnqueued += s.appendChildren(j.nd, j.out, ids)
 	}
 	if m := s.opts.Metrics; m != nil && s.feedback {
 		depth := float64(s.frontier.Len())

@@ -121,7 +121,7 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 	snap := cache.Best("parent", ^uint64(0), nil)
 
 	// A child whose added flip can never engage accepts any snapshot.
-	child := flipSet{flips: []flip{{holdTID: 0, holdCount: 1 << 62}}}
+	child := flipSet{flips: []flip{flipFor(0, 0, 1<<62, 0, 0)}}
 	resume := func(key string, mut func(*search.Snapshot)) attemptOutcome {
 		s := *snap
 		s.Key = key

@@ -257,15 +257,15 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 // newSearchState sets up one search before its first dispatch.
 func newSearchState(prog *appkit.Program, rec *Recording, opts ReplayOptions) *searchState {
 	s := &searchState{
-		prog:      prog,
-		rec:       rec,
-		opts:      opts,
-		feedback:  opts.Feedback,
-		budget:    opts.maxAttempts(),
-		maxW:      max(1, opts.Workers),
-		seen:      map[string]bool{"": true},
-		racesSeen: map[race.PairKey]bool{},
-		r:         &ReplayResult{},
+		prog:     prog,
+		rec:      rec,
+		opts:     opts,
+		feedback: opts.Feedback,
+		budget:   opts.maxAttempts(),
+		maxW:     max(1, opts.Workers),
+		seen:     map[flipSetID]bool{{}: true},
+		raceIDs:  map[race.PairKey]int32{},
+		r:        &ReplayResult{},
 	}
 	s.cancel.Store(cancelNone)
 	if s.feedback {

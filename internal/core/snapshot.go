@@ -41,14 +41,14 @@ import (
 // child adding flip f only if the child's own schedule through S
 // provably equals the parent's. The child differs from the parent only
 // by f, and f can influence a pick only once the director could hold
-// f's access — which requires f.holdTID to have executed
-// f.holdCount-1 events. Snapshots record the parent's per-thread
-// progress, so the engine accepts a snapshot only while
-// executed[holdTID]+1 < holdCount (strictly before the hold identity
-// can appear as a candidate); progress is monotone in the step, so the
-// accepted set is a step-prefix and "deepest accepted" is well
-// defined. p.FirstSeq — where the parent actually granted the access —
-// upper-bounds the probe.
+// f's access — which requires its thread, hold := f.pair.First, to
+// have executed hold.TCount-1 events. Snapshots record the parent's
+// per-thread progress, so the engine accepts a snapshot only while
+// executed[hold.TID]+1 < hold.TCount (strictly before the hold
+// identity can appear as a candidate); progress is monotone in the
+// step, so the accepted set is a step-prefix and "deepest accepted" is
+// well defined. p.FirstSeq — where the parent actually granted the
+// access — upper-bounds the probe.
 
 // snapKey is a flip-set prefix's snapshot-cache key: the schedule
 // identity of the deterministic directed attempt that executes that

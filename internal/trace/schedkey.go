@@ -9,10 +9,10 @@ import (
 // attempt: the flip-set key (which race reversals the attempt enforces,
 // order ignored) and the schedule key (flip set plus a digest of
 // everything else that determines the execution — program, sketch
-// prefix, inputs, replay knobs). The replayer's dedup set and its
-// prefix-snapshot cache are keyed by these strings, so they must be
-// injective: distinct attempts must never share a key, or the search
-// would silently skip live work or resume from the wrong prefix.
+// prefix, inputs, replay knobs). The replayer's prefix-snapshot cache
+// is keyed by these strings, so they must be injective: distinct
+// attempts must never share a key, or the search would resume from the
+// wrong prefix.
 // FuzzFlipSetKey and FuzzScheduleCacheKey pin that property.
 
 // FlipID names one race flip — "hold thread HoldTID's HoldCount-th
