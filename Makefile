@@ -72,7 +72,9 @@ fuzz-short:
 		done; \
 	done
 
-## bench: substrate micro-benchmarks, including the observability
+## bench: the root package's per-experiment benches (E3, E7 and E8
+## render E2's and E1's runs and have no bench of their own) and
+## substrate micro-benchmarks, including the observability
 ## overhead pairs (SchedulingPointMetricsOff/On, ReplaySearchMetricsOff/On)
 ## that back OBSERVABILITY.md's disabled-means-free claim, the
 ## wire-format/harness-pool benches (BenchmarkEncodeSketch*,

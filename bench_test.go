@@ -1,8 +1,9 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B
-// benchmark per table/figure (E1-E10 in DESIGN.md), plus ablation
-// benches for the design choices DESIGN.md calls out. Custom metrics
-// carry the experiment's actual result (replay attempts, overhead
-// percentages, reduction factors); ns/op carries the cost of running
+// benchmark per experiment that runs its own executions (E3, E7 and E8
+// render E2's and E1's runs, so E2RecordOverhead and E1PerScheme cover
+// them), plus ablation benches for the design choices DESIGN.md calls
+// out. Custom metrics carry the experiment's actual result (replay
+// attempts, overhead percentages); ns/op carries the cost of running
 // the experiment itself. cmd/presbench prints the same data as tables.
 package repro_test
 
@@ -88,28 +89,6 @@ func BenchmarkE2RecordOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkE3LogSize regenerates the log-size table: bytes of sketch log
-// per thousand instrumented operations, per scheme.
-func BenchmarkE3LogSize(b *testing.B) {
-	for _, s := range sketch.All() {
-		b.Run(s.String(), func(b *testing.B) {
-			var rows []harness.E3Row
-			for i := 0; i < b.N; i++ {
-				rows = harness.RunE3([]sketch.Scheme{s}, benchCfg)
-			}
-			bytes, perKop := 0, 0.0
-			for _, r := range rows {
-				if r.Err == nil {
-					bytes += r.SketchBytes
-					perKop += r.BytesPerKop
-				}
-			}
-			b.ReportMetric(float64(bytes)/float64(len(rows)), "sketch-bytes/app")
-			b.ReportMetric(perKop/float64(len(rows)), "bytes/kop")
-		})
-	}
-}
-
 // BenchmarkE4Scalability regenerates the processor-count sweep: SYNC
 // attempts and overhead at each machine size.
 func BenchmarkE4Scalability(b *testing.B) {
@@ -175,39 +154,6 @@ func BenchmarkE6Determinism(b *testing.B) {
 	}
 }
 
-// BenchmarkE7Reduction regenerates the headline overhead-reduction
-// number: how many times cheaper SYNC/SYS recording is than full RW
-// recording (the paper reports up to 4416x).
-func BenchmarkE7Reduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := harness.RunE7(benchCfg)
-		best := 0.0
-		for _, r := range rows {
-			if r.Err == nil && (r.Scheme == sketch.SYNC || r.Scheme == sketch.SYS) && r.Reduction > best {
-				best = r.Reduction
-			}
-		}
-		b.ReportMetric(best, "max-reduction-x")
-	}
-}
-
-// BenchmarkE8ReplayCost regenerates the replay-time statistics: search
-// effort per reproduced bug.
-func BenchmarkE8ReplayCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := harness.RunE8(benchCfg)
-		att, races := 0, 0
-		for _, r := range rows {
-			if r.Err == nil {
-				att += r.Attempts
-				races += r.RacesSeen
-			}
-		}
-		b.ReportMetric(float64(att)/float64(len(rows)), "attempts/bug")
-		b.ReportMetric(float64(races)/float64(len(rows)), "races-seen/bug")
-	}
-}
-
 // BenchmarkRecorderThroughput measures the real (wall-clock) cost of the
 // sketch recorders on a production run of the full corpus — the actual
 // Go implementation's logging speed, complementing the modelled
@@ -253,41 +199,6 @@ func BenchmarkAblationPolicy(b *testing.B) {
 			b.ReportMetric(float64(first), "first-attempt-reproductions")
 		}
 	})
-}
-
-// BenchmarkAblationBranch sweeps the feedback branch factor (how many
-// race flips a failed attempt enqueues).
-func BenchmarkAblationBranch(b *testing.B) {
-	bugs := []string{"mysql-791", "lu-atomicity", "barnes-order"}
-	for _, branch := range []int{2, 8, 16} {
-		b.Run(branchName(branch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, bug := range bugs {
-					prog, _ := repro.ProgramForBug(bug)
-					_, rec, err := harness.FindBuggySeed(prog, bug, sketch.SYNC, benchCfg)
-					if err != nil {
-						continue
-					}
-					res := core.Replay(prog, rec, core.ReplayOptions{
-						Feedback:     true,
-						BranchFactor: branch,
-						Oracle:       core.MatchBugID(bug),
-					})
-					if res.Reproduced {
-						total += res.Attempts
-					} else {
-						total += benchCfg.MaxAttempts
-					}
-				}
-				b.ReportMetric(float64(total)/float64(len(bugs)), "attempts/bug")
-			}
-		})
-	}
-}
-
-func branchName(n int) string {
-	return map[int]string{2: "branch2", 8: "branch8", 16: "branch16"}[n]
 }
 
 // BenchmarkParallelReplay measures wall-clock speedup from running

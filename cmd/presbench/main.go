@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -34,7 +35,7 @@ func main() {
 	log.SetPrefix("presbench: ")
 
 	exp := flag.String("exp", "all", "experiment to run: e1..e10, e12, e13 or all")
-	schemeList := flag.String("schemes", "", "comma-separated scheme subset (default: all)")
+	schemeList := flag.String("schemes", "", "comma-separated scheme subset (default: all); E3 and E7 render E2's runs and E8 E1's SYNC runs, so E7 prints only if the subset includes RW and E8 only if it includes SYNC (otherwise each prints a one-line note)")
 	procs := flag.Int("procs", 4, "modelled processor count")
 	budget := flag.Int("max-attempts", 1000, "replay attempt budget")
 	seedBudget := flag.Int("seed-budget", 2000, "production seeds to search per bug")
@@ -64,81 +65,95 @@ func main() {
 			schemes = append(schemes, s)
 		}
 	}
+	// cfg is set once the outputs are open; E1's and E2's rows are
+	// computed at most once per run, and every table that needs them
+	// (E8 from E1's; E3 and E7 from E2's) renders that one run.
+	var cfg harness.Config
+	e1Schemes := schemes
+	if strings.EqualFold(*exp, "e8") {
+		// Alone, E8 needs only E1's SYNC column, if the subset has one.
+		e1Schemes = []sketch.Scheme{}
+		if schemes == nil || slices.Contains(schemes, sketch.SYNC) {
+			e1Schemes = []sketch.Scheme{sketch.SYNC}
+		}
+	}
+	e1 := sync.OnceValue(func() []harness.E1Row { return harness.RunE1(e1Schemes, cfg) })
+	e2 := sync.OnceValue(func() []harness.E2Row { return harness.RunE2(schemes, cfg) })
 	experiments := []struct {
 		id, title string
-		run       func(cfg harness.Config) any
+		run       func() any
 	}{
-		{"e1", "replay attempts to reproduce each bug, per sketching mechanism", func(cfg harness.Config) any {
-			rows := harness.RunE1(schemes, cfg)
+		{"e1", "replay attempts to reproduce each bug, per sketching mechanism", func() any {
+			rows := e1()
 			if !*asJSON {
 				harness.PrintE1(os.Stdout, rows, cfg)
 			}
 			return rows
 		}},
-		{"e2", "production-run recording overhead, per app and mechanism", func(cfg harness.Config) any {
-			rows := harness.RunE2(schemes, cfg)
+		{"e2", "production-run recording overhead, per app and mechanism", func() any {
+			rows := e2()
 			if !*asJSON {
 				harness.PrintE2(os.Stdout, rows)
 			}
 			return rows
 		}},
-		{"e3", "sketch/input log sizes, per app and mechanism", func(cfg harness.Config) any {
-			rows := harness.RunE3(schemes, cfg)
+		{"e3", "sketch/input log sizes, per app and mechanism", func() any {
+			rows := e2()
 			if !*asJSON {
 				harness.PrintE3(os.Stdout, rows)
 			}
 			return rows
 		}},
-		{"e4", "scalability with processor count (SYNC)", func(cfg harness.Config) any {
+		{"e4", "scalability with processor count (SYNC)", func() any {
 			rows := harness.RunE4(nil, nil, cfg)
 			if !*asJSON {
 				harness.PrintE4(os.Stdout, rows, cfg)
 			}
 			return rows
 		}},
-		{"e5", "feedback-directed search vs. random exploration", func(cfg harness.Config) any {
+		{"e5", "feedback-directed search vs. random exploration", func() any {
 			rows := harness.RunE5(nil, cfg)
 			if !*asJSON {
 				harness.PrintE5(os.Stdout, rows, cfg)
 			}
 			return rows
 		}},
-		{"e6", "reproduce-every-time after first success", func(cfg harness.Config) any {
+		{"e6", "reproduce-every-time after first success", func() any {
 			rows := harness.RunE6(nil, *replays, cfg)
 			if !*asJSON {
 				harness.PrintE6(os.Stdout, rows)
 			}
 			return rows
 		}},
-		{"e7", "recording-overhead reduction vs. full RW recording", func(cfg harness.Config) any {
-			rows := harness.RunE7(cfg)
+		{"e7", "recording-overhead reduction vs. full RW recording", func() any {
+			rows := e2()
 			if !*asJSON {
 				harness.PrintE7(os.Stdout, rows)
 			}
 			return rows
 		}},
-		{"e8", "replayer search statistics (SYNC)", func(cfg harness.Config) any {
-			rows := harness.RunE8(cfg)
+		{"e8", "replayer search statistics (SYNC)", func() any {
+			rows := e1()
 			if !*asJSON {
 				harness.PrintE8(os.Stdout, rows)
 			}
 			return rows
 		}},
-		{"e9", "sketch-log truncation (extension): attempts vs retained tail", func(cfg harness.Config) any {
+		{"e9", "sketch-log truncation (extension): attempts vs retained tail", func() any {
 			rows := harness.RunE9(nil, nil, cfg)
 			if !*asJSON {
 				harness.PrintE9(os.Stdout, rows, cfg)
 			}
 			return rows
 		}},
-		{"e10", "canonical bug-pattern matrix (extension)", func(cfg harness.Config) any {
+		{"e10", "canonical bug-pattern matrix (extension)", func() any {
 			rows := harness.RunE10(schemes, cfg)
 			if !*asJSON {
 				harness.PrintE10(os.Stdout, rows, cfg)
 			}
 			return rows
 		}},
-		{"e12", "failure-injection matrix and generated-program sweep (extension)", func(cfg harness.Config) any {
+		{"e12", "failure-injection matrix and generated-program sweep (extension)", func() any {
 			rows := harness.RunE12(cfg)
 			gen := harness.RunE12Gen(*genSweep, cfg)
 			if !*asJSON {
@@ -148,7 +163,7 @@ func main() {
 			}
 			return map[string]any{"matrix": rows, "gen": gen}
 		}},
-		{"e13", "always-on epoch-ring recording: attempts and window size vs epoch length (extension)", func(cfg harness.Config) any {
+		{"e13", "always-on epoch-ring recording: attempts and window size vs epoch length (extension)", func() any {
 			rows := harness.RunE13(nil, nil, *epochRing, *cpEvery, cfg)
 			if !*asJSON {
 				harness.PrintE13(os.Stdout, rows, cfg)
@@ -185,7 +200,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
 	defer stop()
 
-	cfg := harness.Config{
+	cfg = harness.Config{
 		Ctx:           ctx,
 		Processors:    *procs,
 		MaxAttempts:   *budget,
@@ -211,7 +226,7 @@ func main() {
 		if !*asJSON {
 			fmt.Printf("== %s: %s ==\n", strings.ToUpper(e.id), e.title)
 		}
-		results[e.id] = e.run(cfg)
+		results[e.id] = e.run()
 		if !*asJSON {
 			fmt.Printf("(%s in %v)\n\n", strings.ToUpper(e.id), time.Since(start).Round(time.Millisecond))
 		}

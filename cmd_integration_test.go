@@ -94,6 +94,13 @@ func TestCommandLineWorkflow(t *testing.T) {
 		t.Fatalf("presbench json output:\n%s", out)
 	}
 
+	// E8 renders E1's SYNC searches: without SYNC among -schemes it
+	// prints a one-line note instead of a table, and succeeds.
+	out = run("presbench", "-exp", "e8", "-schemes", "RW", "-seed-budget", "500")
+	if !strings.Contains(out, "run it with SYNC among -schemes") || strings.Contains(out, "races seen") {
+		t.Fatalf("presbench -exp e8 -schemes RW:\n%s", out)
+	}
+
 	// An experiment id presbench does not have, the retired e11 or a
 	// made-up e99, is a usage error rather than an empty run.
 	for _, args := range [][]string{{"-exp", "e11"}, {"-exp", "e99", "-json"}} {

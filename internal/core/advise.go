@@ -38,7 +38,7 @@ func Advise(rec *Recording, res *ReplayResult) string {
 		denser := "SYNC"
 		switch rec.Scheme {
 		case sketch.SYNC, sketch.SYS:
-			denser = "HYBRID or BB"
+			denser = "FUNC or BB"
 		}
 		return fmt.Sprintf(
 			"attempts run clean but the failure stays out of reach (%d races seen): the unrecorded space is too "+
@@ -46,7 +46,7 @@ func Advise(rec *Recording, res *ReplayResult) string {
 			res.Stats.RacesSeen, denser, res.Attempts)
 	default:
 		return fmt.Sprintf(
-			"search exhausted %d attempts under a dense sketch: raise MaxAttempts, raise BranchFactor, or "+
+			"search exhausted %d attempts under a dense sketch: raise MaxAttempts, or "+
 				"check that the bug's oracle actually matches the production failure", res.Attempts)
 	}
 }

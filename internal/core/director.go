@@ -419,9 +419,6 @@ func (d *director) OnEvent(ev trace.Event) uint64 {
 	return 0
 }
 
-// sketchConsumed reports whether every recorded sketch point was honored.
-func (d *director) sketchConsumed() bool { return d.k >= len(d.entries) }
-
 // orderCapture records the full grant order of an attempt so a
 // successful reproduction can be replayed verbatim forever after.
 type orderCapture struct {

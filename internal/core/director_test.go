@@ -82,7 +82,7 @@ func TestDirectorExhaustedSketchFreesEverything(t *testing.T) {
 	if !ok || tid != 3 {
 		t.Fatal("with no sketch entries all ops must be free")
 	}
-	if !d.sketchConsumed() {
+	if d.k != len(d.entries) {
 		t.Fatal("empty sketch should read as consumed")
 	}
 }

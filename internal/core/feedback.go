@@ -117,7 +117,7 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome, ids []in
 	oldSlots := 2
 	for _, wantFresh := range []bool{true, false} {
 		for _, r := range rank {
-			if added >= s.opts.branch() {
+			if added >= branchFactor {
 				break
 			}
 			id := ids[r.i]

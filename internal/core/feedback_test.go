@@ -97,8 +97,8 @@ func TestFoldAllocBound(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, fold)
 	t.Logf("folding the root attempt allocated %.1f objects for %d children", allocs, pushed)
-	if pushed != DefaultBranchFactor {
-		t.Fatalf("fold pushed %d children, want %d", pushed, DefaultBranchFactor)
+	if pushed != branchFactor {
+		t.Fatalf("fold pushed %d children, want %d", pushed, branchFactor)
 	}
 	if bound := float64(1 + 2*pushed); allocs > bound {
 		t.Fatalf("folding the root attempt allocated %.1f objects, want at most %.0f (one bitset, and a flip slice and a key per child)", allocs, bound)

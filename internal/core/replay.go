@@ -51,9 +51,6 @@ type ReplayOptions struct {
 	// constrained space with an independent random seed — the E5
 	// ablation baseline.
 	Feedback bool
-	// BranchFactor bounds how many race flips a failed attempt enqueues
-	// (nearest the failure point first). 0 means DefaultBranchFactor.
-	BranchFactor int
 	// Oracle matches the target bug; nil accepts any manifested bug.
 	Oracle Oracle
 	// PrefixSnapshots enables snapshot-tree search (snapshot.go):
@@ -104,21 +101,16 @@ type ReplayOptions struct {
 // DefaultMaxAttempts is the paper's reproduction budget.
 const DefaultMaxAttempts = 1000
 
-// DefaultBranchFactor bounds feedback fan-out per failed attempt.
-const DefaultBranchFactor = 8
+// branchFactor bounds how many race flips a failed attempt enqueues
+// (nearest the failure point first). INTERNALS.md records the sweep
+// of 2, 8 and 16 that chose it.
+const branchFactor = 8
 
 func (o ReplayOptions) maxAttempts() int {
 	if o.MaxAttempts <= 0 {
 		return DefaultMaxAttempts
 	}
 	return o.MaxAttempts
-}
-
-func (o ReplayOptions) branch() int {
-	if o.BranchFactor <= 0 {
-		return DefaultBranchFactor
-	}
-	return o.BranchFactor
 }
 
 func (o ReplayOptions) oracle() Oracle {

@@ -41,21 +41,6 @@ func TestReplayEmptyRecording(t *testing.T) {
 	}
 }
 
-// TestHybridSchemeEndToEnd: the SYNC∪SYS extension records and replays.
-func TestHybridSchemeEndToEnd(t *testing.T) {
-	prog := orderBugProg()
-	rec := recordBuggy(t, prog, sketch.HYBRID)
-	for _, e := range rec.Sketch.Entries {
-		if !e.Kind.IsSync() && !e.Kind.IsSyscall() {
-			t.Fatalf("HYBRID recorded %v", e.Kind)
-		}
-	}
-	res := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("order-bug")})
-	if !res.Reproduced {
-		t.Fatalf("HYBRID replay failed: %+v", res.Stats)
-	}
-}
-
 // TestWorldSeedVariation: the pipeline works across different input
 // worlds, not just the default seed.
 func TestWorldSeedVariation(t *testing.T) {
@@ -151,14 +136,14 @@ func TestOptionDefaults(t *testing.T) {
 		t.Fatal("record explicit values lost")
 	}
 	r := ReplayOptions{}
-	if r.maxAttempts() != DefaultMaxAttempts || r.branch() != DefaultBranchFactor {
+	if r.maxAttempts() != DefaultMaxAttempts {
 		t.Fatal("replay defaults wrong")
 	}
 	if !r.oracle()(&sched.Failure{Reason: sched.ReasonAssert, BugID: "any"}) {
 		t.Fatal("default oracle should accept any failure")
 	}
-	r = ReplayOptions{MaxAttempts: 3, BranchFactor: 5}
-	if r.maxAttempts() != 3 || r.branch() != 5 {
+	r = ReplayOptions{MaxAttempts: 3}
+	if r.maxAttempts() != 3 {
 		t.Fatal("replay explicit values lost")
 	}
 }

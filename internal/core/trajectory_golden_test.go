@@ -138,7 +138,7 @@ func trajectoryLine(bug string, seed int64, res *ReplayResult) string {
 // holdRunner runs a search at Workers: 2 under a forced schedule: it
 // holds attempt index 1, a random sample, in Run while the other worker
 // runs ahead. The search's root is attempt 0; its children (up to
-// DefaultBranchFactor) pop at the even indices 2, 4, ..., 16, so index
+// branchFactor) pop at the even indices 2, 4, ..., 16, so index
 // holdUntil is the first directed slot that needs the children of an
 // attempt stuck behind index 1's commit. The hold ends when Dispatch is
 // offered that index, when Dispatch returns Wait (nothing more can
@@ -150,7 +150,7 @@ type holdRunner struct {
 	once    sync.Once
 }
 
-const holdUntil = 2 * (DefaultBranchFactor + 1)
+const holdUntil = 2 * (branchFactor + 1)
 
 func (h *holdRunner) open() { h.once.Do(func() { close(h.release) }) }
 

@@ -68,14 +68,19 @@ type E2Row struct {
 	// Entries and TotalOps give the sketch density behind the overhead.
 	Entries  int
 	TotalOps uint64
-	Seed     int64
-	Err      error
+	// SketchBytes is the encoded sketch log; InputBytes the input log
+	// (charged to every scheme, including BASE). E3 renders them.
+	SketchBytes int
+	InputBytes  int
+	Seed        int64
+	Err         error
 }
 
-// RunE2 measures recording overhead for every app x scheme on a clean
-// production run. Because observers never influence scheduling, every
-// scheme measures the exact same execution of each app, so the
-// between-scheme ratios are exact.
+// RunE2 measures recording overhead and log sizes for every app x
+// scheme on a clean production run. Because observers never influence
+// scheduling, every scheme measures the exact same execution of each
+// app, so the between-scheme ratios are exact, and E3's log sizes and
+// E7's reductions render from these rows rather than re-recording.
 func RunE2(schemes []sketch.Scheme, cfg Config) []E2Row {
 	defer cfg.timeExperiment("e2")()
 	if schemes == nil {
@@ -92,45 +97,8 @@ func RunE2(schemes []sketch.Scheme, cfg Config) []E2Row {
 			row.Overhead = rec.Result.Overhead()
 			row.Entries = rec.Sketch.Len()
 			row.TotalOps = rec.Sketch.TotalOps
-		}
-		return row
-	})
-}
-
-// E3Row is one cell of the log-size table.
-type E3Row struct {
-	App    string
-	Scheme sketch.Scheme
-	// SketchBytes is the encoded sketch log; InputBytes the input log
-	// (charged to every scheme, including BASE).
-	SketchBytes int
-	InputBytes  int
-	// BytesPerKop is sketch bytes per thousand instrumented operations
-	// — the paper's log-growth-rate metric.
-	BytesPerKop float64
-	Err         error
-}
-
-// RunE3 measures log sizes for every app x scheme on the same clean
-// runs as E2.
-func RunE3(schemes []sketch.Scheme, cfg Config) []E3Row {
-	defer cfg.timeExperiment("e3")()
-	if schemes == nil {
-		schemes = sketch.All()
-	}
-	progs := apps.All()
-	return runCells(cfg, "e3", len(progs)*len(schemes), func(i int) E3Row {
-		p, s := progs[i/len(schemes)], schemes[i%len(schemes)]
-		row := E3Row{App: p.Name, Scheme: s}
-		rec := cfg.record(p, cfg.overheadOptions(s, 1))
-		if f := rec.Result.Failure; f != nil {
-			row.Err = f
-		} else {
 			row.SketchBytes = sketch.EncodedSize(rec.Sketch)
 			row.InputBytes = sketch.InputEncodedSize(rec.Inputs)
-			if rec.Sketch.TotalOps > 0 {
-				row.BytesPerKop = float64(row.SketchBytes) * 1000 / float64(rec.Sketch.TotalOps)
-			}
 		}
 		return row
 	})
@@ -272,81 +240,6 @@ func RunE6(bugs []string, n int, cfg Config) []E6Row {
 	})
 }
 
-// E7Row is one row of the overhead-reduction headline: how many times
-// cheaper each sketch is than full RW recording on one application.
-type E7Row struct {
-	App       string
-	Scheme    sketch.Scheme
-	Reduction float64 // RW overhead / scheme overhead
-	Err       error
-}
-
-// RunE7 derives the paper's "up to 4416x lower overhead" headline from
-// the E2 measurements.
-func RunE7(cfg Config) []E7Row {
-	defer cfg.timeExperiment("e7")()
-	e2 := RunE2([]sketch.Scheme{sketch.SYNC, sketch.SYS, sketch.FUNC, sketch.BB, sketch.RW}, cfg)
-	rw := map[string]float64{}
-	for _, r := range e2 {
-		if r.Scheme == sketch.RW {
-			rw[r.App] = r.Overhead
-		}
-	}
-	var rows []E7Row
-	for _, r := range e2 {
-		if r.Scheme == sketch.RW {
-			continue
-		}
-		row := E7Row{App: r.App, Scheme: r.Scheme, Err: r.Err}
-		if r.Err == nil && r.Overhead > 0 {
-			row.Reduction = rw[r.App] / r.Overhead
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// E8Row summarizes the replay-time cost of reproducing one bug.
-type E8Row struct {
-	Bug         string
-	Attempts    int
-	Flips       int
-	RacesSeen   int
-	Divergences int
-	CleanRuns   int
-	Reproduced  bool
-	Err         error
-}
-
-// RunE8 collects the replayer's search statistics for every bug under
-// SYNC sketching.
-func RunE8(cfg Config) []E8Row {
-	defer cfg.timeExperiment("e8")()
-	bugs := apps.AllBugs()
-	return runCells(cfg, "e8", len(bugs), func(i int) E8Row {
-		b := bugs[i]
-		row := E8Row{Bug: b.ID}
-		prog, ok := apps.ProgramForBug(b.ID)
-		if !ok {
-			row.Err = fmt.Errorf("harness: unknown bug %q", b.ID)
-			return row
-		}
-		_, rec, err := FindBuggySeed(prog, b.ID, sketch.SYNC, cfg)
-		if err != nil {
-			row.Err = err
-			return row
-		}
-		res := cfg.replay(prog, rec, cfg.replayOptions(b.ID))
-		row.Attempts = res.Attempts
-		row.Flips = res.Flips
-		row.RacesSeen = res.Stats.RacesSeen
-		row.Divergences = res.Stats.Divergences
-		row.CleanRuns = res.Stats.CleanRuns
-		row.Reproduced = res.Reproduced
-		return row
-	})
-}
-
 // E9Row is one cell of the sketch-truncation experiment (an extension
 // beyond the paper): replay attempts when only the tail of the sketch
 // log survives, as in bounded-storage deployments.
@@ -475,8 +368,8 @@ func RunE10(schemes []sketch.Scheme, cfg Config) []E10Row {
 					Processors:   procs,
 					Preempt:      0.05,
 					ScheduleSeed: seed,
-					WorldSeed:    cfg.worldSeed(),
-					MaxSteps:     cfg.maxSteps(),
+					WorldSeed:    worldSeed,
+					MaxSteps:     maxSteps,
 					Metrics:      cfg.Metrics,
 				})
 				if f := r.BugFailure(); f != nil && oracle(f) {

@@ -40,20 +40,13 @@ type Config struct {
 	// Processors models the production machine; the paper's testbed was
 	// an 8-core, most experiments shown at 4. Default 4.
 	Processors int
-	// WorldSeed seeds the virtual syscall layer. Default 1.
-	WorldSeed int64
 	// SeedBudget bounds the production-seed search per bug. Default 2000.
 	SeedBudget int
 	// MaxAttempts is the replay budget (the paper's 1000). Default 1000.
 	MaxAttempts int
-	// Scale is the workload scale knob passed to programs (0 = each
-	// program's default).
-	Scale int
-	// MaxSteps bounds each execution. Default 300000.
-	MaxSteps uint64
-	// OverheadScale sizes the workloads of the overhead/log-size
-	// experiments (E2/E3/E7), which run the *patched* programs on long
-	// production-like workloads. Default 800.
+	// OverheadScale sizes the workloads of the overhead/log-size runs
+	// (E2, which E3 and E7 render), which run the *patched* programs on
+	// long production-like workloads. Default 800.
 	OverheadScale int
 	// Jobs is the harness's own cell-level parallelism (presbench -j):
 	// experiment matrices fan their independent (app, scheme, bug,
@@ -75,6 +68,14 @@ type Config struct {
 	// event across all experiments.
 	Trace *obs.TraceSink
 }
+
+// Every run the harness performs uses world seed 1, each program's
+// default workload scale (except the overhead runs' OverheadScale) and
+// this step bound.
+const (
+	worldSeed int64  = 1
+	maxSteps  uint64 = 300_000
+)
 
 func (c Config) ctx() context.Context {
 	if c.Ctx == nil {
@@ -112,13 +113,6 @@ func (c Config) jobs() int {
 	return max(c.Jobs, 1)
 }
 
-func (c Config) worldSeed() int64 {
-	if c.WorldSeed == 0 {
-		return 1
-	}
-	return c.WorldSeed
-}
-
 func (c Config) seedBudget() int {
 	if c.SeedBudget <= 0 {
 		return 2000
@@ -133,13 +127,6 @@ func (c Config) maxAttempts() int {
 	return c.MaxAttempts
 }
 
-func (c Config) maxSteps() uint64 {
-	if c.MaxSteps == 0 {
-		return 300_000
-	}
-	return c.MaxSteps
-}
-
 func (c Config) overheadScale() int {
 	if c.OverheadScale <= 0 {
 		return 800
@@ -147,7 +134,7 @@ func (c Config) overheadScale() int {
 	return c.OverheadScale
 }
 
-// overheadOptions configures the production-workload runs of E2/E3/E7:
+// overheadOptions configures the production-workload runs of E2 and E4:
 // patched programs (bugs do not cut the run short), scaled-up
 // workloads, and a step bound sized for them.
 func (c Config) overheadOptions(scheme sketch.Scheme, scheduleSeed int64) core.Options {
@@ -163,9 +150,8 @@ func (c Config) options(scheme sketch.Scheme, scheduleSeed int64) core.Options {
 		Scheme:       scheme,
 		Processors:   c.processors(),
 		ScheduleSeed: scheduleSeed,
-		WorldSeed:    c.worldSeed(),
-		Scale:        c.Scale,
-		MaxSteps:     c.maxSteps(),
+		WorldSeed:    worldSeed,
+		MaxSteps:     maxSteps,
 		Metrics:      c.Metrics,
 	}
 }
@@ -211,22 +197,6 @@ func FindBuggySeed(prog *appkit.Program, bugID string, scheme sketch.Scheme, cfg
 		}
 	}
 	return -1, nil, fmt.Errorf("harness: %s did not manifest in %d production seeds", bugID, cfg.seedBudget())
-}
-
-// FindCleanSeed searches production seeds until prog completes without
-// any failure — the workload used for overhead measurements, where the
-// run must represent steady-state production service.
-func FindCleanSeed(prog *appkit.Program, cfg Config) (int64, error) {
-	for seed := int64(0); seed < int64(cfg.seedBudget()); seed++ {
-		if err := cfg.ctx().Err(); err != nil {
-			return -1, err
-		}
-		rec := cfg.record(prog, cfg.options(sketch.BASE, seed))
-		if rec.Result.Failure == nil {
-			return seed, nil
-		}
-	}
-	return -1, fmt.Errorf("harness: %s never ran cleanly in %d seeds", prog.Name, cfg.seedBudget())
 }
 
 // ReproduceBug runs the full PRES pipeline for one bug under one scheme:

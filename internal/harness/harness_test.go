@@ -2,7 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -14,6 +17,14 @@ import (
 // fastCfg keeps harness tests quick; experiment-scale runs live in the
 // benchmarks.
 var fastCfg = Config{SeedBudget: 2000, MaxAttempts: 1000, OverheadScale: 250}
+
+// e1Rows and e2Rows run E1 (SYNC and RW) and E2 (every scheme) once
+// for the whole package: E8's table renders E1's SYNC rows, and E3's
+// and E7's render E2's, exactly as presbench shares them.
+var (
+	e1Rows = sync.OnceValue(func() []E1Row { return RunE1([]sketch.Scheme{sketch.SYNC, sketch.RW}, fastCfg) })
+	e2Rows = sync.OnceValue(func() []E2Row { return RunE2(nil, fastCfg) })
+)
 
 func TestFindBuggySeed(t *testing.T) {
 	prog, _ := apps.Get("fft")
@@ -35,17 +46,6 @@ func TestFindBuggySeedUnknownNeverManifests(t *testing.T) {
 	}
 }
 
-func TestFindCleanSeed(t *testing.T) {
-	prog, _ := apps.Get("barnes")
-	seed, err := FindCleanSeed(prog, fastCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seed < 0 {
-		t.Fatal("negative seed")
-	}
-}
-
 func TestReproduceBugPipeline(t *testing.T) {
 	rec, res, err := ReproduceBug("transmission-1818", sketch.SYNC, fastCfg)
 	if err != nil {
@@ -63,18 +63,18 @@ func TestReproduceBugUnknown(t *testing.T) {
 }
 
 func TestRunE1Subset(t *testing.T) {
-	// Single scheme keeps this quick; the full sweep runs in benches.
-	rows := RunE1([]sketch.Scheme{sketch.RW}, fastCfg)
-	if len(rows) != len(apps.AllBugs()) {
+	// Two schemes keep this quick; the full sweep runs in benches.
+	rows := e1Rows()
+	if len(rows) != 2*len(apps.AllBugs()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
 		if r.Err != nil {
-			t.Errorf("%s: %v", r.Bug.ID, r.Err)
+			t.Errorf("%s/%v: %v", r.Bug.ID, r.Scheme, r.Err)
 			continue
 		}
 		if !r.Reproduced {
-			t.Errorf("%s not reproduced under RW", r.Bug.ID)
+			t.Errorf("%s not reproduced under %v", r.Bug.ID, r.Scheme)
 		}
 	}
 	var buf bytes.Buffer
@@ -85,7 +85,7 @@ func TestRunE1Subset(t *testing.T) {
 }
 
 func TestRunE2OverheadShape(t *testing.T) {
-	rows := RunE2(nil, fastCfg)
+	rows := e2Rows()
 	if len(rows) != 11*len(sketch.All()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -123,7 +123,7 @@ func TestRunE2OverheadShape(t *testing.T) {
 }
 
 func TestRunE3LogSizes(t *testing.T) {
-	rows := RunE3([]sketch.Scheme{sketch.BASE, sketch.SYNC, sketch.RW}, fastCfg)
+	rows := e2Rows()
 	bySchemeTotal := map[sketch.Scheme]int{}
 	for _, r := range rows {
 		if r.Err != nil {
@@ -211,14 +211,20 @@ func TestRunE6Determinism(t *testing.T) {
 }
 
 func TestRunE7Headline(t *testing.T) {
-	rows := RunE7(fastCfg)
-	maxRed := 0.0
+	rows := e2Rows()
+	rw := map[string]float64{}
 	for _, r := range rows {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", r.App, r.Err)
+			t.Fatalf("%s/%v: %v", r.App, r.Scheme, r.Err)
 		}
-		if (r.Scheme == sketch.SYNC || r.Scheme == sketch.SYS) && r.Reduction > maxRed {
-			maxRed = r.Reduction
+		if r.Scheme == sketch.RW {
+			rw[r.App] = r.Overhead
+		}
+	}
+	maxRed := 0.0
+	for _, r := range rows {
+		if r.Scheme == sketch.SYNC || r.Scheme == sketch.SYS {
+			maxRed = max(maxRed, rw[r.App]/r.Overhead)
 		}
 	}
 	// The paper's headline is 4416x; our substrate must show the same
@@ -228,30 +234,43 @@ func TestRunE7Headline(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintE7(&buf, rows)
-	if !strings.Contains(buf.String(), "headline") {
-		t.Fatal("E7 rendering broken")
+	if want := fmt.Sprintf("records %.0fx cheaper than RW", maxRed); !strings.Contains(buf.String(), want) {
+		t.Fatalf("E7 headline lacks %q:\n%s", want, buf.String())
+	}
+	if strings.Contains(buf.String(), "BASE") {
+		t.Fatalf("E7 lists BASE, which records nothing to reduce:\n%s", buf.String())
+	}
+	// Without RW there is no denominator: a note, not a table.
+	buf.Reset()
+	PrintE7(&buf, slices.DeleteFunc(slices.Clone(rows), func(r E2Row) bool { return r.Scheme == sketch.RW }))
+	if got := buf.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "RW") {
+		t.Fatalf("E7 without RW rows printed:\n%s", got)
 	}
 }
 
 func TestRunE8Stats(t *testing.T) {
-	cfg := fastCfg
-	rows := RunE8(cfg)
-	if len(rows) != len(apps.AllBugs()) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Bug, r.Err)
-			continue
-		}
-		if !r.Reproduced {
-			t.Errorf("%s: not reproduced", r.Bug)
-		}
-	}
+	rows := e1Rows()
 	var buf bytes.Buffer
 	PrintE8(&buf, rows)
-	if !strings.Contains(buf.String(), "attempts") {
-		t.Fatal("E8 rendering broken")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1+len(apps.AllBugs()) || !strings.Contains(lines[0], "races seen") {
+		t.Fatalf("E8 should render one row per bug's SYNC search:\n%s", buf.String())
+	}
+	for _, r := range rows {
+		if r.Scheme != sketch.SYNC {
+			continue
+		}
+		want := fmt.Sprintf("%s %d %d %d %d %d true", r.Bug.ID, r.Attempts, r.Flips,
+			r.Stats.RacesSeen, r.Stats.Divergences, r.Stats.CleanRuns)
+		if !slices.ContainsFunc(lines, func(ln string) bool { return strings.Join(strings.Fields(ln), " ") == want }) {
+			t.Errorf("E8 lacks the row %q", want)
+		}
+	}
+	// Without SYNC there is nothing to report: a note, not a table.
+	buf.Reset()
+	PrintE8(&buf, slices.DeleteFunc(slices.Clone(rows), func(r E1Row) bool { return r.Scheme == sketch.SYNC }))
+	if got := buf.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "SYNC") {
+		t.Fatalf("E8 without SYNC rows printed:\n%s", got)
 	}
 }
 
@@ -300,13 +319,13 @@ func TestCollectAppStats(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	var c Config
-	if c.processors() != 4 || c.worldSeed() != 1 || c.seedBudget() != 2000 ||
-		c.maxAttempts() != 1000 || c.maxSteps() != 300_000 || c.overheadScale() != 800 {
+	if c.processors() != 4 || c.seedBudget() != 2000 ||
+		c.maxAttempts() != 1000 || c.overheadScale() != 800 {
 		t.Fatal("defaults wrong")
 	}
-	c = Config{Processors: 2, WorldSeed: 9, SeedBudget: 5, MaxAttempts: 7, MaxSteps: 11, OverheadScale: 13}
-	if c.processors() != 2 || c.worldSeed() != 9 || c.seedBudget() != 5 ||
-		c.maxAttempts() != 7 || c.maxSteps() != 11 || c.overheadScale() != 13 {
+	c = Config{Processors: 2, SeedBudget: 5, MaxAttempts: 7, OverheadScale: 13}
+	if c.processors() != 2 || c.seedBudget() != 5 ||
+		c.maxAttempts() != 7 || c.overheadScale() != 13 {
 		t.Fatal("explicit values not honored")
 	}
 }

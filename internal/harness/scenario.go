@@ -19,7 +19,6 @@ func (c Config) scenarioConfig() scenario.Config {
 		Ctx:         c.Ctx,
 		Processors:  c.Processors,
 		MaxAttempts: c.MaxAttempts,
-		MaxSteps:    c.MaxSteps,
 		Metrics:     c.Metrics,
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
@@ -93,8 +94,10 @@ func PrintE2(w io.Writer, rows []E2Row) {
 	}
 }
 
-// PrintE3 renders the log-size table.
-func PrintE3(w io.Writer, rows []E3Row) {
+// PrintE3 renders the log-size table from E2's rows: the same runs
+// measure overhead and log size. bytes/kop is sketch bytes per thousand
+// instrumented operations, the paper's log-growth-rate metric.
+func PrintE3(w io.Writer, rows []E2Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	defer tw.Flush()
 	fmt.Fprintln(tw, "app\tscheme\tsketch bytes\tinput bytes\tbytes/kop")
@@ -103,7 +106,11 @@ func PrintE3(w io.Writer, rows []E3Row) {
 			fmt.Fprintf(tw, "%s\t%s\tn/a\tn/a\tn/a\n", r.App, r.Scheme)
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.1f\n", r.App, r.Scheme, r.SketchBytes, r.InputBytes, r.BytesPerKop)
+		perKop := 0.0
+		if r.TotalOps > 0 {
+			perKop = float64(r.SketchBytes) * 1000 / float64(r.TotalOps)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.1f\n", r.App, r.Scheme, r.SketchBytes, r.InputBytes, perKop)
 	}
 }
 
@@ -161,40 +168,69 @@ func PrintE6(w io.Writer, rows []E6Row) {
 	}
 }
 
-// PrintE7 renders the overhead-reduction factors and the headline max.
-func PrintE7(w io.Writer, rows []E7Row) {
+// PrintE7 renders, from E2's rows, how many times cheaper each sketch
+// records than full RW recording on each application, and the headline
+// maximum over SYNC and SYS. Without RW rows there is nothing to divide
+// by, and it prints a one-line note instead.
+func PrintE7(w io.Writer, rows []E2Row) {
+	rw := map[string]float64{}
+	hasRW := false
+	for _, r := range rows {
+		if r.Scheme == sketch.RW {
+			rw[r.App] = r.Overhead
+			hasRW = true
+		}
+	}
+	if !hasRW {
+		fmt.Fprintln(w, "E7 divides by RW's overhead: run it with RW among -schemes")
+		return
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\tscheme\treduction vs RW")
-	best := E7Row{}
+	var best E2Row
+	bestReduction := 0.0
 	for _, r := range rows {
+		if r.Scheme == sketch.RW || r.Scheme == sketch.BASE {
+			continue
+		}
 		if r.Err != nil {
 			fmt.Fprintf(tw, "%s\t%s\tn/a\n", r.App, r.Scheme)
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.0fx\n", r.App, r.Scheme, r.Reduction)
-		if r.Reduction > best.Reduction && (r.Scheme == sketch.SYNC || r.Scheme == sketch.SYS) {
-			best = r
+		reduction := 0.0
+		if r.Overhead > 0 {
+			reduction = rw[r.App] / r.Overhead
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%.0fx\n", r.App, r.Scheme, reduction)
+		if reduction > bestReduction && (r.Scheme == sketch.SYNC || r.Scheme == sketch.SYS) {
+			best, bestReduction = r, reduction
 		}
 	}
 	tw.Flush()
 	if best.App != "" {
 		fmt.Fprintf(w, "\nheadline: %s sketching on %s records %.0fx cheaper than RW (paper: up to 4416x)\n",
-			best.Scheme, best.App, best.Reduction)
+			best.Scheme, best.App, bestReduction)
 	}
 }
 
-// PrintE8 renders the replay-cost statistics.
-func PrintE8(w io.Writer, rows []E8Row) {
+// PrintE8 renders the replay-cost statistics of E1's SYNC searches.
+// Without SYNC rows it prints a one-line note instead.
+func PrintE8(w io.Writer, rows []E1Row) {
+	rows = slices.DeleteFunc(slices.Clone(rows), func(r E1Row) bool { return r.Scheme != sketch.SYNC })
+	if len(rows) == 0 {
+		fmt.Fprintln(w, "E8 reports E1's SYNC searches: run it with SYNC among -schemes")
+		return
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	defer tw.Flush()
 	fmt.Fprintln(tw, "bug\tattempts\tflips\traces seen\tdivergences\tclean runs\treproduced")
 	for _, r := range rows {
 		if r.Err != nil {
-			fmt.Fprintf(tw, "%s\tn/a\t-\t-\t-\t-\t-\n", r.Bug)
+			fmt.Fprintf(tw, "%s\tn/a\t-\t-\t-\t-\t-\n", r.Bug.ID)
 			continue
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			r.Bug, r.Attempts, r.Flips, r.RacesSeen, r.Divergences, r.CleanRuns, r.Reproduced)
+			r.Bug.ID, r.Attempts, r.Flips, r.Stats.RacesSeen, r.Stats.Divergences, r.Stats.CleanRuns, r.Reproduced)
 	}
 }
 

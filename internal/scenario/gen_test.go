@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -137,8 +138,8 @@ func TestGenGroundTruthExhaustive(t *testing.T) {
 }
 
 // TestGenMinimize: minimization preserves the failure it is given. A
-// synthetic always-failing check (an unsatisfiable seed budget) must
-// shrink to zero noise threads.
+// synthetic always-failing check (a dead context) must shrink to zero
+// noise threads.
 func TestGenMinimize(t *testing.T) {
 	var g *Gen
 	for seed := uint64(0); g == nil; seed++ {
@@ -146,10 +147,11 @@ func TestGenMinimize(t *testing.T) {
 			g = c
 		}
 	}
-	// A one-step budget step-limits every run, so Verify fails for any
-	// program and the minimizer should strip all noise while keeping
-	// the failure.
-	min := Minimize(g, Config{MaxSteps: 1, SeedBudget: 5, FixedSeeds: 1})
+	// An already-cancelled context fails Verify for any program, so the
+	// minimizer should strip all noise while keeping the failure.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	min := Minimize(g, Config{Ctx: ctx})
 	if len(min.Noise) != 0 {
 		t.Fatalf("minimizer kept %d noise threads", len(min.Noise))
 	}

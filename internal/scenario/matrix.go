@@ -262,10 +262,10 @@ func findOutcome(prog *appkit.Program, cl Class, wantOutcome Outcome, ring *core
 		rec := core.RecordContext(cfg.ctx(), prog, core.Options{
 			Scheme:       sketch.SYNC,
 			Processors:   cfg.processors(),
-			Preempt:      cfg.preempt(),
+			Preempt:      preempt,
 			ScheduleSeed: seed,
-			WorldSeed:    cfg.worldSeed(),
-			MaxSteps:     cfg.maxSteps(),
+			WorldSeed:    worldSeed,
+			MaxSteps:     maxSteps,
 			Inject:       cl.New,
 			EpochRing:    ring,
 			Metrics:      cfg.Metrics,
@@ -279,16 +279,4 @@ func findOutcome(prog *appkit.Program, cl Class, wantOutcome Outcome, ring *core
 	}
 	return -1, nil, fmt.Errorf("scenario: %s/%s never produced %v in %d seeds",
 		prog.Name, cl.Name, wantOutcome, cfg.seedBudget())
-}
-
-// RunMatrix drives every cell — the base cross plus the epoch-ring
-// variants — sequentially (harness.RunE12 fans the same cells out to
-// its worker pool).
-func RunMatrix(cfg Config) []CellResult {
-	cells := append(Matrix(), Variants()...)
-	out := make([]CellResult, len(cells))
-	for i, c := range cells {
-		out[i] = RunCell(c, cfg)
-	}
-	return out
 }

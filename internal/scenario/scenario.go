@@ -8,7 +8,7 @@
 // syscall layer and the ssync lock acquisitions consult. Every
 // (app, class) cell of the matrix declares the outcome the pipeline
 // must be able to produce and reproduce (bug manifests, clean run,
-// crash, deadlock detected); RunMatrix drives the cells, searching
+// crash, deadlock detected); RunCell drives one cell, searching
 // production seeds for the declared outcome and then replaying the
 // recording to reproduction. Injection hooks are factories because
 // injectors keep per-thread counters: recording, every replay attempt
@@ -36,6 +36,18 @@ import (
 	"repro/internal/vsys"
 )
 
+// Every production run and replay here uses world seed 1 and this step
+// bound. Scenario programs are small, so production runs preempt at the
+// patterns sweep's loaded 0.05 rather than the corpus default, and a
+// generated program's patched variant is held clean over fixedSeeds
+// production seeds.
+const (
+	worldSeed  int64   = 1
+	maxSteps   uint64  = 300_000
+	preempt    float64 = 0.05
+	fixedSeeds         = 60
+)
+
 // Config parameterizes matrix cells and generator verification.
 type Config struct {
 	// Ctx, when non-nil, bounds every execution. Nil means no bound.
@@ -45,19 +57,8 @@ type Config struct {
 	// SeedBudget bounds the production-seed search per cell or per
 	// generated buggy variant. Default 400.
 	SeedBudget int
-	// FixedSeeds is how many production seeds the patched variant of a
-	// generated program is held clean over. Default 60.
-	FixedSeeds int
 	// MaxAttempts is the replay budget. Default 1000.
 	MaxAttempts int
-	// MaxSteps bounds each execution. Default 300000.
-	MaxSteps uint64
-	// Preempt is the production scheduler's preemption probability;
-	// scenario programs are small, so the default is the patterns
-	// sweep's loaded 0.05 rather than the corpus default.
-	Preempt float64
-	// WorldSeed seeds the virtual syscall layer. Default 1.
-	WorldSeed int64
 	// Metrics, when non-nil, receives the pres_scenario_* counters.
 	Metrics *obs.Registry
 }
@@ -83,39 +84,11 @@ func (c Config) seedBudget() int {
 	return c.SeedBudget
 }
 
-func (c Config) fixedSeeds() int {
-	if c.FixedSeeds <= 0 {
-		return 60
-	}
-	return c.FixedSeeds
-}
-
 func (c Config) maxAttempts() int {
 	if c.MaxAttempts <= 0 {
 		return 1000
 	}
 	return c.MaxAttempts
-}
-
-func (c Config) maxSteps() uint64 {
-	if c.MaxSteps == 0 {
-		return 300_000
-	}
-	return c.MaxSteps
-}
-
-func (c Config) preempt() float64 {
-	if c.Preempt == 0 {
-		return 0.05
-	}
-	return c.Preempt
-}
-
-func (c Config) worldSeed() int64 {
-	if c.WorldSeed == 0 {
-		return 1
-	}
-	return c.WorldSeed
 }
 
 // Class is one declarative failure class: a named, deterministic

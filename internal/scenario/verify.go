@@ -48,10 +48,10 @@ func Verify(g *Gen, cfg Config) VerifyResult {
 		return core.Options{
 			Scheme:       sketch.SYNC,
 			Processors:   procs,
-			Preempt:      cfg.preempt(),
+			Preempt:      preempt,
 			ScheduleSeed: seed,
-			WorldSeed:    cfg.worldSeed(),
-			MaxSteps:     cfg.maxSteps(),
+			WorldSeed:    worldSeed,
+			MaxSteps:     maxSteps,
 			FixBugs:      fix,
 			Metrics:      cfg.Metrics,
 		}
@@ -103,7 +103,7 @@ func Verify(g *Gen, cfg Config) VerifyResult {
 	// no failure at all — the template fix really is the fix, and the
 	// noise threads really are noise.
 	res.FixedClean = true
-	for seed := int64(0); seed < int64(cfg.fixedSeeds()); seed++ {
+	for seed := int64(0); seed < fixedSeeds; seed++ {
 		if err := cfg.ctx().Err(); err != nil {
 			res.Err = err
 			return res

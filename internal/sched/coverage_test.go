@@ -125,13 +125,38 @@ func TestOpDescribeVariants(t *testing.T) {
 	if !strings.Contains(named.describe(), "lock m") {
 		t.Fatal("named describe missing desc")
 	}
-	dyn := &Op{Kind: trace.KindLock, Obj: 5, Desc: "lock m", DescFn: func() string { return "held by w" }}
-	if !strings.Contains(dyn.describe(), "held by w") {
-		t.Fatal("dynamic describe missing holder")
-	}
 	var nilOp *Op
 	if nilOp.describe() != "?" {
 		t.Fatal("nil describe")
+	}
+}
+
+// TestDeadlockReportNamesHolder: a parked op whose BlockedOn names a
+// thread gets that thread's id and name appended in the deadlock
+// report, next to its own description.
+func TestDeadlockReportNamesHolder(t *testing.T) {
+	holder := trace.NoTID
+	res := Run(func(th *Thread) {
+		th.Spawn("w", func(w *Thread) {
+			w.Point(&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock m",
+				Effect: func(ctx *EffectCtx) { holder = ctx.Self().ID() }})
+			w.Point(&Op{Kind: trace.KindLock, Obj: 6, Desc: "lock n",
+				Enabled: func() bool { return false }})
+		})
+		th.Point(&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock m",
+			Enabled:   func() bool { return false },
+			BlockedOn: func() trace.TID { return holder }})
+	}, Config{Strategy: Lowest{}})
+	f := res.Failure
+	if f == nil || f.Reason != ReasonDeadlock {
+		t.Fatalf("failure = %v, want deadlock", f)
+	}
+	want := "lock m (lock obj=0x5) held by t1(w)"
+	if len(f.Stuck) != 2 || f.Stuck[0].What != want || !strings.Contains(f.Msg, want) {
+		t.Fatalf("report does not name the holder as %q:\n%s\n%+v", want, f.Msg, f.Stuck)
+	}
+	if strings.Count(f.Msg, "held by") != 1 {
+		t.Fatalf("an op without BlockedOn gained a holder: %s", f.Msg)
 	}
 }
 
@@ -139,8 +164,8 @@ func TestOrderStrategyConsumed(t *testing.T) {
 	s := &OrderStrategy{Order: []trace.TID{0, 0}}
 	v := &PickView{Candidates: []Candidate{{TID: 0, Kind: trace.KindYield}}}
 	s.Pick(v)
-	if s.Consumed() != 1 {
-		t.Fatalf("consumed = %d", s.Consumed())
+	if s.pos != 1 {
+		t.Fatalf("consumed = %d", s.pos)
 	}
 }
 

@@ -828,13 +828,14 @@ func (s *Scheduler) deadlockFailure() *Failure {
 		switch t.state {
 		case stateParked:
 			desc := t.pending.describe()
-			f.Stuck = append(f.Stuck, Stuck{TID: t.id, Name: t.name, What: desc})
-			fmt.Fprintf(&b, " t%d(%s) blocked at %s;", t.id, t.name, desc)
 			if t.pending.BlockedOn != nil {
 				if h := t.pending.BlockedOn(); h != trace.NoTID {
 					waitsFor[t.id] = h
+					desc += fmt.Sprintf(" held by t%d(%s)", h, s.threads[h].name)
 				}
 			}
+			f.Stuck = append(f.Stuck, Stuck{TID: t.id, Name: t.name, What: desc})
+			fmt.Fprintf(&b, " t%d(%s) blocked at %s;", t.id, t.name, desc)
 		case stateAsleep:
 			f.Stuck = append(f.Stuck, Stuck{TID: t.id, Name: t.name, What: "asleep (condition wait)"})
 			fmt.Fprintf(&b, " t%d(%s) asleep in wait;", t.id, t.name)

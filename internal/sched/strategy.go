@@ -297,6 +297,3 @@ func (s *OrderStrategy) ObserveStep(tid trace.TID, cost uint64) {
 		s.pos++
 	}
 }
-
-// Consumed returns how many scheduling decisions have been replayed.
-func (s *OrderStrategy) Consumed() int { return s.pos }

@@ -32,13 +32,11 @@ type Op struct {
 	Cost uint64
 	// Desc, if set, labels the op in deadlock reports.
 	Desc string
-	// DescFn, if set, supplements Desc with dynamic state (e.g., the
-	// current holder of a contended mutex) when a deadlock is reported.
-	DescFn func() string
 	// BlockedOn, if set, names the thread this op is currently waiting
 	// for (the holder of the contended resource); the deadlock detector
-	// uses it to extract waits-for cycles. Return trace.NoTID when the
-	// holder is unknown or the op is not blocked.
+	// uses it to extract waits-for cycles and to name the holder in its
+	// report. Return trace.NoTID when the holder is unknown or the op is
+	// not blocked.
 	BlockedOn func() trace.TID
 }
 
@@ -53,12 +51,8 @@ func (op *Op) describe() string {
 	if op == nil {
 		return "?"
 	}
-	desc := op.Desc
-	if op.DescFn != nil {
-		desc += " " + op.DescFn()
-	}
-	if desc != "" {
-		return fmt.Sprintf("%s (%s obj=%#x)", desc, op.Kind, op.Obj)
+	if op.Desc != "" {
+		return fmt.Sprintf("%s (%s obj=%#x)", op.Desc, op.Kind, op.Obj)
 	}
 	return fmt.Sprintf("%s obj=%#x", op.Kind, op.Obj)
 }

@@ -33,21 +33,10 @@ const (
 	FUNC
 	BB
 	RW
-	// HYBRID records the union of SYNC and SYS — an extension beyond
-	// the paper's five mechanisms: for roughly the sum of two tiny
-	// overheads it pins both the synchronization order and the
-	// system-call order, closing the gaps each leaves alone.
-	HYBRID
-	numSchemes
 )
 
-// All lists the paper's mechanisms, cheapest first (HYBRID, this
-// reproduction's extension, is excluded so the regenerated tables match
-// the paper's columns; see Extended).
+// All lists the mechanisms, cheapest first.
 func All() []Scheme { return []Scheme{BASE, SYNC, SYS, FUNC, BB, RW} }
-
-// Extended lists every mechanism including the HYBRID extension.
-func Extended() []Scheme { return append(All(), HYBRID) }
 
 // String returns the scheme's canonical upper-case name.
 func (s Scheme) String() string {
@@ -64,8 +53,6 @@ func (s Scheme) String() string {
 		return "BB"
 	case RW:
 		return "RW"
-	case HYBRID:
-		return "HYBRID"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
@@ -73,7 +60,7 @@ func (s Scheme) String() string {
 
 // Parse converts a scheme name (case-insensitive) back to a Scheme.
 func Parse(name string) (Scheme, error) {
-	for _, s := range Extended() {
+	for _, s := range All() {
 		if strings.EqualFold(s.String(), name) {
 			return s, nil
 		}
@@ -90,8 +77,6 @@ func (s Scheme) Records(k trace.Kind) bool {
 		return k.IsSync()
 	case SYS:
 		return k.IsSyscall()
-	case HYBRID:
-		return k.IsSync() || k.IsSyscall()
 	case FUNC:
 		return k == trace.KindFuncEnter || k == trace.KindFuncExit
 	case BB:
@@ -207,13 +192,4 @@ func InputEncodedSize(l *trace.InputLog) int {
 		panic(fmt.Sprintf("sketch: encode failed: %v", err))
 	}
 	return w.n
-}
-
-// Density returns recorded entries per total instrumented operation —
-// the quantity that determines each scheme's overhead.
-func Density(l *trace.SketchLog) float64 {
-	if l.TotalOps == 0 {
-		return 0
-	}
-	return float64(len(l.Entries)) / float64(l.TotalOps)
 }

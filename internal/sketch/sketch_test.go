@@ -20,8 +20,10 @@ func TestStringParseRoundTrip(t *testing.T) {
 	if _, err := Parse("sync"); err != nil {
 		t.Fatal("Parse should be case-insensitive")
 	}
-	if _, err := Parse("NOPE"); err == nil {
-		t.Fatal("Parse should reject unknown names")
+	for _, name := range []string{"NOPE", "hybrid"} {
+		if _, err := Parse(name); err == nil {
+			t.Fatalf("Parse(%q) should reject an unknown name", name)
+		}
 	}
 }
 
@@ -128,12 +130,8 @@ func TestRecorderTotalOpsAndDensity(t *testing.T) {
 	if uint64(l.Len()) > l.TotalOps {
 		t.Fatal("recorded more entries than ops")
 	}
-	d := Density(l)
-	if d <= 0 || d > 1 {
-		t.Fatalf("density = %v", d)
-	}
-	if Density(&trace.SketchLog{}) != 0 {
-		t.Fatal("empty log density should be 0")
+	if d := float64(l.Len()) / float64(l.TotalOps); d <= 0 || d > 1 {
+		t.Fatalf("density = %v entries per op", d)
 	}
 }
 
@@ -231,31 +229,5 @@ func TestInputEncodedSize(t *testing.T) {
 	l.Append(trace.InputRecord{TID: 0, Call: vsys.CallRand, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
 	if InputEncodedSize(l) <= InputEncodedSize(&trace.InputLog{}) {
 		t.Fatal("input size accounting broken")
-	}
-}
-
-func TestHybridScheme(t *testing.T) {
-	if !HYBRID.Records(trace.KindLock) || !HYBRID.Records(trace.KindSyscall) {
-		t.Fatal("HYBRID must record both sync and syscalls")
-	}
-	if HYBRID.Records(trace.KindLoad) || HYBRID.Records(trace.KindBB) {
-		t.Fatal("HYBRID must not record memory or blocks")
-	}
-	if s, err := Parse("hybrid"); err != nil || s != HYBRID {
-		t.Fatalf("Parse(hybrid) = %v, %v", s, err)
-	}
-	for _, s := range All() {
-		if s == HYBRID {
-			t.Fatal("HYBRID must not be in the paper's scheme list")
-		}
-	}
-	found := false
-	for _, s := range Extended() {
-		if s == HYBRID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("HYBRID missing from Extended()")
 	}
 }

@@ -62,7 +62,6 @@ type Mutex struct {
 	name   string
 	id     uint64
 	holder trace.TID
-	hname  string // holder thread name, for deadlock reports
 }
 
 // NewMutex returns a mutex with a stable name.
@@ -82,13 +81,9 @@ func (m *Mutex) Lock(t *sched.Thread) {
 		Kind:      trace.KindLock,
 		Obj:       m.id,
 		Desc:      "lock " + m.name,
-		DescFn:    func() string { return "held by " + m.hname },
 		Enabled:   func() bool { return m.holder == trace.NoTID },
 		BlockedOn: func() trace.TID { return m.holder },
-		Effect: func(ctx *sched.EffectCtx) {
-			m.holder = ctx.Self().ID()
-			m.hname = ctx.Self().Name()
-		},
+		Effect:    func(ctx *sched.EffectCtx) { m.holder = ctx.Self().ID() },
 	}
 	act := injectLock(t, m.id, op)
 	t.Point(op)
@@ -106,7 +101,6 @@ func (m *Mutex) TryLock(t *sched.Thread) bool {
 		Effect: func(ctx *sched.EffectCtx) {
 			if m.holder == trace.NoTID {
 				m.holder = ctx.Self().ID()
-				m.hname = ctx.Self().Name()
 				got = true
 				ctx.Ev.Arg = 1
 			}
@@ -125,7 +119,7 @@ func (m *Mutex) Unlock(t *sched.Thread) {
 		Kind:   trace.KindUnlock,
 		Obj:    m.id,
 		Desc:   "unlock " + m.name,
-		Effect: func(ctx *sched.EffectCtx) { m.holder = trace.NoTID; m.hname = "" },
+		Effect: func(ctx *sched.EffectCtx) { m.holder = trace.NoTID },
 	})
 }
 
@@ -233,7 +227,6 @@ func (c *Cond) Wait(t *sched.Thread, m *Mutex) {
 		Desc: "wait " + c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			m.holder = trace.NoTID
-			m.hname = ""
 			c.waiters = append(c.waiters, ctx.Self())
 			ctx.Sleep()
 		},
@@ -248,10 +241,7 @@ func (c *Cond) wakeOp(w *sched.Thread, m *Mutex) *sched.Op {
 		Obj:     c.id,
 		Desc:    "wake " + c.name + " reacquire " + m.name,
 		Enabled: func() bool { return m.holder == trace.NoTID },
-		Effect: func(ctx *sched.EffectCtx) {
-			m.holder = w.ID()
-			m.hname = w.Name()
-		},
+		Effect:  func(ctx *sched.EffectCtx) { m.holder = w.ID() },
 	}
 }
 

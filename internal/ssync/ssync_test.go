@@ -1,6 +1,8 @@
 package ssync
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -401,6 +403,33 @@ func TestLockInversionDeadlockDetected(t *testing.T) {
 	}
 	if len(res.Failure.Stuck) < 2 {
 		t.Fatalf("stuck = %+v, want both workers", res.Failure.Stuck)
+	}
+	// Each worker waits on the lock the other holds, and the report
+	// names that holder.
+	for _, want := range []string{
+		fmt.Sprintf("lock A (lock obj=%#x) held by t1(t1)", ID("A")),
+		fmt.Sprintf("lock B (lock obj=%#x) held by t2(t2)", ID("B")),
+	} {
+		if !strings.Contains(res.Failure.Msg, want) {
+			t.Fatalf("report lacks %q:\n%s", want, res.Failure.Msg)
+		}
+	}
+}
+
+// TestRWMutexWriterDeadlockNamesHolder: a write waiter blocked behind
+// another writer is reported with that writer's id and name.
+func TestRWMutexWriterDeadlockNamesHolder(t *testing.T) {
+	res := sched.Run(func(th *sched.Thread) {
+		m := NewRWMutex("rw")
+		m.Lock(th)
+		w := th.Spawn("w", func(ct *sched.Thread) { m.Lock(ct) })
+		th.Join(w)
+	}, sched.Config{Strategy: sched.Lowest{}})
+	if res.Failure == nil || res.Failure.Reason != sched.ReasonDeadlock {
+		t.Fatalf("failure = %v, want deadlock", res.Failure)
+	}
+	if want := fmt.Sprintf("wlock rw (lock obj=%#x) held by t0(main)", ID("rw")); !strings.Contains(res.Failure.Msg, want) {
+		t.Fatalf("report lacks %q:\n%s", want, res.Failure.Msg)
 	}
 }
 

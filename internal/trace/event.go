@@ -156,11 +156,3 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("#%d t%d/%d %s obj=%#x arg=%d", e.Seq, e.TID, e.TCount, e.Kind, e.Obj, e.Arg)
 }
-
-// Conflicts reports whether two memory events race: same address,
-// different threads, at least one write.
-func Conflicts(a, b Event) bool {
-	return a.Kind.IsMemory() && b.Kind.IsMemory() &&
-		a.TID != b.TID && a.Obj == b.Obj &&
-		(a.Kind.IsWrite() || b.Kind.IsWrite())
-}

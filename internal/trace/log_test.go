@@ -49,31 +49,6 @@ func TestKindClassification(t *testing.T) {
 	}
 }
 
-func TestConflicts(t *testing.T) {
-	w1 := Event{TID: 1, Kind: KindStore, Obj: 0x10}
-	r2 := Event{TID: 2, Kind: KindLoad, Obj: 0x10}
-	r3 := Event{TID: 3, Kind: KindLoad, Obj: 0x10}
-	wOther := Event{TID: 2, Kind: KindStore, Obj: 0x20}
-	sameT := Event{TID: 1, Kind: KindLoad, Obj: 0x10}
-	lock := Event{TID: 2, Kind: KindLock, Obj: 0x10}
-
-	if !Conflicts(w1, r2) || !Conflicts(r2, w1) {
-		t.Error("write/read same addr different threads should conflict")
-	}
-	if Conflicts(r2, r3) {
-		t.Error("read/read should not conflict")
-	}
-	if Conflicts(w1, wOther) {
-		t.Error("different addresses should not conflict")
-	}
-	if Conflicts(w1, sameT) {
-		t.Error("same thread should not conflict")
-	}
-	if Conflicts(w1, lock) {
-		t.Error("non-memory op should not conflict")
-	}
-}
-
 func TestSketchRoundTrip(t *testing.T) {
 	l := &SketchLog{Scheme: "SYNC", TotalOps: 12345, Records: 77}
 	l.Append(Event{TID: 0, Kind: KindLock, Obj: 7})

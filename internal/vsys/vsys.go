@@ -97,7 +97,8 @@ type World struct {
 
 	clock uint64
 	draws uint64 // random values drawn: the snapshot's stream position
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // built on the first draw; nil until then
 	fs    map[string]*file
 	qs    map[string]*Queue
 }
@@ -105,15 +106,20 @@ type World struct {
 // NewWorld returns a live-mode world whose random source uses seed.
 func NewWorld(seed int64) *World {
 	return &World{
-		rng: rand.New(rand.NewSource(seed)),
-		fs:  make(map[string]*file),
-		qs:  make(map[string]*Queue),
+		seed: seed,
+		fs:   make(map[string]*file),
+		qs:   make(map[string]*Queue),
 	}
 }
 
 // randU64 draws from the world's random source, counting draws so a
-// snapshot can record the stream position.
+// snapshot can record the stream position. The source (several KB of
+// generator state) is built on the first draw: a replay world whose
+// input log never runs dry draws nothing, so it never pays for one.
 func (w *World) randU64() uint64 {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.seed))
+	}
 	w.draws++
 	return w.rng.Uint64()
 }

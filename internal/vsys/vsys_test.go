@@ -2,6 +2,8 @@ package vsys
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -252,6 +254,37 @@ func TestReplayPerThreadStreams(t *testing.T) {
 				t.Fatalf("thread %d input %d mismatch", i, j)
 			}
 		}
+	}
+}
+
+// TestLazySourceDrawsAsEager pins the lazy random source: a world
+// whose source is built on the first draw yields the same values as one
+// whose source exists from the start, including when live draws begin
+// only after a replay log runs dry, and a world that never draws never
+// builds one.
+func TestLazySourceDrawsAsEager(t *testing.T) {
+	const seed = 42
+	eager := rand.New(rand.NewSource(seed))
+	var want []uint64
+	for i := 0; i < 8; i++ {
+		want = append(want, eager.Uint64())
+	}
+	log := &trace.InputLog{}
+	var got []uint64
+	var idle *World
+	runL(t, func(th *sched.Thread) {
+		idle = NewWorld(seed)
+		w := NewWorld(seed)
+		w.StartReplay(log) // empty log: every draw falls back to the source
+		for i := 0; i < len(want); i++ {
+			got = append(got, w.Rand(th))
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("lazy draws %v, want the eager source's %v", got, want)
+	}
+	if idle.rng != nil {
+		t.Fatal("a world that never drew built its random source")
 	}
 }
 
