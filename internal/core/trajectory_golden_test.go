@@ -17,7 +17,7 @@ import (
 	"repro/internal/sketch"
 )
 
-var updateTrajectory = flag.Bool("update", false, "rewrite testdata/search_trajectory.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata")
 
 // TestSearchTrajectoryGolden pins the sequential search, attempt for
 // attempt, over the corpus: for each bug, the first three buggy SYNC
@@ -81,12 +81,18 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 		}
 	}
 
-	path := trajectoryGoldenPath
-	if *updateTrajectory {
+	checkGolden(t, trajectoryGoldenPath, got.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, line by line,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -95,8 +101,8 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl := strings.Split(got.String(), "\n")
+	if !bytes.Equal(got, want) {
+		gl := strings.Split(string(got), "\n")
 		wl := strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) || i < len(wl); i++ {
 			var g, w string
@@ -110,7 +116,7 @@ func TestSearchTrajectoryGolden(t *testing.T) {
 				t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
 			}
 		}
-		t.Fatal("search trajectory drifted from testdata/search_trajectory.golden")
+		t.Fatalf("output drifted from %s", path)
 	}
 }
 
