@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 
 ## check: the full gate — build everything, lint (gofmt + vet), verify
 ## the metric docs and the experiment tables are in sync, test under -race (including the
-## fast-path equivalence properties in internal/sched and internal/core
+## production-schedule and search-trajectory goldens in internal/core
 ## and the concurrent-recording gate TestRecordConcurrentRaceClean),
 ## stress the search engine, run the failure-injection matrix and
 ## generator sweep, give every fuzz target a short budget (which
@@ -78,8 +78,8 @@ fuzz-short:
 ## overhead pairs (SchedulingPointMetricsOff/On, ReplaySearchMetricsOff/On)
 ## that back OBSERVABILITY.md's disabled-means-free claim, the
 ## wire-format/harness-pool benches (BenchmarkEncodeSketch*,
-## BenchmarkHarnessMatrix*), and the grant-loop trio
-## (BenchmarkSchedulingPoint/SingleStep/Batch) with the zero-alloc
+## BenchmarkHarnessMatrix*), and the grant-loop pair
+## (BenchmarkSchedulingPoint/Batch) with the zero-alloc
 ## gates of the grant loop, the replay director's pick and the race
 ## detector's memory access (TestSchedGrantLoopAllocFree,
 ## TestDirectorPickAllocFree, TestDetectorAccessAllocFree) and the

@@ -12,7 +12,8 @@
 // (presrun -epoch-steps/-epoch-ring/-checkpoint-every) that carries a
 // checkpoint starts every attempt at the newest one, which needs the
 // recording's schedule seed (-seed) to re-execute the prefix
-// deterministically; a ring that evicted its head without one is
+// deterministically, so such a recording without -seed is a usage
+// error (exit 2); a ring that evicted its head without one is
 // replayed with its retained window as a soft guide.
 package main
 
@@ -85,6 +86,14 @@ func main() {
 		fmt.Printf("epochs: %d retained (+%d evicted), %d checkpoints, window=%d entries\n",
 			len(ring.Epochs), ring.Evicted, len(ring.Checkpoints), ring.WindowLen())
 		if cp, ok := ring.LastCheckpoint(); ok {
+			if !flagSet("seed") {
+				// Without the recording's schedule seed the prefix would
+				// re-execute under seed 0 and every attempt would diverge
+				// at the checkpoint.
+				log.Print("the recording carries a checkpoint, so replaying it needs the recording's schedule seed: " +
+					"pass -seed, as in presrun's \"replay with: presreplay ...\" line")
+				os.Exit(2)
+			}
 			fmt.Printf("replaying from checkpoint at epoch %d (step %d, %d inputs consumed)\n",
 				cp.Epoch, cp.Step, cp.InputIndex)
 		}
@@ -139,9 +148,9 @@ func main() {
 	}
 	fmt.Printf("reproduced in %d attempts (%d race flips): %v\n", res.Attempts, res.Flips, res.Failure)
 	if res.Stats.Steps > 0 {
-		fmt.Printf("  scheduler: %d steps, %d handoffs (%.3f/step), %d fast-path steps\n",
+		fmt.Printf("  scheduler: %d steps, %d handoffs (%.3f/step)\n",
 			res.Stats.Steps, res.Stats.Handoffs,
-			float64(res.Stats.Handoffs)/float64(res.Stats.Steps), res.Stats.FastPathSteps)
+			float64(res.Stats.Handoffs)/float64(res.Stats.Steps))
 	}
 	if *prefixSnaps {
 		st := res.Stats
@@ -174,4 +183,11 @@ func main() {
 	}
 
 	o.Exit(0)
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }

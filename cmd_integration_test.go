@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -87,6 +88,23 @@ func TestCommandLineWorkflow(t *testing.T) {
 	out = run("presreplay", "-app", "mysqld", "-bug", "mysql-169", "-seed", seed, ringFile)
 	if !strings.Contains(out, "reproduced in") || !strings.Contains(out, "re-reproduced") {
 		t.Fatalf("presreplay of a headless ring:\n%s", out)
+	}
+
+	// A checkpointed recording re-executes its prefix under the
+	// recording's schedule seed, so without -seed presreplay refuses
+	// with a usage error naming the flag instead of diverging on every
+	// attempt; with the printed seed it reproduces.
+	cpFile := filepath.Join(dir, "cp.pres")
+	out = run("presrun", "-bug", "mysql-169", "-epoch-steps", "32", "-epoch-ring", "2", "-checkpoint-every", "1", "-o", cpFile)
+	seed = flagValue(t, out, "-seed")
+	noSeed, err := exec.Command(bins["presreplay"], "-app", "mysqld", "-bug", "mysql-169", cpFile).CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 || !strings.Contains(string(noSeed), "-seed") {
+		t.Fatalf("presreplay of a checkpointed recording without -seed: err=%v, want exit 2 naming -seed:\n%s", err, noSeed)
+	}
+	out = run("presreplay", "-app", "mysqld", "-bug", "mysql-169", "-seed", seed, cpFile)
+	if !strings.Contains(out, "replaying from checkpoint") || !strings.Contains(out, "reproduced in") {
+		t.Fatalf("presreplay of a checkpointed recording:\n%s", out)
 	}
 
 	out = run("presbench", "-exp", "e9", "-json", "-seed-budget", "500")

@@ -129,15 +129,11 @@ func (fs flipSet) id() string {
 // remaining freedom with a deterministic (or seeded-random, for the
 // no-feedback ablation) policy, and detects divergence from the sketch.
 //
-// The director deliberately implements no sched.RunGranter: a directed
-// attempt runs on budget-1 grants so every scheduling point — in
-// particular every point near a flip's hold window — is a fresh pick
-// where a hold can engage or release. Granting a multi-point run to a
-// thread that reaches a flip point mid-run would commit past the very
-// interleaving the flip exists to force. Declared batches still arrive
-// as candidates with Run > 1; the director simply never consumes the
-// declaration, so batch points stay individually interleavable under
-// replay.
+// The scheduler asks for a pick at every scheduling point, so every
+// point near a flip's hold window is one where a hold can engage or
+// release. Declared batches arrive as candidates with Run > 1; the
+// director never consumes the declaration, so batch points stay
+// individually interleavable under replay.
 type director struct {
 	scheme  sketch.Scheme
 	entries []trace.SketchEntry

@@ -43,12 +43,10 @@ type attemptOutcome struct {
 	consumed int
 	note     string
 	wall     time.Duration
-	// steps, handoffs and fastSteps are the execution's scheduler
-	// counters (sched.Result): committed points, strategy handoffs and
-	// fast-path grants.
-	steps     uint64
-	handoffs  uint64
-	fastSteps uint64
+	// steps and handoffs are the execution's scheduler counters
+	// (sched.Result): committed points and thread handoffs.
+	steps    uint64
+	handoffs uint64
 	// Prefix-snapshot accounting (snapshot.go): restored marks an
 	// attempt that resumed from a parent snapshot, ffSteps its forced
 	// fast-forward prefix length, snapMiss a probe that found no usable
@@ -69,13 +67,8 @@ const cancelNone = int64(^uint64(0) >> 1)
 // cancellableStrategy wraps an attempt's strategy with a poll of the
 // search-wide first-success index: once some earlier-canonical attempt
 // has reproduced, later in-flight attempts abort at their next
-// scheduling point instead of running to completion.
-//
-// The wrapper deliberately does not forward sched.RunGranter: even if
-// an inner strategy declared run budgets, a wrapped attempt must fall
-// back to budget-1 grants so the cancellation poll runs between every
-// two points. The director never grants budgets anyway (see its doc),
-// so nothing is lost.
+// scheduling point instead of running to completion. The scheduler
+// picks at every point, so the poll runs between every two points.
 type cancellableStrategy struct {
 	inner  sched.Strategy
 	idx    int64
@@ -210,7 +203,7 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	out := attemptOutcome{
 		races: det.Pairs(), horizon: dir.exhaustStep, consumed: dir.k,
 		note:  dir.divergeNote,
-		steps: res.Steps, handoffs: res.Handoffs, fastSteps: res.FastPathSteps,
+		steps: res.Steps, handoffs: res.Handoffs,
 	}
 	if out.horizon == 0 {
 		out.horizon = res.Steps
@@ -445,7 +438,6 @@ func (s *searchState) fold(j *searchJob) bool {
 	r.Attempts++
 	r.Stats.Steps += j.out.steps
 	r.Stats.Handoffs += j.out.handoffs
-	r.Stats.FastPathSteps += j.out.fastSteps
 	if s.snaps != nil {
 		if j.out.restored {
 			r.Stats.SnapshotHits++

@@ -18,10 +18,10 @@ import (
 // boundary's *identity* (committed-event count, sketch/input positions,
 // an event-stream digest) plus the virtual world's snapshot and digest.
 // Replay re-establishes the boundary by deterministically re-executing
-// the prefix under the production strategy (cheap: no enforcement, no
-// detection bookkeeping in the way of the grant fast path is required
-// for correctness — the production schedule is a pure function of the
-// recorded seeds) and validating both digests at the switch point; see
+// the prefix under the production strategy (cheap: no enforcement and
+// no race detection is required for correctness — the production
+// schedule is a pure function of the recorded seeds) and validating
+// both digests at the switch point; see
 // prefixStrategy in prefix.go. Replay never reads the world snapshot
 // back, only its digest.
 
@@ -88,9 +88,6 @@ func newEpochRecorder(scheme sketch.Scheme, world *vsys.World, inputs *trace.Inp
 		digest:          trace.NewDigest(),
 	}
 }
-
-// OnRunStart implements sched.RunObserver, forwarding the reservation.
-func (r *epochRecorder) OnRunStart(n int) { r.inner.OnRunStart(n) }
 
 // OnEvent implements sched.Observer: the inner recorder appends and
 // prices the event; on top, the epoch recorder counts committed events

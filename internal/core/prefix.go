@@ -75,27 +75,6 @@ func (p *prefixStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
 	return p.dir.Pick(view)
 }
 
-// RunBudget implements sched.RunGranter: during the prefix it forwards
-// the source's run budget (no decision is being made, so multi-step
-// runs are free fidelity-wise), clamped so a run never crosses the
-// boundary. Past the boundary the director's budget-1 invariant rules
-// (see its doc).
-func (p *prefixStrategy) RunBudget(view *sched.PickView, tid trace.TID) int {
-	g, ok := p.prefix.(sched.RunGranter)
-	if !ok || p.steps >= p.boundary {
-		return 1
-	}
-	return int(min(uint64(g.RunBudget(view, tid)), p.boundary-p.steps))
-}
-
-// ObserveStep implements sched.RunGranter, forwarding the prefix's run
-// steps to the source's own accounting.
-func (p *prefixStrategy) ObserveStep(tid trace.TID, cost uint64) {
-	if g, ok := p.prefix.(sched.RunGranter); ok && p.steps < p.boundary {
-		g.ObserveStep(tid, cost)
-	}
-}
-
 // OnEvent implements sched.Observer, folding the prefix's committed
 // events into the digest the boundary check compares.
 func (p *prefixStrategy) OnEvent(ev trace.Event) uint64 {

@@ -37,12 +37,6 @@ type Options struct {
 	MaxSteps uint64
 	// FixBugs runs the programs' patched code paths (see appkit.Env).
 	FixBugs bool
-	// SingleStep disables the scheduler's run-grant fast path: every
-	// scheduling point is a separate strategy pick and handoff, with no
-	// state reuse (sched.Config.SingleStep). The reference mode the
-	// fast-path equivalence properties compare against; production use
-	// leaves it false.
-	SingleStep bool
 	// EpochRing, when non-nil, selects epoch-segmented recording: the
 	// sketch is sealed into fixed-length epochs kept in a bounded ring
 	// with periodic checkpoints (see EpochRingOptions). The recorded
@@ -230,11 +224,10 @@ func ReadRecording(rd io.Reader, opts Options) (*Recording, error) {
 }
 
 // execute runs prog once with a fresh world in the given vsys mode. It
-// is the single point where the scheduler-mode knob (SingleStep)
-// reaches the substrate, so recording, replay attempts and order
-// reproduction all honor it uniformly.
+// is the single point where Options' failure injection reaches the
+// substrate, so recording, replay attempts and order reproduction all
+// honor it uniformly.
 func execute(prog *appkit.Program, opts Options, cfg sched.Config, world *vsys.World) *sched.Result {
-	cfg.SingleStep = opts.SingleStep
 	var inj sched.InjectFn
 	if opts.Inject != nil {
 		// One fresh hook per execution: per-thread injector state never

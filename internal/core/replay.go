@@ -129,13 +129,11 @@ type ReplayStats struct {
 	RacesSeen     int // distinct race pairs observed across attempts
 	FlipsEnqueued int // feedback children pushed
 	FrontierDried bool
-	// Steps, Handoffs and FastPathSteps total the executed attempts'
-	// scheduler counters (sched.Result): committed points, strategy
-	// handoffs, and grants committed on the run-grant fast path.
+	// Steps and Handoffs total the executed attempts' scheduler
+	// counters (sched.Result): committed points and thread handoffs.
 	// Handoffs/Steps is the search's handoff amortization.
-	Steps         uint64
-	Handoffs      uint64
-	FastPathSteps uint64
+	Steps    uint64
+	Handoffs uint64
 	// Prefix-snapshot accounting (PrefixSnapshots on): attempts restored
 	// from / denied a parent snapshot, snapshots captured and evicted,
 	// bytes written into the snapshot cache, and the total steps the

@@ -24,8 +24,7 @@ import (
 //
 // A snapshot keeps no world state, only digests: resuming is
 // re-execution (prefix.go). The prefix strategy forces the parent's
-// captured grant order — under multi-step run budgets, since no
-// decision is being made — and validates the event and world digests
+// captured grant order and validates the event and world digests
 // at the boundary before handing the schedule to the director. What
 // resuming actually saves is everything *around* the raw execution:
 // the director's per-pick sketch/flip bookkeeping collapses to forced

@@ -47,53 +47,33 @@ func expectedSeals(evs []trace.Event) []int {
 
 // TestEpochSealsAtControlTransfers: an EpochObserver is sealed exactly
 // at control transfers (never inside a same-thread run, however many
-// grants it spans) plus once at end of execution — in both the fast
-// path and the single-step reference mode, with identical sequences.
+// grants it spans) plus once at end of execution.
 func TestEpochSealsAtControlTransfers(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
-		fast := &epochObserver{}
+		o := &epochObserver{}
 		Run(batchWorkload(3, 5), Config{
-			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{fast}})
-		slow := &epochObserver{}
-		Run(batchWorkload(3, 5), Config{
-			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{slow}, SingleStep: true})
-		if len(fast.seals) == 0 {
+			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{o}})
+		if len(o.seals) == 0 {
 			t.Fatalf("%s: no epoch seals on a multi-threaded run", label)
 		}
-		if want := expectedSeals(fast.evs); !reflect.DeepEqual(fast.seals, want) {
-			t.Fatalf("%s: fast-path seals at %v, want %v (one per control transfer + final)",
-				label, fast.seals, want)
-		}
-		if !reflect.DeepEqual(fast.seals, slow.seals) {
-			t.Fatalf("%s: seal sequences diverge between modes:\nfast:        %v\nsingle-step: %v",
-				label, fast.seals, slow.seals)
-		}
-		if !reflect.DeepEqual(fast.evs, slow.evs) {
-			t.Fatalf("%s: event streams diverge", label)
+		if want := expectedSeals(o.evs); !reflect.DeepEqual(o.seals, want) {
+			t.Fatalf("%s: seals at %v, want %v (one per control transfer + final)",
+				label, o.seals, want)
 		}
 	}
 }
 
 // TestEpochSealCostAccounting: OnEpochSeal's returned cost lands in
-// Result.ExtraCost, identically in both modes.
+// Result.ExtraCost.
 func TestEpochSealCostAccounting(t *testing.T) {
-	run := func(single bool) (*Result, *epochObserver) {
-		o := &epochObserver{sealCost: 7}
-		res := Run(batchWorkload(2, 4), Config{
-			Strategy: NewRandomMP(2, 0.1, 3), Observers: []Observer{o}, SingleStep: single})
-		return res, o
-	}
+	o := &epochObserver{sealCost: 7}
+	res := Run(batchWorkload(2, 4), Config{
+		Strategy: NewRandomMP(2, 0.1, 3), Observers: []Observer{o}})
 	base := Run(batchWorkload(2, 4), Config{Strategy: NewRandomMP(2, 0.1, 3)})
-	fastRes, fastObs := run(false)
-	slowRes, slowObs := run(true)
-	wantExtra := base.ExtraCost + 7*uint64(len(fastObs.seals))
-	if fastRes.ExtraCost != wantExtra {
-		t.Fatalf("fast ExtraCost = %d, want %d (base %d + 7 x %d seals)",
-			fastRes.ExtraCost, wantExtra, base.ExtraCost, len(fastObs.seals))
-	}
-	if slowRes.ExtraCost != fastRes.ExtraCost || len(slowObs.seals) != len(fastObs.seals) {
-		t.Fatalf("modes disagree: fast %d cost/%d seals, single-step %d cost/%d seals",
-			fastRes.ExtraCost, len(fastObs.seals), slowRes.ExtraCost, len(slowObs.seals))
+	wantExtra := base.ExtraCost + 7*uint64(len(o.seals))
+	if res.ExtraCost != wantExtra {
+		t.Fatalf("ExtraCost = %d, want %d (base %d + 7 x %d seals)",
+			res.ExtraCost, wantExtra, base.ExtraCost, len(o.seals))
 	}
 }

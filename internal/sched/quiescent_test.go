@@ -32,49 +32,24 @@ func (o *quiObserver) OnQuiescent(step uint64) {
 
 // TestQuiescentTapsPrecedePicks: OnQuiescent fires at the top of every
 // scheduling round — after all threads have parked, before the strategy
-// picks — carrying exactly the committed-prefix length. Taps therefore
-// start at 0 (before the first pick) and strictly increase (every round
-// commits at least one event). In single-step mode every round commits
-// exactly one event, so the tap sequence is precisely 0..n-1.
+// picks — carrying exactly the committed-prefix length. Every round
+// commits exactly one event, batch ops included, so the tap sequence is
+// precisely 0..n-1.
 func TestQuiescentTapsPrecedePicks(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
-		fast := &quiObserver{}
+		o := &quiObserver{}
 		Run(batchWorkload(3, 5), Config{
-			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{fast}})
-		slow := &quiObserver{}
-		Run(batchWorkload(3, 5), Config{
-			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{slow}, SingleStep: true})
-		for _, o := range []*quiObserver{fast, slow} {
-			if len(o.bad) > 0 {
-				t.Fatalf("%s: taps ran ahead of the commit stream: %v", label, o.bad)
-			}
-			if len(o.taps) == 0 || o.taps[0] != 0 {
-				t.Fatalf("%s: first tap %v, want a step-0 tap before the first pick", label, o.taps)
-			}
-			for i := 1; i < len(o.taps); i++ {
-				if o.taps[i] <= o.taps[i-1] {
-					t.Fatalf("%s: taps not strictly increasing: %v", label, o.taps)
-				}
-			}
+			Strategy: NewRandomMP(2, 0.1, seed), Observers: []Observer{o}})
+		if len(o.bad) > 0 {
+			t.Fatalf("%s: taps ran ahead of the commit stream: %v", label, o.bad)
 		}
-		if !reflect.DeepEqual(fast.evs, slow.evs) {
-			t.Fatalf("%s: event streams diverge between modes", label)
+		if len(o.taps) != len(o.evs) {
+			t.Fatalf("%s: %d taps for %d events, want one per event", label, len(o.taps), len(o.evs))
 		}
-		for i, tap := range slow.taps {
+		for i, tap := range o.taps {
 			if tap != uint64(i) {
-				t.Fatalf("%s: single-step taps %v, want exactly one per event", label, slow.taps)
-			}
-		}
-		// Fast-path rounds may commit multi-event runs, so its taps are a
-		// subset of the single-step sequence — never new values.
-		seen := make(map[uint64]bool, len(slow.taps))
-		for _, tap := range slow.taps {
-			seen[tap] = true
-		}
-		for _, tap := range fast.taps {
-			if !seen[tap] {
-				t.Fatalf("%s: fast-path tap %d is not a round boundary of the stream", label, tap)
+				t.Fatalf("%s: taps %v, want 0..%d", label, o.taps, len(o.evs)-1)
 			}
 		}
 	}

@@ -35,15 +35,13 @@ func (Lowest) Pick(view *PickView) (trace.TID, bool) {
 // threads in. Given the same seed and program, the schedule is fully
 // deterministic.
 //
-// RandomMP implements RunGranter: when the picked thread has declared a
-// straight-line batch (Candidate.Run > 1) the whole batch is granted as
-// one run — a batch models uninterrupted straight-line execution on one
-// processor, during which no cross-CPU scheduling event can land anyway.
-// Each op of the run is charged exactly the virtual time (speed x
-// per-op jitter) a sequence of single-step picks would have charged, and
-// no dispatch/preemption rolls happen mid-run, so fast-path and
-// single-step modes consume identical rng streams and commit identical
-// schedules. All bookkeeping is indexed by dense TID.
+// When a full pick round chooses a thread that has declared a
+// straight-line batch (Candidate.Run > 1), the following picks run the
+// rest of the batch — a batch models uninterrupted straight-line
+// execution on one processor, during which no cross-CPU scheduling
+// event can land anyway. Each of those picks charges the op's virtual
+// time (speed x per-op jitter) and makes no dispatch or preemption
+// roll. All bookkeeping is indexed by dense TID.
 type RandomMP struct {
 	P       int     // processor count (>=1)
 	Preempt float64 // per-point preemption probability, e.g. 0.02
@@ -61,10 +59,9 @@ type RandomMP struct {
 	running []Candidate
 	waiting []Candidate
 
-	// Run continuation: set when a full pick round grants a batch run.
-	// In fast-path mode the scheduler drains it through ObserveStep; in
-	// single-step mode Pick itself drains it, charging each op without
-	// fresh dispatch rolls — the same draws either way.
+	// Run continuation: set when a full pick round picks a batch; the
+	// next picks drain it, charging each op without fresh dispatch
+	// rolls.
 	runTID  trace.TID
 	runLeft int
 }
@@ -95,7 +92,7 @@ func (s *RandomMP) grow(tid trace.TID) {
 // charge advances tid's virtual time by one op of the given cost: the
 // thread's per-run speed factor (drawn on first use) times ±15% per-op
 // jitter. This is the only rng consumption during a run, shared by the
-// full pick round, the single-step continuation branch and ObserveStep.
+// full pick round and the run continuation.
 func (s *RandomMP) charge(tid trace.TID, cost uint64) {
 	sp := s.speed[tid]
 	if sp == 0 {
@@ -118,9 +115,8 @@ func (s *RandomMP) Pick(view *PickView) (trace.TID, bool) {
 		s.grow(view.Candidates[n-1].TID) // candidates are TID-sorted
 	}
 
-	// Run continuation (single-step mode): the previous full round
-	// granted a batch run; keep charging its ops without fresh dispatch
-	// or preemption rolls, exactly as ObserveStep does on the fast path.
+	// Run continuation: the previous full round picked a batch; keep
+	// charging its ops without fresh dispatch or preemption rolls.
 	if s.runLeft > 0 {
 		if c, ok := view.Find(s.runTID); ok {
 			s.runLeft--
@@ -209,24 +205,6 @@ func (s *RandomMP) Pick(view *PickView) (trace.TID, bool) {
 	return choice.TID, true
 }
 
-// RunBudget implements RunGranter: the picked thread's declared batch is
-// granted whole (Pick just primed the continuation from Candidate.Run).
-func (s *RandomMP) RunBudget(view *PickView, tid trace.TID) int {
-	if tid == s.runTID && s.runLeft > 0 {
-		return 1 + s.runLeft
-	}
-	return 1
-}
-
-// ObserveStep implements RunGranter: charge one run op's virtual time,
-// mirroring the single-step continuation branch of Pick draw for draw.
-func (s *RandomMP) ObserveStep(tid trace.TID, cost uint64) {
-	if s.runLeft > 0 {
-		s.runLeft--
-	}
-	s.charge(tid, cost)
-}
-
 // wakeLatency bounds the randomized dispatch delay (in cost units, see
 // trace.CostUnit) a thread pays when it rejoins a processor — roughly a
 // microsecond-scale kernel wakeup against ten-nanosecond-scale accesses.
@@ -256,12 +234,6 @@ func (s *RandomMP) maxVT(cs []Candidate) int {
 // recorded thread is not runnable at its turn the run diverges — with a
 // faithful full order this never happens, which is the paper's
 // "reproduce every time" property.
-//
-// OrderStrategy implements RunGranter: a stretch of consecutive
-// same-thread entries in the recorded order is by definition an
-// uninterrupted run, so it is granted whole and the cursor advances
-// through ObserveStep. Full-order reproduction therefore gets the fast
-// path for free without any loss of fidelity.
 type OrderStrategy struct {
 	Order []trace.TID
 	pos   int
@@ -278,22 +250,4 @@ func (s *OrderStrategy) Pick(view *PickView) (trace.TID, bool) {
 	}
 	s.pos++
 	return tid, true
-}
-
-// RunBudget implements RunGranter: the run extends over the recorded
-// order's consecutive entries for tid following the one Pick consumed.
-func (s *OrderStrategy) RunBudget(view *PickView, tid trace.TID) int {
-	n := 1
-	for i := s.pos; i < len(s.Order) && s.Order[i] == tid; i++ {
-		n++
-	}
-	return n
-}
-
-// ObserveStep implements RunGranter: advance the cursor over the run
-// entry the scheduler is about to commit.
-func (s *OrderStrategy) ObserveStep(tid trace.TID, cost uint64) {
-	if s.pos < len(s.Order) && s.Order[s.pos] == tid {
-		s.pos++
-	}
 }

@@ -18,9 +18,13 @@ type Op struct {
 	// acquire is enabled iff the mutex is free). nil means always.
 	//
 	// Enabled must read only simulation state mutated inside op effects
-	// (plus a target thread's done-state, as Join does): the scheduler's
-	// tight single-candidate loop relies on enabledness being unable to
-	// change while no effect runs and no thread exits.
+	// (plus a target thread's done-state, as Join does). The scheduler
+	// evaluates it when it builds each pick's view, with every thread
+	// parked, so under this contract enabledness changes only at a
+	// commit or an exit: the candidate set is a function of the
+	// committed prefix, and an order replay, a prefix re-execution and
+	// a directed attempt that reach the same step see the same
+	// candidates.
 	Enabled func() bool
 	// Effect applies the op at grant time. It may adjust the committed
 	// event via ctx.Ev (e.g., record the loaded value in Arg), put the
@@ -163,9 +167,9 @@ func (t *Thread) Point(op *Op) {
 // operations and returns after the last one has been committed. Each op
 // is a real scheduling point — it is separately granted (or withheld)
 // by the scheduler, appears as its own committed event, and a strategy
-// with run budget 1 can interleave other threads between any two batch
-// ops — but the whole batch costs a single announce/grant channel
-// round-trip instead of one per op.
+// can interleave other threads between any two batch ops — but the
+// whole batch costs a single announce/grant channel round-trip instead
+// of one per op.
 //
 // Batch ops must be unconditional (nil Enabled): a batch is a
 // declaration that the thread will perform these ops back to back with
@@ -173,17 +177,12 @@ func (t *Thread) Point(op *Op) {
 // without handing control back. Effects are allowed (loads, stores,
 // spawns); only the final op may Sleep. Intended for effect-light
 // straight-line code such as the compute loops in fft/lu/radix/barnes.
-//
-// Under Config.NoBatch the batch decomposes into sequential Point
-// calls — the measurement baseline with one handoff per op.
 func (t *Thread) PointBatch(ops ...*Op) {
-	if len(ops) == 0 {
+	switch len(ops) {
+	case 0:
 		return
-	}
-	if len(ops) == 1 || t.s.cfg.NoBatch {
-		for _, op := range ops {
-			t.Point(op)
-		}
+	case 1:
+		t.Point(ops[0])
 		return
 	}
 	for _, op := range ops {

@@ -147,11 +147,6 @@ func (r *Recorder) Scheme() Scheme { return r.scheme }
 // Log returns the sketch log accumulated so far.
 func (r *Recorder) Log() *trace.SketchLog { return r.log }
 
-// OnRunStart implements sched.RunObserver: a granted multi-step run
-// will append at most n entries, so the log reserves them up front and
-// the per-commit Append never reallocates mid-run.
-func (r *Recorder) OnRunStart(n int) { r.log.Reserve(n) }
-
 // OnEvent implements sched.Observer: it logs sketch-relevant events and
 // charges the record cost against the run.
 func (r *Recorder) OnEvent(ev trace.Event) uint64 {

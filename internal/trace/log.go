@@ -49,24 +49,6 @@ func (l *SketchLog) Append(ev Event) {
 	l.Entries = append(l.Entries, EntryOf(ev))
 }
 
-// Reserve grows the entry slice for n upcoming appends, so a granted
-// scheduler run's worth of sketch points costs at most one allocation
-// (the sched.RunObserver batching hook). Growth never falls below
-// append's doubling, so interleaved Reserve/Append stays amortized.
-func (l *SketchLog) Reserve(n int) {
-	need := len(l.Entries) + n
-	if n <= 0 || cap(l.Entries) >= need {
-		return
-	}
-	newCap := 2 * cap(l.Entries)
-	if newCap < need {
-		newCap = need
-	}
-	grown := make([]SketchEntry, len(l.Entries), newCap)
-	copy(grown, l.Entries)
-	l.Entries = grown
-}
-
 // Len returns the number of recorded sketch points.
 func (l *SketchLog) Len() int { return len(l.Entries) }
 

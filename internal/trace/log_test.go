@@ -283,32 +283,3 @@ func TestSketchEntryString(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 }
-
-func TestSketchLogReserve(t *testing.T) {
-	l := &SketchLog{}
-	l.Reserve(-1)
-	l.Reserve(0)
-	if cap(l.Entries) != 0 {
-		t.Fatalf("no-op reserves allocated capacity %d", cap(l.Entries))
-	}
-	l.Reserve(4)
-	c := cap(l.Entries)
-	if c < 4 {
-		t.Fatalf("Reserve(4) left capacity %d", c)
-	}
-	for i := 0; i < 4; i++ {
-		l.Append(Event{TID: 1, Kind: KindLoad, Obj: uint64(i)})
-	}
-	if cap(l.Entries) != c {
-		t.Fatal("Append reallocated inside a reserved run")
-	}
-	if l.Len() != 4 || l.Entries[3].Obj != 3 {
-		t.Fatalf("reserved log lost appends: %v", l.Entries)
-	}
-	// A full log's next reserve at least doubles, so interleaved
-	// Reserve(1)/Append stays amortized like plain append.
-	l.Reserve(1)
-	if cap(l.Entries) < 2*c {
-		t.Fatalf("Reserve(1) over a full log grew only to %d (had %d)", cap(l.Entries), c)
-	}
-}

@@ -30,21 +30,6 @@ func BenchmarkSchedulingPoint(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulingPointSingleStep is the same loop under the legacy
-// one-pick-one-step reference mode with per-step allocations — the
-// "before" side of the fast-path comparison.
-func BenchmarkSchedulingPointSingleStep(b *testing.B) {
-	b.ReportAllocs()
-	res := sched.Run(func(th *sched.Thread) {
-		for i := 0; i < b.N; i++ {
-			th.Yield()
-		}
-	}, sched.Config{Strategy: sched.Lowest{}, MaxSteps: uint64(b.N) + 10, SingleStep: true})
-	if res.Failure != nil {
-		b.Fatal(res.Failure)
-	}
-}
-
 // BenchmarkSchedulingPointBatch measures throughput of declared
 // straight-line batches: four ops per announce/grant round-trip.
 func BenchmarkSchedulingPointBatch(b *testing.B) {
@@ -76,14 +61,13 @@ func (c *countObserver) OnEvent(ev trace.Event) uint64 {
 	return 0
 }
 
-// TestSchedGrantLoopAllocFree is the allocation gate for the grant fast
-// path: a run of ~9k scheduling points (yields through the tight
-// single-candidate loop plus pre-declared batches, with an observer
-// fanning out every event) must stay within a small fixed allocation
-// budget — per-step allocations are zero; only per-run setup (thread,
-// channels, goroutine) remains. The legacy single-step mode allocates a
-// view, candidate slice, and effect context per step and would exceed
-// this bound by orders of magnitude.
+// TestSchedGrantLoopAllocFree is the allocation gate for the grant
+// loop: a run of ~9k scheduling points (yields plus pre-declared
+// batches, with an observer fanning out every event) must stay within
+// a small fixed allocation budget — per-step allocations are zero; only
+// per-run setup (thread, channels, goroutine) remains. A loop that
+// allocated a view, candidate slice or effect context per step would
+// exceed this bound by orders of magnitude.
 func TestSchedGrantLoopAllocFree(t *testing.T) {
 	const yields, batches = 5000, 1000
 	batch := []*sched.Op{
