@@ -47,7 +47,7 @@ stress:
 	$(GO) test -race -count=2 ./internal/exec/...
 	$(GO) test -race -count=2 ./internal/core/...
 	$(GO) test -race -count=2 -run 'TestPool|TestJobs|TestMetricsDeterministic' ./internal/harness/...
-	$(GO) test -race -count=2 -run 'TestProp|TestRunCancellation' ./internal/sched/...
+	$(GO) test -race -count=2 -run 'TestProp|TestRunCancellation|TestRunLeavesNoGoroutine' ./internal/sched/...
 
 ## scenarios: the failure-injection matrix (every app x failure class
 ## driven to its declared outcome and replayed to reproduction) plus a

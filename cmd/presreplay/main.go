@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -137,10 +138,14 @@ func main() {
 
 	res := repro.ReplayContext(ctx, prog, rec, ropts)
 	if !res.Reproduced {
-		if res.Err != nil {
+		switch {
+		case errors.Is(res.Err, repro.ErrCheckpointMismatch):
+			fmt.Printf("search stopped after %d attempts: %v (%+v)\n", res.Attempts, res.Err, res.Stats)
+			fmt.Printf("advice: %s\n", repro.Advise(rec, res))
+		case res.Err != nil:
 			fmt.Printf("search interrupted (%v) after %d committed attempts (%+v)\n",
 				res.Err, res.Attempts, res.Stats)
-		} else {
+		default:
 			fmt.Printf("NOT reproduced within %d attempts (%+v)\n", res.Attempts, res.Stats)
 			fmt.Printf("advice: %s\n", repro.Advise(rec, res))
 		}

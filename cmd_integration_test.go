@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,6 +106,19 @@ func TestCommandLineWorkflow(t *testing.T) {
 	out = run("presreplay", "-app", "mysqld", "-bug", "mysql-169", "-seed", seed, cpFile)
 	if !strings.Contains(out, "replaying from checkpoint") || !strings.Contains(out, "reproduced in") {
 		t.Fatalf("presreplay of a checkpointed recording:\n%s", out)
+	}
+	// Under a wrong seed every attempt would miss the checkpoint, so the
+	// search stops after one and the advice names -seed.
+	wrong, err := strconv.Atoi(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongSeed, err := exec.Command(bins["presreplay"], "-app", "mysqld", "-bug", "mysql-169",
+		"-seed", strconv.Itoa(wrong+1), cpFile).CombinedOutput()
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 ||
+		!strings.Contains(string(wrongSeed), "search stopped after 1 attempts") ||
+		!strings.Contains(string(wrongSeed), "advice:") || !strings.Contains(string(wrongSeed), "-seed") {
+		t.Fatalf("presreplay of a checkpointed recording under a wrong seed: err=%v, want exit 1 after one attempt naming -seed:\n%s", err, wrongSeed)
 	}
 
 	out = run("presbench", "-exp", "e9", "-json", "-seed-budget", "500")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sketch"
@@ -15,6 +16,13 @@ import (
 func Advise(rec *Recording, res *ReplayResult) string {
 	if res.Reproduced {
 		return "reproduced; no advice needed"
+	}
+	if errors.Is(res.Err, ErrCheckpointMismatch) {
+		return fmt.Sprintf(
+			"re-executing the prefix under schedule seed %d missed the recording's checkpoint, so every attempt "+
+				"would: replay with the production run's -seed (presrun prints it on its \"replay with:\" line) and "+
+				"its -procs, -scale and -world-seed; Recording.Validate cannot catch this, since the recording "+
+				"does not store the seed", rec.Options.ScheduleSeed)
 	}
 	total := res.Stats.Divergences + res.Stats.CleanRuns + res.Stats.OtherFailures
 	if total == 0 {

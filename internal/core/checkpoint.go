@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/vsys"
@@ -34,7 +36,8 @@ import (
 // the validated boundary the director enforces the retained sketch
 // window strictly from its first entry. A checkpoint that fails the
 // check ends the attempt diverged; there is no fallback to another
-// start.
+// start, and since every attempt would fail it alike, it ends the
+// search (ErrCheckpointMismatch).
 //
 // The prefix runs with the world in Live mode, not Replay mode: the
 // production world seed regenerates every recorded input
@@ -52,6 +55,15 @@ import (
 // points and sketch enforcement are confined to the window after the
 // checkpoint, so search depth is bounded by the flip candidates of the
 // retained epochs, not the whole execution.
+
+// ErrCheckpointMismatch is ReplayResult.Err for a search that stopped
+// after its first attempt because re-executing the recording's prefix
+// did not arrive at its checkpoint. Every attempt re-executes that
+// prefix under the same options, so none could. The usual cause is a
+// schedule seed (Options.ScheduleSeed) other than the production
+// run's, which Recording.Validate cannot catch: the recording does not
+// store it.
+var ErrCheckpointMismatch = errors.New("checkpoint boundary mismatch: the prefix re-execution does not arrive at the recording's checkpoint")
 
 // activeCheckpoint returns the checkpoint replay attempts start from:
 // the recording's newest retained one, if it carries any.

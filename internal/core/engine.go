@@ -43,6 +43,10 @@ type attemptOutcome struct {
 	consumed int
 	note     string
 	wall     time.Duration
+	// cpMismatch marks an attempt whose re-execution of the
+	// recording's checkpoint prefix missed the checkpoint; every
+	// attempt re-executes that prefix alike (ErrCheckpointMismatch).
+	cpMismatch bool
 	// steps and handoffs are the execution's scheduler counters
 	// (sched.Result): committed points and thread handoffs.
 	steps    uint64
@@ -226,9 +230,11 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 		out.ffSteps = ps.boundary
 	}
 	if ps != nil && ps.mismatch {
-		out.note = "checkpoint boundary mismatch: recording and prefix re-execution disagree"
 		if out.restored {
 			out.note = "snapshot boundary mismatch: parent prefix and forced re-execution disagree"
+		} else {
+			out.note = "checkpoint boundary mismatch: recording and prefix re-execution disagree"
+			out.cpMismatch = true
 		}
 	}
 	if sn != nil {
@@ -311,6 +317,9 @@ type searchState struct {
 	// free holds the buffer sets committed attempts handed back;
 	// Dispatch lends one to every job (see Commit for which come back).
 	free []*attemptBufs
+	// stopErr is why fold ended the search without a reproduction
+	// (ErrCheckpointMismatch), nil while the search runs its budget.
+	stopErr error
 }
 
 // directedSlot reports whether canonical attempt idx pops the directed
@@ -414,7 +423,8 @@ func (s *searchState) Run(ctx context.Context, idx int, job any) {
 // one with a snapshot plan, whose captured snapshots alias its order
 // slice. A job that never commits (the search ended first) keeps its
 // buffers too. Returning false on a reproduction stops the pool: the
-// first success in canonical order wins.
+// first success in canonical order wins; a checkpoint mismatch stops it
+// too (fold).
 func (s *searchState) Commit(idx int, job any) bool {
 	j := job.(*searchJob)
 	more := s.fold(j)
@@ -429,7 +439,7 @@ func (s *searchState) snapshotted(j *searchJob) bool { return s.snaps != nil && 
 
 // fold folds one attempt into the result: observability, stats, and —
 // for failed directed attempts — feedback children into the frontier.
-// It reports false on a reproduction.
+// It reports false on a reproduction or a checkpoint mismatch.
 func (s *searchState) fold(j *searchJob) bool {
 	if j.directed {
 		s.directedLive--
@@ -484,6 +494,12 @@ func (s *searchState) fold(j *searchJob) bool {
 		r.Stats.CleanRuns++
 	default:
 		r.Stats.OtherFailures++
+	}
+	if j.out.cpMismatch {
+		// Every attempt re-executes the same checkpoint prefix under
+		// the same options, so every later one would miss it too.
+		s.stopErr = ErrCheckpointMismatch
+		return false
 	}
 	if j.out.cancelled {
 		// A truncated execution's races and horizon describe a run that

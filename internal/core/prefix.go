@@ -6,7 +6,7 @@ import (
 	"repro/internal/vsys"
 )
 
-// Restore is re-execution. Threads are goroutines and cannot be
+// Restore is re-execution. Threads are coroutines and cannot be
 // serialized, so an attempt never loads saved state: it reaches a
 // point in an execution by forcing a known prefix schedule for exactly
 // that many committed events, then checks that it arrived where the

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,9 +91,10 @@ func TestCheckpointBoundaryMismatch(t *testing.T) {
 }
 
 // TestCheckpointMismatchSearch: a whole search over a recording whose
-// newest checkpoint lies ends as an exhausted search — not reproduced,
-// no error, every attempt a counted divergence, no fallback to another
-// start.
+// newest checkpoint lies stops after its first attempt — not
+// reproduced, that attempt a counted divergence, Err
+// ErrCheckpointMismatch — with no fallback to another start: every
+// attempt would re-execute the same prefix and miss the same boundary.
 func TestCheckpointMismatchSearch(t *testing.T) {
 	rec := checkpointedRecording(t)
 	prog, _ := apps.ProgramForBug("mysql-169")
@@ -98,11 +102,11 @@ func TestCheckpointMismatchSearch(t *testing.T) {
 	res := Replay(prog, bad, ReplayOptions{
 		Feedback: true, MaxAttempts: 20, Oracle: MatchBugID("mysql-169"),
 	})
-	if res.Reproduced || res.Err != nil {
-		t.Fatalf("Reproduced=%v Err=%v, want false, nil", res.Reproduced, res.Err)
+	if res.Reproduced || !errors.Is(res.Err, ErrCheckpointMismatch) {
+		t.Fatalf("Reproduced=%v Err=%v, want false, ErrCheckpointMismatch", res.Reproduced, res.Err)
 	}
-	if res.Attempts == 0 || res.Stats.Divergences != res.Attempts {
-		t.Fatalf("%d of %d attempts counted as divergences", res.Stats.Divergences, res.Attempts)
+	if res.Attempts != 1 || res.Stats.Divergences != 1 {
+		t.Fatalf("%d of %d attempts counted as divergences, want 1 of 1", res.Stats.Divergences, res.Attempts)
 	}
 }
 
@@ -149,5 +153,56 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 			}
 			requireMismatch(t, out, snapshotMismatch)
 		})
+	}
+}
+
+// TestCheckpointMismatchStopsSearch: a checkpointed recording replayed
+// under a schedule seed other than the production run's re-executes the
+// same wrong prefix in every attempt, so the search stops after its
+// first attempt with ErrCheckpointMismatch instead of spending its
+// budget, at every Workers count, and Advise names the seed. The
+// recording is presrun's mysql-169 ring (-epoch-steps 32 -epoch-ring 2
+// -checkpoint-every 1), read back with the wrong seed as presreplay
+// would.
+func TestCheckpointMismatchStopsSearch(t *testing.T) {
+	prog, _ := apps.ProgramForBug("mysql-169")
+	var rec *Recording
+	for seed := int64(0); seed < 400 && rec == nil; seed++ {
+		r := Record(prog, Options{
+			Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: seed, WorldSeed: 1,
+			EpochRing: &EpochRingOptions{Steps: 32, Size: 2, CheckpointEvery: 1},
+		})
+		if f := r.BugFailure(); f != nil && f.BugID == "mysql-169" && len(r.Epochs.Checkpoints) > 0 {
+			rec = r
+		}
+	}
+	if rec == nil {
+		t.Fatal("mysql-169: no buggy checkpointed ring recording in 400 seeds")
+	}
+	var buf bytes.Buffer
+	if err := rec.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wrong := rec.Options
+	wrong.ScheduleSeed++
+	back, err := ReadRecording(&buf, wrong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("recording under the wrong seed failed validation: %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		res := Replay(prog, back, ReplayOptions{Feedback: true, Oracle: MatchBugID("mysql-169"), Workers: workers})
+		if res.Reproduced || !errors.Is(res.Err, ErrCheckpointMismatch) {
+			t.Fatalf("workers %d: reproduced=%v err=%v, want ErrCheckpointMismatch", workers, res.Reproduced, res.Err)
+		}
+		if res.Attempts != 1 || res.Stats.Divergences != 1 {
+			t.Fatalf("workers %d: %d attempts (%+v), want the search stopped after 1", workers, res.Attempts, res.Stats)
+		}
+		want := fmt.Sprintf("schedule seed %d", wrong.ScheduleSeed)
+		if adv := Advise(back, res); !strings.Contains(adv, want) || !strings.Contains(adv, "-seed") {
+			t.Fatalf("workers %d: advice %q does not name the seed", workers, adv)
+		}
 	}
 }

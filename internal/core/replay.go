@@ -161,9 +161,11 @@ type ReplayResult struct {
 	// success came from a probabilistic attempt or needed no flips.
 	RootCauses []race.Pair
 	Stats      ReplayStats
-	// Err distinguishes an interrupted search from an exhausted one:
-	// context.Canceled or context.DeadlineExceeded when the search's
-	// context ended before the budget did, nil otherwise. A search that
+	// Err distinguishes a search that stopped early from an exhausted
+	// one: context.Canceled or context.DeadlineExceeded when the
+	// search's context ended before the budget did,
+	// ErrCheckpointMismatch when the first attempt could not re-execute
+	// the recording's checkpoint prefix, nil otherwise. A search that
 	// reproduced reports Err == nil even if cancellation raced its
 	// shutdown — a success is a success. Attempts and Stats always
 	// describe the committed canonical prefix.
@@ -224,6 +226,9 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 		Active:    active,
 		Occupancy: occ,
 	}, s)
+	if s.stopErr != nil {
+		err = s.stopErr
+	}
 	if err == nil {
 		// The pool can finish its last dispatched indices while the
 		// context expires; the search was still cut short.

@@ -183,7 +183,7 @@ func TestGenStress(t *testing.T) {
 			t.Fatalf("seed %d: empty sketch", seed)
 		}
 	}
-	// Every execution joins its thread goroutines before Run returns;
+	// Every execution ends its threads' coroutines before Run returns;
 	// give the runtime a moment to retire the last exits.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

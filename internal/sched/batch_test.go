@@ -151,9 +151,9 @@ func TestPointBatchSavesHandoffs(t *testing.T) {
 
 // TestRunCancellationUnwindsMidBatchCleanly: cancellation lands at the
 // next pick, which may fall between two ops of a declared batch; the
-// thread — still blocked in PointBatch — must unwind cleanly through the
-// stop channel, with the batch cut right after the op whose effect
-// cancelled.
+// thread — still suspended in PointBatch — must unwind cleanly when its
+// coroutine is stopped, with the batch cut right after the op whose
+// effect cancelled.
 func TestRunCancellationUnwindsMidBatchCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

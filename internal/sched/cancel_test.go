@@ -8,7 +8,7 @@ import (
 func TestRunContextCancelMidRun(t *testing.T) {
 	// Cancelling the config context mid-run fails the execution with
 	// ReasonCancelled at the next grant point — never a bug, and the
-	// scheduler still drains every thread goroutine (Run returning
+	// scheduler still stops every thread's coroutine (Run returning
 	// proves shutdown completed).
 	ctx, cancel := context.WithCancel(context.Background())
 	steps := 0

@@ -64,8 +64,8 @@ type InjectAction struct {
 }
 
 // InjectFn decides the environment's behavior at one fault site. It is
-// called on the performing thread's goroutine before the operation is
-// announced, so it may keep per-thread deterministic state.
+// called by the performing thread before the operation is yielded to
+// the scheduler, so it may keep per-thread deterministic state.
 type InjectFn func(tid trace.TID, p InjectPoint) InjectAction
 
 // Inject consults the execution's failure-injection hook for a fault

@@ -1,19 +1,23 @@
 // Package sched implements the deterministic multiprocessor execution
 // substrate that stands in for PRES's control over real OS threads.
 //
-// Application threads are goroutines, but they never run concurrently:
-// every instrumented operation (memory access, synchronization op,
-// system call, function entry, basic-block boundary) is a scheduling
-// point at which the thread parks with a pending operation, and a
-// central scheduler picks which parked thread proceeds next. The total
-// grant order is the execution's global order; strategies (package-level
-// RandomMP for production runs, replay-directed strategies in
-// internal/core) choose the order, and observers (sketch recorders, race
-// detectors, full-order capture) watch it.
+// Application threads are coroutines (iter.Pull) driven by the
+// scheduler loop, which runs on Run's caller goroutine. Every
+// instrumented operation (memory access, synchronization op, system
+// call, function entry, basic-block boundary) is a scheduling point at
+// which the thread yields its pending operation back to the loop, and
+// the loop picks which parked thread proceeds next and resumes it. The
+// total grant order is the execution's global order; strategies
+// (package-level RandomMP for production runs, replay-directed
+// strategies in internal/core) choose the order, and observers (sketch
+// recorders, race detectors, full-order capture) watch it.
 //
-// Because exactly one application thread executes at any moment and all
-// simulation state is mutated either inside operation effects (run on
-// the scheduler goroutine) or between two scheduling points of the
+// A resume is a direct coroutine switch: the loop and exactly one
+// thread take turns on the CPU, and the runtime's goroutine scheduler
+// never runs in between (race-instrumented builds swap in a goroutine
+// handoff with the same semantics, see coro_race.go). Because exactly one of them executes at any
+// moment, and all simulation state is mutated either inside operation
+// effects (run by the loop) or between two scheduling points of the
 // running thread, the host program is free of data races without any
 // host-level locking.
 //
@@ -22,9 +26,9 @@
 // Every committed step is one Pick over a freshly built candidate view
 // (see INTERNALS.md, "The grant protocol"). What the scheduler amortizes
 // is the thread handoff: a thread can pre-declare a straight-line batch
-// of ops (Thread.PointBatch) that commits under one channel handoff
-// instead of one round-trip per op, each op still a step of its own
-// that the strategy picks (or withholds) like any other.
+// of ops (Thread.PointBatch) that commits under one resume instead of
+// one per op, each op still a step of its own that the strategy picks
+// (or withholds) like any other.
 package sched
 
 import (
@@ -178,9 +182,11 @@ type Result struct {
 	ExtraCost    uint64   // logical cost added by observers (recording)
 	Threads      int      // threads created over the lifetime
 	EventsByKind [trace.NumKinds]uint64
-	// Handoffs counts scheduler->thread channel grants. Every batch op
-	// but the last commits without one, so Handoffs <= Steps; the gap
-	// is the amortization PointBatch buys.
+	// Handoffs counts the resumes that hand control back to a thread
+	// after one of its ops committed (a thread's first resume, which
+	// starts it, is not one). Every batch op but the last commits
+	// without one, so Handoffs <= Steps; the gap is the amortization
+	// PointBatch buys.
 	Handoffs uint64
 }
 
@@ -202,22 +208,18 @@ const (
 	stateDone
 )
 
+// announcement is what a thread yields at a scheduling point.
 type announcement struct {
-	t      *Thread
-	op     *Op
-	run    []*Op // declared batch (PointBatch); op == run[0] when set
-	exited bool
-	fail   *Failure
+	op  *Op
+	run []*Op // declared batch (PointBatch); op == run[0] when set
 }
 
 // Scheduler coordinates one execution. Create with Run.
 type Scheduler struct {
 	cfg      Config
-	announce chan announcement
-	stopC    chan struct{}
 	threads  []*Thread // dense by TID; creation order == TID order
 	nextTID  trace.TID
-	inflight int // threads that will announce before the next pick
+	runq     []*Thread // threads to resume before the next pick
 	live     int
 	step     uint64
 	failure  *Failure
@@ -257,11 +259,7 @@ func Run(root func(*Thread), cfg Config) *Result {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	s := &Scheduler{
-		cfg:      cfg,
-		announce: make(chan announcement),
-		stopC:    make(chan struct{}),
-	}
+	s := &Scheduler{cfg: cfg}
 	for _, o := range cfg.Observers {
 		if eo, ok := o.(EpochObserver); ok {
 			s.epochObs = append(s.epochObs, eo)
@@ -281,9 +279,7 @@ func Run(root func(*Thread), cfg Config) *Result {
 	if cfg.Ctx != nil {
 		s.ctxDone = cfg.Ctx.Done()
 	}
-	t0 := s.addThread("main", trace.NoTID)
-	s.inflight = 1
-	go s.runThread(t0, root)
+	s.spawn(s.addThread("main", trace.NoTID), root)
 	s.loop()
 	// Final epoch: the open epoch ends with the execution (shutdown and
 	// failure paths included, so the sealed epochs always cover the
@@ -293,9 +289,12 @@ func Run(root func(*Thread), cfg Config) *Result {
 			s.res.ExtraCost += o.OnEpochSeal()
 		}
 	}
-	s.res.Failure = s.failure
-	s.res.Steps = s.step
-	return &s.res
+	// A copy, not &s.res: a held *Result must not keep the scheduler,
+	// its threads and through them the program's heap reachable.
+	res := s.res
+	res.Failure = s.failure
+	res.Steps = s.step
+	return &res
 }
 
 func (s *Scheduler) addThread(name string, parent trace.TID) *Thread {
@@ -304,7 +303,6 @@ func (s *Scheduler) addThread(name string, parent trace.TID) *Thread {
 		name:   name,
 		parent: parent,
 		s:      s,
-		grant:  make(chan struct{}),
 		state:  stateRunning,
 	}
 	t.yieldOp.Kind = trace.KindYield
@@ -316,58 +314,66 @@ func (s *Scheduler) addThread(name string, parent trace.TID) *Thread {
 	return t
 }
 
-// runThread is the goroutine wrapper for one application thread.
+// runThread is the coroutine body of one application thread. The
+// failure it ends with, if any, fails the run unless an earlier one did;
+// a thread unwound by shutdown did not fail.
 func (s *Scheduler) runThread(t *Thread, fn func(*Thread)) {
-	var fail *Failure
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if f, ok := r.(*Failure); ok {
-				fail = f
-				return
-			}
+	defer func() {
+		r := recover()
+		if r == nil || s.failure != nil {
+			return
+		}
+		f, ok := r.(*Failure)
+		if !ok {
 			// A non-Failure panic is an application crash: treat it as
 			// a manifested failure so the harness can observe it.
-			fail = &Failure{
+			f = &Failure{
 				Reason: ReasonCrash,
 				TID:    t.id,
 				Step:   s.step,
 				Msg:    fmt.Sprint(r),
 			}
-		}()
-		t.Point(&Op{Kind: trace.KindThreadStart, Obj: uint64(uint32(t.parent))})
-		fn(t)
-		t.Point(&Op{Kind: trace.KindThreadExit})
+		}
+		if f.Reason != reasonStopped {
+			s.failure = f
+		}
 	}()
-	if fail != nil && fail.Reason == reasonStopped {
-		fail = nil // unwound during shutdown, not a real failure
-	}
-	s.announce <- announcement{t: t, exited: true, fail: fail}
+	t.Point(&Op{Kind: trace.KindThreadStart, Obj: uint64(uint32(t.parent))})
+	fn(t)
+	t.Point(&Op{Kind: trace.KindThreadExit})
 }
 
-// park records a non-exit announcement: the thread is at a point with a
-// pending op (and possibly a declared batch behind it).
-func (s *Scheduler) park(a announcement) {
-	a.t.pending = a.op
-	a.t.batch = a.run
-	a.t.batchPos = 1
-	a.t.state = stateParked
+// spawn makes fn the body of t's coroutine and queues t, so the loop
+// starts it before the next pick.
+func (s *Scheduler) spawn(t *Thread, fn func(*Thread)) {
+	t.next, t.stop = pull(func(yield func(announcement) bool) {
+		t.yield = yield
+		s.runThread(t, fn)
+	})
+	s.runq = append(s.runq, t)
+}
+
+// resume runs t until it parks at its next point or exits.
+func (s *Scheduler) resume(t *Thread) {
+	a, ok := t.next()
+	if !ok {
+		s.handleExit(t)
+		return
+	}
+	t.pending = a.op
+	t.batch = a.run
+	t.batchPos = 1
+	t.state = stateParked
 }
 
 func (s *Scheduler) loop() {
 	for {
-		// Wait until no thread is executing user code.
-		for s.inflight > 0 {
-			a := <-s.announce
-			s.inflight--
-			if a.exited {
-				s.handleExit(a)
-			} else {
-				s.park(a)
-			}
+		// Run every granted or spawned thread to its next point, so
+		// that no thread is executing user code at the pick.
+		for len(s.runq) > 0 {
+			t := s.runq[len(s.runq)-1]
+			s.runq = s.runq[:len(s.runq)-1]
+			s.resume(t)
 		}
 		if s.failure != nil || s.live == 0 {
 			s.shutdown()
@@ -507,7 +513,7 @@ func advanceBatch(t *Thread) bool {
 
 // grant commits t's pending op as one step, then either stages the
 // next op of t's declared batch as pending — no handoff; it waits,
-// parked, for the next pick — or hands control back to the thread.
+// parked, for the next pick — or queues the thread to be resumed.
 func (s *Scheduler) grant(t *Thread) {
 	s.commit(t)
 	if s.sleepReq {
@@ -516,38 +522,35 @@ func (s *Scheduler) grant(t *Thread) {
 		}
 		t.batch = nil
 		t.state = stateAsleep
-		return // thread stays blocked in Point; no announcement coming
+		return // thread stays suspended in Point; not resumed
 	}
 	if advanceBatch(t) {
 		return
 	}
 	s.res.Handoffs++
 	s.mHandoffs.Inc()
-	s.inflight++
-	t.grant <- struct{}{}
+	s.runq = append(s.runq, t)
 }
 
-func (s *Scheduler) handleExit(a announcement) {
-	a.t.state = stateDone
+// handleExit retires an exited thread. It drops the thread's coroutine
+// handles, which reach the thread's closure and through it the
+// program's heap.
+func (s *Scheduler) handleExit(t *Thread) {
+	t.state = stateDone
+	t.yield, t.next, t.stop = nil, nil, nil
 	s.live--
-	if a.fail != nil && s.failure == nil {
-		s.failure = a.fail
-	}
 }
 
-// shutdown unwinds every remaining thread: parked and asleep threads are
-// woken through the stop channel and panic out of Point; we drain their
-// exit announcements so no goroutine leaks.
+// shutdown unwinds every remaining thread: stop makes a parked or
+// asleep thread's pending yield return false, so it panics out of
+// Point and its coroutine returns; a spawned thread that never ran
+// returns without starting. No goroutine outlives the run.
 func (s *Scheduler) shutdown() {
-	close(s.stopC)
-	for s.live > 0 {
-		a := <-s.announce
-		if a.exited {
-			s.handleExit(a)
+	for _, t := range s.threads {
+		if t.state != stateDone {
+			t.stop()
+			s.handleExit(t)
 		}
-		// Non-exit announcements during shutdown come from threads that
-		// were mid-Point when stop closed; they will observe stopC on
-		// their select and exit next. Nothing to do.
 	}
 }
 

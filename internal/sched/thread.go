@@ -8,8 +8,8 @@ import (
 
 // Op describes one instrumented operation a thread is about to perform.
 // The scheduler evaluates Enabled each round; when the op is granted,
-// Effect runs on the scheduler goroutine (with every other thread
-// parked) and may mutate any simulation state.
+// Effect runs in the scheduler loop (with every thread parked) and may
+// mutate any simulation state.
 type Op struct {
 	Kind trace.Kind
 	Obj  uint64
@@ -95,29 +95,34 @@ func (c *EffectCtx) WakeWith(t *Thread, op *Op) {
 // to the child id.
 func (c *EffectCtx) Spawn(name string, fn func(*Thread)) *Thread {
 	child := c.s.addThread(name, c.t.id)
-	child.state = stateRunning
-	c.s.inflight++
 	c.Ev.Arg = uint64(uint32(child.id))
-	go c.s.runThread(child, fn)
+	c.s.spawn(child, fn)
 	return child
 }
 
 // Now returns the current global step count.
 func (c *EffectCtx) Now() uint64 { return c.s.step }
 
-// Thread is one simulated application thread. All methods must be called
-// from the thread's own goroutine (they park the caller at scheduling
-// points).
+// Thread is one simulated application thread, run as a coroutine of
+// the scheduler loop. All methods must be called from the thread's own
+// function — the fn given to Run or Spawn and what it calls — because
+// they suspend the caller at scheduling points.
 type Thread struct {
 	id     trace.TID
 	name   string
 	parent trace.TID
 	s      *Scheduler
-	grant  chan struct{}
 
-	// The fields below are owned by the scheduler goroutine while the
-	// thread is parked and by the thread while running; the announce and
-	// grant channel handshakes order every transfer.
+	// The thread's coroutine (coro.go): yield suspends it at a point,
+	// next resumes it, stop unwinds it. All three are nil once the
+	// thread has exited.
+	yield func(announcement) bool
+	next  func() (announcement, bool)
+	stop  func()
+
+	// The fields below are written by the loop while the thread is
+	// suspended and by the thread while it runs; only one of the two
+	// runs at a time, and each resume and yield orders the transfer.
 	pending *Op
 	state   threadState
 	tcount  uint64
@@ -155,10 +160,14 @@ func (t *Thread) Point(op *Op) {
 	if op.Kind == trace.KindInvalid {
 		panic("sched: Point with invalid kind")
 	}
-	t.s.announce <- announcement{t: t, op: op}
-	select {
-	case <-t.grant:
-	case <-t.s.stopC:
+	t.park(announcement{op: op})
+}
+
+// park yields a to the scheduler loop and returns when the loop resumes
+// the thread. If the run is shutting down, the yield returns false and
+// park unwinds the thread with the internal stop panic.
+func (t *Thread) park(a announcement) {
+	if !t.yield(a) {
 		panic(&Failure{Reason: reasonStopped})
 	}
 }
@@ -168,8 +177,7 @@ func (t *Thread) Point(op *Op) {
 // is a real scheduling point — it is separately granted (or withheld)
 // by the scheduler, appears as its own committed event, and a strategy
 // can interleave other threads between any two batch ops — but the
-// whole batch costs a single announce/grant channel round-trip instead
-// of one per op.
+// whole batch costs a single yield and resume instead of one per op.
 //
 // Batch ops must be unconditional (nil Enabled): a batch is a
 // declaration that the thread will perform these ops back to back with
@@ -193,12 +201,7 @@ func (t *Thread) PointBatch(ops ...*Op) {
 			panic("sched: PointBatch op with an Enabled gate (batches must be unconditional)")
 		}
 	}
-	t.s.announce <- announcement{t: t, op: ops[0], run: ops}
-	select {
-	case <-t.grant:
-	case <-t.s.stopC:
-		panic(&Failure{Reason: reasonStopped})
-	}
+	t.park(announcement{op: ops[0], run: ops})
 }
 
 // Yield parks the thread at a pure scheduling point with no effect.

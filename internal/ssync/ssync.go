@@ -8,10 +8,10 @@
 // the object id in the event stream, so the id is identical across the
 // production run and every replay attempt regardless of interleaving.
 //
-// All state mutation happens inside operation effects (scheduler
-// goroutine) or in the calling thread between scheduling points; the
-// channel handshakes in package sched order every access, so no host
-// locking is needed or used.
+// All state mutation happens inside operation effects (in the
+// scheduler loop) or in the calling thread between scheduling points;
+// package sched resumes one thread at a time and each yield and resume
+// orders every access, so no host locking is needed or used.
 package ssync
 
 import (
@@ -50,7 +50,7 @@ func injectLock(t *sched.Thread, obj uint64, op *sched.Op) sched.InjectAction {
 	return act
 }
 
-// finishLock completes an injected acquisition on the thread goroutine.
+// finishLock completes an injected acquisition in the calling thread.
 func finishLock(act sched.InjectAction, what string) {
 	if act.Outcome == sched.InjectPanic {
 		panic("injected fault: " + what)

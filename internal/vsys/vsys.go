@@ -221,7 +221,7 @@ func inject(t *sched.Thread, call uint64, op *sched.Op) sched.InjectAction {
 	return act
 }
 
-// finish completes an injected call on the thread goroutine: the panic
+// finish completes an injected call in the calling thread: the panic
 // outcome fires here, after the operation's scheduling point, so the
 // run ends with an application crash (sched.ReasonCrash) exactly as a
 // fault-triggered panic in a real handler would.

@@ -17,7 +17,8 @@ import (
 // appends.
 
 // BenchmarkSchedulingPoint measures the substrate's event throughput:
-// the announce/grant handshake plus bookkeeping per instrumented op.
+// one yield and resume of the same thread's coroutine, plus the pick
+// and commit bookkeeping, per instrumented op.
 func BenchmarkSchedulingPoint(b *testing.B) {
 	b.ReportAllocs()
 	res := sched.Run(func(th *sched.Thread) {
@@ -30,8 +31,42 @@ func BenchmarkSchedulingPoint(b *testing.B) {
 	}
 }
 
+// switcher is a strategy that never grants the same thread twice in a
+// row while another is runnable.
+type switcher struct{ last trace.TID }
+
+func (s *switcher) Pick(view *sched.PickView) (trace.TID, bool) {
+	tid := view.Candidates[0].TID
+	if tid == s.last && len(view.Candidates) > 1 {
+		tid = view.Candidates[1].TID
+	}
+	s.last = tid
+	return tid, true
+}
+
+// BenchmarkSchedulingSwitch measures a real thread switch: two threads
+// yield in alternation, so every step suspends one thread's coroutine
+// and resumes the other's. One op is one step.
+func BenchmarkSchedulingSwitch(b *testing.B) {
+	b.ReportAllocs()
+	half := b.N/2 + 1
+	body := func(th *sched.Thread) {
+		for i := 0; i < half; i++ {
+			th.Yield()
+		}
+	}
+	res := sched.Run(func(th *sched.Thread) {
+		other := th.Spawn("other", body)
+		body(th)
+		th.Join(other)
+	}, sched.Config{Strategy: &switcher{last: trace.NoTID}, MaxSteps: uint64(b.N) + 20})
+	if res.Failure != nil {
+		b.Fatal(res.Failure)
+	}
+}
+
 // BenchmarkSchedulingPointBatch measures throughput of declared
-// straight-line batches: four ops per announce/grant round-trip.
+// straight-line batches: four ops per yield and resume.
 func BenchmarkSchedulingPointBatch(b *testing.B) {
 	b.ReportAllocs()
 	batch := []*sched.Op{
@@ -65,7 +100,7 @@ func (c *countObserver) OnEvent(ev trace.Event) uint64 {
 // loop: a run of ~9k scheduling points (yields plus pre-declared
 // batches, with an observer fanning out every event) must stay within
 // a small fixed allocation budget — per-step allocations are zero; only
-// per-run setup (thread, channels, goroutine) remains. A loop that
+// per-run setup (thread, coroutine) remains. A loop that
 // allocated a view, candidate slice or effect context per step would
 // exceed this bound by orders of magnitude.
 func TestSchedGrantLoopAllocFree(t *testing.T) {

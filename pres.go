@@ -203,6 +203,10 @@ var (
 	// Advise turns a failed replay search's statistics into guidance:
 	// which knob (sketch density, budget, oracle) is binding.
 	Advise = core.Advise
+	// ErrCheckpointMismatch is ReplayResult.Err for a search whose
+	// re-execution of the recording's checkpoint prefix missed the
+	// checkpoint, most often under the wrong schedule seed.
+	ErrCheckpointMismatch = core.ErrCheckpointMismatch
 )
 
 // Explore exhaustively enumerates every schedule of a small program — a
