@@ -79,16 +79,18 @@ fuzz-short:
 ## that back OBSERVABILITY.md's disabled-means-free claim, the
 ## wire-format/harness-pool benches (BenchmarkEncodeSketch*,
 ## BenchmarkHarnessMatrix*), and the grant-loop pair
-## (BenchmarkSchedulingPoint/Batch) with the zero-alloc
-## gates of the grant loop, the replay director's pick and the race
-## detector's memory access (TestSchedGrantLoopAllocFree,
-## TestDirectorPickAllocFree, TestDetectorAccessAllocFree) and the
-## allocation bound of the feedback fold (TestFoldAllocBound); then the
+## (BenchmarkSchedulingPoint/Batch), the checkpoint digest's per-event
+## fold (BenchmarkDigestEntry), with the zero-alloc gates of the grant
+## loop, the replay director's pick, the race detector's memory access
+## and the disabled injection hook (TestSchedGrantLoopAllocFree,
+## TestDirectorPickAllocFree, TestDetectorAccessAllocFree,
+## TestInjectDisabledAllocFree) and the allocation bound of the
+## feedback fold (TestFoldAllocBound); then the
 ## end-to-end benchmark (bench/README.md) over all four workloads. To
 ## compare two trees, run bench with -out in each and diff the files
 ## with `cd bench && go run . -compare a.jsonl b.jsonl`.
 bench:
-	$(GO) test -run 'AllocFree$$|AllocBound$$' -bench . -benchtime 1s . ./internal/core ./internal/race
+	$(GO) test -run 'AllocFree$$|AllocBound$$' -bench . -benchtime 1s . ./internal/core ./internal/race ./internal/sched ./internal/trace
 	bash bench/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
 ## docs-drift: every pres_-prefixed metric name registered anywhere in

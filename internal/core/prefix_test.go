@@ -156,29 +156,57 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointMismatchStopsSearch: a checkpointed recording replayed
-// under a schedule seed other than the production run's re-executes the
-// same wrong prefix in every attempt, so the search stops after its
-// first attempt with ErrCheckpointMismatch instead of spending its
-// budget, at every Workers count, and Advise names the seed. The
-// recording is presrun's mysql-169 ring (-epoch-steps 32 -epoch-ring 2
-// -checkpoint-every 1), read back with the wrong seed as presreplay
-// would.
-func TestCheckpointMismatchStopsSearch(t *testing.T) {
+// ringRecording records presrun's mysql-169 ring (-epoch-steps 32
+// -epoch-ring 2 -checkpoint-every 1), returning the first buggy
+// recording that retained a checkpoint.
+func ringRecording(t *testing.T) *Recording {
+	t.Helper()
 	prog, _ := apps.ProgramForBug("mysql-169")
-	var rec *Recording
-	for seed := int64(0); seed < 400 && rec == nil; seed++ {
+	for seed := int64(0); seed < 400; seed++ {
 		r := Record(prog, Options{
 			Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: seed, WorldSeed: 1,
 			EpochRing: &EpochRingOptions{Steps: 32, Size: 2, CheckpointEvery: 1},
 		})
 		if f := r.BugFailure(); f != nil && f.BugID == "mysql-169" && len(r.Epochs.Checkpoints) > 0 {
-			rec = r
+			return r
 		}
 	}
-	if rec == nil {
-		t.Fatal("mysql-169: no buggy checkpointed ring recording in 400 seeds")
+	t.Fatal("mysql-169: no buggy checkpointed ring recording in 400 seeds")
+	return nil
+}
+
+// TestCheckpointDigestGolden pins the event and world digest of every
+// checkpoint in the ring recording ringRecording returns. Record and
+// replay compute both digests with the same trace.Digest, so a
+// round trip passes even if its values move; this file does not, and
+// the digests are part of the recording format (a recording written
+// before such a move would mismatch at every checkpoint).
+//
+// Regenerate deliberately with:
+// go test ./internal/core -run TestCheckpointDigestGolden -update
+func TestCheckpointDigestGolden(t *testing.T) {
+	rec := ringRecording(t)
+	var got bytes.Buffer
+	fmt.Fprintf(&got, "mysql-169 seed=%d checkpoints=%d\n", rec.Options.ScheduleSeed, len(rec.Epochs.Checkpoints))
+	for _, cp := range rec.Epochs.Checkpoints {
+		fmt.Fprintf(&got, "epoch=%d step=%d sketch=%d input=%d event=%016x world=%016x\n",
+			cp.Epoch, cp.Step, cp.SketchIndex, cp.InputIndex, cp.EventDigest, cp.WorldDigest)
 	}
+	checkGolden(t, checkpointDigestGoldenPath, got.Bytes())
+}
+
+const checkpointDigestGoldenPath = "testdata/checkpoint_digest.golden"
+
+// TestCheckpointMismatchStopsSearch: a checkpointed recording replayed
+// under a schedule seed other than the production run's re-executes the
+// same wrong prefix in every attempt, so the search stops after its
+// first attempt with ErrCheckpointMismatch instead of spending its
+// budget, at every Workers count, and Advise names the seed. The
+// recording is ringRecording's, read back with the wrong seed as
+// presreplay would.
+func TestCheckpointMismatchStopsSearch(t *testing.T) {
+	prog, _ := apps.ProgramForBug("mysql-169")
+	rec := ringRecording(t)
 	var buf bytes.Buffer
 	if err := rec.Write(&buf); err != nil {
 		t.Fatal(err)

@@ -98,10 +98,18 @@ func ScheduleCacheKey(ctx uint64, flipKey string) string {
 	return fmt.Sprintf("%016x/%s", ctx, flipKey)
 }
 
-// Digest accumulates an FNV-1a 64-bit hash over the components of a
-// search context. It is not cryptographic — it only needs to make
-// unrelated searches vanishingly unlikely to collide in a shared key
-// space.
+// Digest accumulates an FNV-1a 64-bit hash: of a search context (the
+// schedule key's ctx), and of a recording's checkpoints — the event
+// digest folds every committed event's sketch entry and the world
+// digest the world snapshot. It is not cryptographic — it only needs to
+// make unrelated states vanishingly unlikely to collide. Its values
+// are part of the recording format: a checkpoint stores both digests
+// and replay recomputes them, so a change to any value here breaks
+// every recording written before it.
+//
+// Every value is FNV-1a over a byte stream: a word is its eight bytes,
+// least significant first, and a string or byte slice is its length as
+// a word followed by its bytes.
 type Digest struct{ h uint64 }
 
 const (
@@ -109,16 +117,33 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// fnvPow[k] is fnvPrime64^k. FNV-1a mixes a zero byte by xoring in
+// nothing and multiplying by the prime, so mixing one byte and then
+// k-1 zero bytes is one xor and one multiplication by fnvPow[k].
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
 // NewDigest returns a digest in its initial state.
 func NewDigest() *Digest { return &Digest{h: fnvOffset64} }
 
-// Word mixes one 64-bit value.
+// Word mixes one 64-bit value, least significant byte first. It mixes
+// bytes one at a time up to the highest non-zero one, whose
+// multiplication absorbs those of the zero bytes above it (fnvPow):
+// a small TID or Kind costs one multiplication, not eight, and every
+// value equals the byte-at-a-time FNV-1a's.
 func (d *Digest) Word(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= v & 0xff
-		d.h *= fnvPrime64
-		v >>= 8
+	h := d.h
+	k := 8
+	for ; v > 0xff; v >>= 8 {
+		h = (h ^ v&0xff) * fnvPrime64
+		k--
 	}
+	d.h = (h ^ v) * fnvPow[k]
 }
 
 // Int mixes one signed value.
@@ -128,19 +153,21 @@ func (d *Digest) Int(v int64) { d.Word(uint64(v)) }
 // distinct from "a","bc").
 func (d *Digest) String(s string) {
 	d.Word(uint64(len(s)))
+	h := d.h
 	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= fnvPrime64
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
+	d.h = h
 }
 
 // Bytes mixes a length-prefixed byte slice.
 func (d *Digest) Bytes(b []byte) {
 	d.Word(uint64(len(b)))
+	h := d.h
 	for _, c := range b {
-		d.h ^= uint64(c)
-		d.h *= fnvPrime64
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
+	d.h = h
 }
 
 // Entry mixes one sketch entry.
