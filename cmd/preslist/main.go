@@ -115,8 +115,12 @@ func inspect(path string) {
 		mark := ""
 		if i, ok := cpBefore[e.ID]; ok {
 			cp := ring.Checkpoints[i]
-			mark = fmt.Sprintf("at entry (step %d, input %d, world %dB)",
-				cp.Step, cp.InputIndex, len(cp.World))
+			mark = fmt.Sprintf("at entry (step %d, input %d, world %016x", cp.Step, cp.InputIndex, cp.WorldDigest)
+			if len(cp.World) > 0 {
+				// Recordings from before digest-only checkpoints.
+				mark += fmt.Sprintf(", legacy blob %d B", len(cp.World))
+			}
+			mark += ")"
 		}
 		bytes := sketch.EncodedSize(&trace.SketchLog{
 			Scheme:  ring.Scheme,

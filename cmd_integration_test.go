@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,6 +99,14 @@ func TestCommandLineWorkflow(t *testing.T) {
 	cpFile := filepath.Join(dir, "cp.pres")
 	out = run("presrun", "-bug", "mysql-169", "-epoch-steps", "32", "-epoch-ring", "2", "-checkpoint-every", "1", "-o", cpFile)
 	seed = flagValue(t, out, "-seed")
+	// preslist names each checkpoint's world digest; only a recording
+	// from before digest-only checkpoints has a world blob to report.
+	if out := run("preslist", cpFile); !regexp.MustCompile(`world [0-9a-f]{16}\)`).MatchString(out) || strings.Contains(out, "legacy blob") {
+		t.Fatalf("preslist of a checkpointed recording:\n%s", out)
+	}
+	if out := run("preslist", "internal/core/testdata/ring_world_blobs.pres"); !strings.Contains(out, "legacy blob 145 B") {
+		t.Fatalf("preslist of a legacy checkpointed recording:\n%s", out)
+	}
 	noSeed, err := exec.Command(bins["presreplay"], "-app", "mysqld", "-bug", "mysql-169", cpFile).CombinedOutput()
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 || !strings.Contains(string(noSeed), "-seed") {

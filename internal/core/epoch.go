@@ -13,17 +13,16 @@ import (
 // recording (the last Size epochs) whose replay search starts from the
 // newest checkpoint rather than from process start.
 //
-// A checkpoint does not serialize thread state — application threads
-// live inside Program.Run and cannot be transplanted. It captures the
-// boundary's *identity* (committed-event count, sketch/input positions,
-// an event-stream digest) plus the virtual world's snapshot and digest.
-// Replay re-establishes the boundary by deterministically re-executing
-// the prefix under the production strategy (cheap: no enforcement and
-// no race detection is required for correctness — the production
-// schedule is a pure function of the recorded seeds) and validating
-// both digests at the switch point; see
-// prefixStrategy in prefix.go. Replay never reads the world snapshot
-// back, only its digest.
+// A checkpoint serializes no state at all — application threads live
+// inside Program.Run and cannot be transplanted, and the world is
+// rebuilt by re-execution. It captures only the boundary's *identity*:
+// committed-event count, sketch/input positions, an event-stream digest
+// and the virtual world's digest (vsys.World.Digest). Replay
+// re-establishes the boundary by deterministically re-executing the
+// prefix under the production strategy (cheap: no enforcement and no
+// race detection is required for correctness — the production schedule
+// is a pure function of the recorded seeds) and validating both digests
+// at the switch point; see prefixStrategy in prefix.go.
 
 // EpochRingOptions configures epoch-segmented recording.
 type EpochRingOptions struct {
@@ -31,7 +30,7 @@ type EpochRingOptions struct {
 	// DefaultEpochSteps. Epochs seal at the first control transfer at or
 	// after the threshold, so every epoch boundary is a scheduler
 	// quiescent point (no thread mid-effect) — the precondition for the
-	// world snapshot a checkpoint takes there.
+	// world digest a checkpoint takes there.
 	Steps uint64
 	// Size is the ring capacity in epochs; <= 0 means unbounded. An
 	// unbounded, checkpoint-free ring records exactly the classic
@@ -103,7 +102,8 @@ func (r *epochRecorder) OnEvent(ev trace.Event) uint64 {
 // the open epoch has reached its length, seal it into the ring (and
 // checkpoint if due). Control transfers are quiescent points — the
 // previous thread's effect has committed, the next grant has not run —
-// so the world snapshot below observes no half-applied syscall.
+// so the world digest a checkpoint takes here observes no half-applied
+// syscall.
 func (r *epochRecorder) OnEpochSeal() uint64 {
 	if r.steps-r.epochStart < r.epochSteps {
 		return 0
@@ -137,19 +137,16 @@ func (r *epochRecorder) roll() {
 }
 
 // capture records a checkpoint at the just-sealed boundary: the next
-// epoch (ID r.rolls) starts here.
+// epoch (ID r.rolls) starts here. It keeps the world's digest, not its
+// snapshot, since replay reads back only the digest.
 func (r *epochRecorder) capture() {
-	snap := r.world.Snapshot()
-	wd := trace.NewDigest()
-	wd.Bytes(snap)
 	r.ring.AddCheckpoint(trace.Checkpoint{
 		Epoch:       r.rolls,
 		Step:        r.steps,
 		SketchIndex: r.startEntry,
 		InputIndex:  uint64(len(r.inputs.Records)),
 		EventDigest: r.digest.Sum(),
-		WorldDigest: wd.Sum(),
-		World:       snap,
+		WorldDigest: r.world.Digest(),
 	})
 }
 

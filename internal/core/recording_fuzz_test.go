@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/apps"
@@ -21,7 +22,8 @@ var fuzzRecordingOptions = Options{Scheme: sketch.SYNC, Processors: 4, WorldSeed
 // panic. The seeds are real mysql-169 SYNC recordings of buggy runs, in
 // the plain layout and in the epoch-ring container both with a retained
 // checkpoint and headless (a bounded ring that evicted its head), so
-// mutations reach the checkpointed and the soft-start replay paths too.
+// mutations reach the checkpointed and the soft-start replay paths too;
+// plus the legacy ring whose checkpoints carry world blobs.
 func FuzzReadRecordingReplay(f *testing.F) {
 	prog, ok := apps.ProgramForBug("mysql-169")
 	if !ok {
@@ -39,6 +41,11 @@ func FuzzReadRecordingReplay(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	legacy, err := os.ReadFile(legacyRingPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Add([]byte{})
 	decode := fuzzRecordingOptions
 	decode.MaxSteps = 20_000

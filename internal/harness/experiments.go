@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/apps"
@@ -396,6 +397,9 @@ func RunE10(schemes []sketch.Scheme, cfg Config) []E10Row {
 // when production records into a bounded epoch ring with periodic
 // checkpoints, swept over the epoch length. EpochSteps 0 is the
 // whole-execution baseline (classic recording, replay from the start).
+// Each ring row also replays the same ring recorded without
+// checkpoints (headless once it evicts), which is what the
+// checkpoints buy.
 type E13Row struct {
 	Bug        string
 	EpochSteps uint64 // 0 = epoch recording off (baseline)
@@ -410,9 +414,16 @@ type E13Row struct {
 	// always-on deployment's storage bound for this epoch length.
 	WindowEntries int
 	WindowBytes   int
-	Attempts      int
-	Reproduced    bool
-	Err           error
+	// RecordingBytes is the whole serialized recording (Recording.Write:
+	// window, checkpoints and input log).
+	RecordingBytes int
+	Attempts       int
+	Reproduced     bool
+	// HeadlessAttempts/HeadlessReproduced replay the same ring recorded
+	// with CheckpointEvery 0 (ring rows only).
+	HeadlessAttempts   int
+	HeadlessReproduced bool
+	Err                error
 }
 
 // E13Bugs is the default subset for the epoch sweep: bugs whose buggy
@@ -452,6 +463,7 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 		if err == nil {
 			base.WindowEntries = rec.Sketch.Len()
 			base.WindowBytes = sketch.EncodedSize(rec.Sketch)
+			base.RecordingBytes = recordingBytes(rec)
 			res := cfg.replay(prog, rec, cfg.replayOptions(bug))
 			base.Attempts, base.Reproduced = res.Attempts, res.Reproduced
 		}
@@ -471,8 +483,12 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 			row.Checkpoints = len(ring.Checkpoints)
 			row.WindowEntries = erec.Sketch.Len()
 			row.WindowBytes = sketch.EncodedSize(erec.Sketch)
+			row.RecordingBytes = recordingBytes(erec)
 			res := cfg.replay(prog, erec, cfg.replayOptions(bug))
 			row.Attempts, row.Reproduced = res.Attempts, res.Reproduced
+			opts.EpochRing = &core.EpochRingOptions{Steps: es, Size: ringSize}
+			hres := cfg.replay(prog, cfg.record(prog, opts), cfg.replayOptions(bug))
+			row.HeadlessAttempts, row.HeadlessReproduced = hres.Attempts, hres.Reproduced
 			out = append(out, row)
 		}
 		return out
@@ -482,4 +498,13 @@ func RunE13(bugs []string, lengths []uint64, ringSize, cpEvery int, cfg Config) 
 		rows = append(rows, r...)
 	}
 	return rows
+}
+
+// recordingBytes is rec's serialized size.
+func recordingBytes(rec *core.Recording) int {
+	var buf bytes.Buffer
+	if err := rec.Write(&buf); err != nil {
+		panic(fmt.Sprintf("harness: a fresh recording failed to encode: %v", err))
+	}
+	return buf.Len()
 }

@@ -303,26 +303,30 @@ func PrintE10(w io.Writer, rows []E10Row, cfg Config) {
 func PrintE13(w io.Writer, rows []E13Row, cfg Config) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	defer tw.Flush()
-	fmt.Fprintln(tw, "bug\tepoch steps\tepochs\tevicted\tcheckpoints\twindow entries\twindow bytes\tattempts")
+	fmt.Fprintln(tw, "bug\tepoch steps\tepochs\tevicted\tcheckpoints\twindow entries\twindow bytes\trecording bytes\tattempts\theadless attempts")
+	attempts := func(n int, ok bool) string {
+		if !ok {
+			return fmt.Sprintf(">%d", cfg.maxAttempts())
+		}
+		return fmt.Sprintf("%d", n)
+	}
 	for _, r := range rows {
 		es := "off"
 		if r.EpochSteps > 0 {
 			es = fmt.Sprintf("%d", r.EpochSteps)
 		}
 		if r.Err != nil {
-			fmt.Fprintf(tw, "%s\t%s\tn/a\t-\t-\t-\t-\t-\n", r.Bug, es)
+			fmt.Fprintf(tw, "%s\t%s\tn/a\t-\t-\t-\t-\t-\t-\t-\n", r.Bug, es)
 			continue
 		}
-		att := fmt.Sprintf("%d", r.Attempts)
-		if !r.Reproduced {
-			att = fmt.Sprintf(">%d", cfg.maxAttempts())
-		}
-		epochs := "-"
+		epochs, headless := "-", "-"
 		if r.EpochSteps > 0 {
 			epochs = fmt.Sprintf("%d", r.Epochs)
+			headless = attempts(r.HeadlessAttempts, r.HeadlessReproduced)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%s\n",
-			r.Bug, es, epochs, r.Evicted, r.Checkpoints, r.WindowEntries, r.WindowBytes, att)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
+			r.Bug, es, epochs, r.Evicted, r.Checkpoints, r.WindowEntries, r.WindowBytes,
+			r.RecordingBytes, attempts(r.Attempts, r.Reproduced), headless)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // This file is the epoch-segmented recording container: instead of one
 // whole-execution sketch log, a recording is a sequence of sealed
-// epochs held in a fixed-size ring, plus periodic state checkpoints.
+// epochs held in a fixed-size ring, plus periodic checkpoints.
 // Epoch boundaries are the scheduler's control transfers (the
 // sched.EpochObserver seam), so an epoch's
 // entries are a contiguous slice of the global order and the retained
@@ -28,7 +28,10 @@ import (
 //
 // Each epoch's entries are encoded as an independent v2 sketch section
 // (EncodeSketch with fresh MRU/TID state), so decoding a window never
-// depends on evicted epochs' codec state.
+// depends on evicted epochs' codec state. A checkpoint's worldBytes are
+// empty (len 0) in recordings written since checkpoints became
+// digest-only; older recordings carry a world snapshot there, which
+// the decoder reads into Checkpoint.World and replay ignores.
 
 // Epoch is one sealed segment of the global sketch order.
 type Epoch struct {
@@ -46,9 +49,9 @@ type Epoch struct {
 	Entries []SketchEntry
 }
 
-// Checkpoint is a periodic state capture at an epoch boundary: enough
+// Checkpoint is a periodic capture at an epoch boundary: enough
 // identity (step/entry/input positions plus digests) for a replayer to
-// re-establish the boundary, and the serialized virtual-world snapshot.
+// re-establish the boundary by re-execution and check it arrived.
 type Checkpoint struct {
 	// Epoch is the ID of the first epoch after the capture point (the
 	// checkpoint sits exactly between epoch Epoch-1 and epoch Epoch).
@@ -64,9 +67,13 @@ type Checkpoint struct {
 	// validates its re-executed prefix against it.
 	EventDigest uint64
 	// WorldDigest is the virtual syscall world's state digest at
-	// capture; World is its serialized snapshot (vsys.World.Snapshot).
+	// capture (vsys.World.Digest).
 	WorldDigest uint64
-	World       []byte
+	// World is the serialized world snapshot (vsys.World.Snapshot) that
+	// recordings written before checkpoints became digest-only carry.
+	// The recorder leaves it nil and replay never reads it; decoding
+	// keeps an old recording's blob so it re-encodes byte-identical.
+	World []byte
 }
 
 // EpochRing is the bounded container of sealed epochs. Size is the
@@ -356,9 +363,11 @@ func DecodeEpochs(r io.Reader) (*EpochRing, error) {
 		if wLen > maxWorldSnapshot {
 			return nil, fmt.Errorf("%w: checkpoint %d world size %d", ErrBadFormat, i, wLen)
 		}
-		cp.World = make([]byte, wLen)
-		if _, err := io.ReadFull(br, cp.World); err != nil {
-			return nil, err
+		if wLen > 0 {
+			cp.World = make([]byte, wLen)
+			if _, err := io.ReadFull(br, cp.World); err != nil {
+				return nil, err
+			}
 		}
 		ring.Checkpoints = append(ring.Checkpoints, cp)
 	}

@@ -80,9 +80,14 @@ func TestEpochRoundTrip(t *testing.T) {
 			Entries:    mkEntries(TID(i%3), 0xBEEF, 4),
 		})
 	}
+	// A legacy checkpoint carrying a world blob, then a digest-only one.
+	r.AddCheckpoint(Checkpoint{
+		Epoch: 3, Step: 300, SketchIndex: 12, InputIndex: 5,
+		EventDigest: 0xDEAD, WorldDigest: 0xF00D, World: []byte{1, 2, 3},
+	})
 	r.AddCheckpoint(Checkpoint{
 		Epoch: 4, Step: 400, SketchIndex: 16, InputIndex: 7,
-		EventDigest: 0xDEAD, WorldDigest: 0xF00D, World: []byte{1, 2, 3},
+		EventDigest: 0xBEEF, WorldDigest: 0xCAFE,
 	})
 	var buf bytes.Buffer
 	if err := EncodeEpochs(&buf, r); err != nil {
