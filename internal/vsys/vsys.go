@@ -101,6 +101,11 @@ type World struct {
 	rng   *rand.Rand // built on the first draw; nil until then
 	fs    map[string]*file
 	qs    map[string]*Queue
+
+	// scratch and names are the snapshot encoding and sorted-name
+	// buffers Digest reuses from one call to the next.
+	scratch []byte
+	names   []string
 }
 
 // NewWorld returns a live-mode world whose random source uses seed.
