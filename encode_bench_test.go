@@ -1,6 +1,6 @@
 // Benchmarks for the allocation-lean recording pipeline: encoder
 // throughput and density per scheme in the sketch wire format, the
-// streaming Recording.Write path, and the harness cell-pool's matrix
+// single-pass Recording.Write path, and the harness cell-pool's matrix
 // wall-clock at -j 1 vs -j GOMAXPROCS. `make bench` runs them; the
 // end-to-end record cost is bench/'s record workloads.
 package repro_test
@@ -17,15 +17,6 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/trace"
 )
-
-// discardCounter counts encoded bytes without retaining them, like the
-// recording pipeline's own size pre-pass.
-type discardCounter struct{ n int }
-
-func (w *discardCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
 
 // benchRecording records mysqld's production workload once per scheme
 // — the corpus's densest sketches — and is shared across benchmarks.
@@ -64,16 +55,12 @@ func BenchmarkEncodeSketch(b *testing.B) {
 		l := benchRecording(b, s).Sketch
 		b.Run(s.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			var size int
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				var cw discardCounter
-				if err := trace.EncodeSketch(&cw, l); err != nil {
-					b.Fatal(err)
-				}
-				size = cw.n
+				buf = trace.AppendSketch(buf[:0], l)
 			}
 			entries := float64(l.Len())
-			b.ReportMetric(float64(size)/entries, "bytes/entry")
+			b.ReportMetric(float64(len(buf))/entries, "bytes/entry")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*entries), "ns/entry")
 		})
 	}
@@ -84,39 +71,37 @@ func BenchmarkEncodeSketch(b *testing.B) {
 func BenchmarkEncodeInput(b *testing.B) {
 	l := benchRecording(b, sketch.SYNC).Inputs
 	b.ReportAllocs()
-	var size int
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		var cw discardCounter
-		if err := trace.EncodeInput(&cw, l); err != nil {
-			b.Fatal(err)
-		}
-		size = cw.n
+		buf = trace.AppendInput(buf[:0], l)
 	}
-	b.ReportMetric(float64(size)/float64(max(l.Len(), 1)), "bytes/record")
+	b.ReportMetric(float64(len(buf))/float64(max(l.Len(), 1)), "bytes/record")
 }
 
-// BenchmarkRecordingWrite measures the full serialization path —
-// counting pre-pass plus streaming encode — which no longer buffers
-// the encoded sections in memory.
+// BenchmarkRecordingWrite measures the full serialization path: each
+// section encoded once into a reused buffer, then written with its
+// length prefix. SYNC is the sparse sketch of an always-on recording,
+// RW the dense full memory-order log PRES is measured against.
 func BenchmarkRecordingWrite(b *testing.B) {
-	rec := benchRecording(b, sketch.SYNC)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := rec.Write(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []sketch.Scheme{sketch.SYNC, sketch.RW} {
+		rec := benchRecording(b, s)
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := rec.Write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkDecodeSketch measures the sketch decoder on a real log.
 func BenchmarkDecodeSketch(b *testing.B) {
-	var buf bytes.Buffer
-	if err := trace.EncodeSketch(&buf, benchRecording(b, sketch.SYNC).Sketch); err != nil {
-		b.Fatal(err)
-	}
+	data := trace.AppendSketch(nil, benchRecording(b, sketch.SYNC).Sketch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.DecodeSketch(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := trace.DecodeSketch(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

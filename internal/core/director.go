@@ -162,13 +162,6 @@ type director struct {
 
 	diverged    bool
 	divergeNote string
-
-	// grantBuf and filterBuf are the arrays collect and applyFlips
-	// append into, reused from pick to pick: Pick consumes the
-	// candidates before it returns, so no scheduling point allocates
-	// them afresh.
-	grantBuf  []sched.Candidate
-	filterBuf []sched.Candidate
 }
 
 // perThread is a per-thread value indexed by TID (the scheduler hands
@@ -213,92 +206,123 @@ func (d *director) Pick(view *sched.PickView) (trace.TID, bool) {
 	// is still pending, every candidate is grantable and unheld, so the
 	// deterministic sticky policy reduces to "keep the last thread
 	// running if it can" — answered by binary search over the
-	// TID-sorted view without re-partitioning the candidates. The tail
-	// of a directed attempt (usually the bulk of its points) pays one
-	// PickView.Find instead of two candidate scans.
+	// TID-sorted view. The tail of a directed attempt (usually the bulk
+	// of its points) pays one PickView.Find instead of a candidate scan.
 	if d.rng == nil && d.k >= len(d.entries) && !d.anyFlipPending() {
 		if c, ok := view.Find(d.last); ok {
 			d.last = c.TID
 			return c.TID, true
 		}
 	}
-	grantable, expected, ok := d.collect(view)
-	if !ok {
-		return trace.NoTID, false
-	}
-
 	// Enforce the flip set: hold an access whose identity matches a
 	// pending flip until its partner has executed. The moment a flip
 	// engages, the schedule has deviated from the recorded execution on
 	// purpose, so sketch enforcement switches to soft for the rest of
 	// the attempt (PRES's "replay to the deviation point, then explore")
-	// and the candidates are re-collected under the relaxed rule so the
+	// and the candidates are scanned again under the relaxed rule so the
 	// partner thread can actually run. A flip that still wedges the
-	// schedule (its partner transitively blocked on the held thread) is
-	// released as a last resort; either way the attempt remains a
-	// deterministic function of the flip set.
-	filtered, anyHeld := d.applyFlips(grantable)
-	if anyHeld && !d.soft {
-		d.soft = true
-		grantable, expected, _ = d.collect(view)
-		filtered, _ = d.applyFlips(grantable)
-	}
-	for len(filtered) == 0 {
-		if !d.releaseOneFlip(grantable) {
-			d.diverged = true
-			d.divergeNote = "flip release failed to unwedge the schedule"
+	// schedule (every candidate held, its partner transitively blocked
+	// on a held thread) is released as a last resort and the candidates
+	// scanned again; either way the attempt remains a deterministic
+	// function of the flip set.
+	for {
+		choice, expected, held, ok := d.scan(view)
+		switch {
+		case !ok:
 			return trace.NoTID, false
+		case held >= 0 && !d.soft:
+			d.soft = true
+		case choice == nil:
+			d.flipDone[held] = true
+		default:
+			if d.rng != nil {
+				d.vt.set(choice.TID, d.vt.at(choice.TID)+float64(choice.Cost)*(0.85+0.3*d.rng.Float64()))
+			}
+			d.last = choice.TID
+			if choice == expected {
+				d.k++
+				if d.k == len(d.entries) {
+					d.exhaustStep = view.Step + 1
+				}
+			}
+			return choice.TID, true
 		}
-		filtered, _ = d.applyFlips(grantable)
 	}
+}
 
-	var choice sched.Candidate
-	switch {
-	case d.rng != nil:
-		// Random exploration (the no-feedback ablation): time-weighted
-		// like the production scheduler, so window-hitting odds match
-		// a real stress re-run rather than a uniform event lottery.
-		choice = filtered[0]
-		for _, c := range filtered[1:] {
-			if d.vt.at(c.TID) < d.vt.at(choice.TID) {
-				choice = c
+// scan is Pick's single pass over the candidates. It classifies each
+// under the current sketch rule — strictly before any flip engages
+// (out-of-turn sketch ops are held, impossible sketches diverge), and
+// softly after (everything may run, the expected entry is merely
+// preferred via k-advancement) — checks it against the pending flips,
+// and applies the policy to those left as it goes. It returns the
+// policy's choice (nil if every grantable candidate is held), the
+// candidate the next sketch entry expects (nil if none), and the first
+// pending flip holding the first held candidate (-1 if none held). ok
+// is false when the attempt diverged.
+func (d *director) scan(view *sched.PickView) (choice, expected *sched.Candidate, held int, ok bool) {
+	held = -1
+	grantable, sticky := false, false
+	for i := range view.Candidates {
+		c := &view.Candidates[i]
+		if d.scheme.Records(c.Kind) && d.k < len(d.entries) {
+			exp := d.entries[d.k]
+			switch {
+			case c.TID == exp.TID && c.Kind == exp.Kind && c.Obj == exp.Obj:
+				expected = c
+			case d.soft:
+				// Past the deviation point the recorded order is only
+				// a guide: out-of-turn sketch ops may run.
+			case c.TID == exp.TID:
+				// The thread owed the next sketch point reached a
+				// different one: its program order can never produce
+				// the recorded entry any more.
+				d.diverged = true
+				d.divergeNote = fmt.Sprintf("sketch[%d]=%v but t%d is at %v obj=%#x",
+					d.k, exp, c.TID, c.Kind, c.Obj)
+				return nil, nil, -1, false
+			default:
+				continue // a sketch-kind op out of recorded turn: hold
 			}
 		}
-		d.vt.set(choice.TID, d.vt.at(choice.TID)+float64(choice.Cost)*(0.85+0.3*d.rng.Float64()))
-	default:
-		// Deterministic sticky policy: keep running the thread that ran
+		grantable = true
+		if f := d.holdingFlip(c); f >= 0 {
+			if held < 0 {
+				held = f
+			}
+			continue
+		}
+		// Random exploration (the no-feedback ablation) is time-weighted
+		// like the production scheduler, so window-hitting odds match a
+		// real stress re-run rather than a uniform event lottery. The
+		// deterministic sticky policy keeps running the thread that ran
 		// last until it blocks or the sketch/flips hold it. Coarse
 		// schedules resemble the production run, so the baseline
 		// attempt does not trip unrelated race windows the production
 		// run never opened; context switches happen exactly where the
-		// sketch or a flip forces them. When the current thread cannot
-		// run, fall back to the least-executed candidate so no thread
-		// is starved.
-		choice = filtered[0]
-		sticky := false
-		for _, c := range filtered {
-			if c.TID == d.last {
+		// sketch or a flip forces them. When the last thread cannot
+		// run, the least-executed candidate does, so no thread is
+		// starved. Ties go to the first candidate in TID order.
+		switch {
+		case choice == nil:
+			choice, sticky = c, c.TID == d.last
+		case d.rng != nil:
+			if d.vt.at(c.TID) < d.vt.at(choice.TID) {
 				choice = c
-				sticky = true
-				break
 			}
-		}
-		if !sticky {
-			for _, c := range filtered[1:] {
-				if d.executed.at(c.TID) < d.executed.at(choice.TID) {
-					choice = c
-				}
-			}
+		case sticky:
+		case c.TID == d.last:
+			choice, sticky = c, true
+		case d.executed.at(c.TID) < d.executed.at(choice.TID):
+			choice = c
 		}
 	}
-	d.last = choice.TID
-	if expected != nil && choice.TID == expected.TID && choice.Kind == expected.Kind && choice.Obj == expected.Obj {
-		d.k++
-		if d.k == len(d.entries) {
-			d.exhaustStep = view.Step + 1
-		}
+	if !grantable {
+		d.diverged = true
+		d.divergeNote = fmt.Sprintf("no thread can reach sketch[%d]", d.k)
+		return nil, nil, -1, false
 	}
-	return choice.TID, true
+	return choice, expected, held, true
 }
 
 // anyFlipPending reports whether a flip could still hold a candidate.
@@ -311,95 +335,19 @@ func (d *director) anyFlipPending() bool {
 	return false
 }
 
-// collect partitions the runnable candidates under the current sketch
-// rule: strictly before any flip engages (out-of-turn sketch ops are
-// held, impossible sketches diverge), and softly after (everything may
-// run, the expected entry is merely preferred via k-advancement).
-func (d *director) collect(view *sched.PickView) (grantable []sched.Candidate, expected *sched.Candidate, ok bool) {
-	grantable = d.grantBuf[:0]
-	for i := range view.Candidates {
-		c := view.Candidates[i]
-		if d.scheme.Records(c.Kind) && d.k < len(d.entries) {
-			exp := d.entries[d.k]
-			if c.TID == exp.TID && c.Kind == exp.Kind && c.Obj == exp.Obj {
-				expected = &view.Candidates[i]
-				grantable = append(grantable, c)
-				continue
-			}
-			if d.soft {
-				// Past the deviation point the recorded order is only
-				// a guide: out-of-turn sketch ops may run.
-				grantable = append(grantable, c)
-				continue
-			}
-			if c.TID == exp.TID {
-				// The thread owed the next sketch point reached a
-				// different one: its program order can never produce
-				// the recorded entry any more.
-				d.diverged = true
-				d.divergeNote = fmt.Sprintf("sketch[%d]=%v but t%d is at %v obj=%#x",
-					d.k, exp, c.TID, c.Kind, c.Obj)
-				return nil, nil, false
-			}
-			continue // a sketch-kind op out of recorded turn: hold
-		}
-		grantable = append(grantable, c)
-	}
-	if len(grantable) == 0 {
-		d.diverged = true
-		d.divergeNote = fmt.Sprintf("no thread can reach sketch[%d]", d.k)
-		return nil, nil, false
-	}
-	d.grantBuf = grantable[:0]
-	return grantable, expected, true
-}
-
-// applyFlips filters out candidates currently held by an active flip.
-func (d *director) applyFlips(grantable []sched.Candidate) (filtered []sched.Candidate, anyHeld bool) {
-	filtered = d.filterBuf[:0]
-	for _, c := range grantable {
-		if d.heldByFlip(c) {
-			anyHeld = true
-			continue
-		}
-		filtered = append(filtered, c)
-	}
-	d.filterBuf = filtered[:0]
-	return filtered, anyHeld
-}
-
-// releaseOneFlip abandons the first active flip that is holding one of
-// the candidates, reporting whether one was found.
-func (d *director) releaseOneFlip(grantable []sched.Candidate) bool {
-	for _, c := range grantable {
-		if !c.Kind.IsMemory() {
-			continue
-		}
-		next := d.executed.at(c.TID) + 1
-		for i, f := range d.flips {
-			if hold := f.pair.First; !d.flipDone[i] && c.TID == hold.TID && next == hold.TCount && c.Obj == hold.Addr {
-				d.flipDone[i] = true
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (d *director) heldByFlip(c sched.Candidate) bool {
+// holdingFlip returns the first pending flip whose hold is c's next
+// access, or -1.
+func (d *director) holdingFlip(c *sched.Candidate) int {
 	if !c.Kind.IsMemory() {
-		return false
+		return -1
 	}
 	next := d.executed.at(c.TID) + 1
 	for i, f := range d.flips {
-		if d.flipDone[i] {
-			continue
-		}
-		if hold := f.pair.First; c.TID == hold.TID && next == hold.TCount && c.Obj == hold.Addr {
-			return true
+		if hold := f.pair.First; !d.flipDone[i] && c.TID == hold.TID && next == hold.TCount && c.Obj == hold.Addr {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // OnEvent implements sched.Observer: it tracks per-thread progress so

@@ -227,9 +227,9 @@ func TestFlipRenderKey(t *testing.T) {
 	}
 }
 
-// TestDirectorPickAllocFree: once its candidate buffers have grown, a
-// directed Pick — sketch consumed, one flip pending and holding a
-// candidate, so collect and applyFlips both run — allocates nothing.
+// TestDirectorPickAllocFree: a directed Pick — sketch consumed, one
+// flip pending and holding a candidate, so the fast path is skipped
+// and the full candidate scan runs — allocates nothing.
 func TestDirectorPickAllocFree(t *testing.T) {
 	p := race.Pair{
 		First:  race.Access{TID: 1, TCount: 1, Addr: 0x10, Write: true},

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"sync"
 
 	"repro/internal/appkit"
 	"repro/internal/obs"
@@ -108,27 +109,18 @@ func (r *Recording) BugFailure() *sched.Failure {
 	return nil
 }
 
-// LogBytes returns the encoded size of the sketch plus input logs — the
-// storage cost of this recording.
+// LogBytes returns the number of bytes Write writes — the storage cost
+// of this recording, framing included. It runs the same encode as
+// Write, so the two never disagree.
 func (r *Recording) LogBytes() int {
-	return sketch.EncodedSize(r.Sketch) + sketch.InputEncodedSize(r.Inputs)
-}
-
-// countingWriter measures encoded bytes without retaining them.
-type countingWriter struct{ n uint64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += uint64(len(p))
-	return len(p), nil
+	n := 0
+	_ = r.encode(func(p []byte) error { n += len(p); return nil }) // counting never fails
+	return n
 }
 
 // Write serializes the recording's logs (sketch, then inputs). Each
 // section is length-prefixed so the reader can split them without the
-// decoders' internal buffering over-reading across the boundary. The
-// prefix comes from a counting pre-pass — the encoders are
-// deterministic, so sizing is just encoding into a byte counter — and
-// the section then streams straight to w, so a large RW recording is
-// never held in memory a second time.
+// decoders' internal buffering over-reading across the boundary.
 // Epoch-segmented recordings whose ring carries structure the classic
 // format cannot express (a bounded window or checkpoints) are written
 // as a container instead: the trace.EpochContainerMagic sniff tag, then
@@ -136,26 +128,50 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // checkpoint-free ring's window is the whole log, so it takes the
 // classic path — byte-identical to a recording made without EpochRing.
 func (r *Recording) Write(w io.Writer) error {
-	sections := []func(io.Writer) error{
-		func(w io.Writer) error { return trace.EncodeSketch(w, r.Sketch) },
-		func(w io.Writer) error { return trace.EncodeInput(w, r.Inputs) },
-	}
-	if r.Epochs != nil && r.Epochs.Segmented() {
-		if _, err := w.Write([]byte(trace.EpochContainerMagic)); err != nil {
-			return err
+	return r.encode(func(p []byte) error {
+		_, err := w.Write(p)
+		return err
+	})
+}
+
+// encodeBufs recycles the buffer encode appends each section into, so
+// a repeated Write or LogBytes allocates nothing.
+var encodeBufs = sync.Pool{
+	New: func() any { b := make([]byte, 0, 4096); return &b },
+}
+
+// sectionHead is the room encode leaves in front of each section: the
+// container magic plus the longest uvarint length prefix.
+const sectionHead = len(trace.EpochContainerMagic) + binary.MaxVarintLen64
+
+// encode appends each section once into one reused buffer, after room
+// for its head, then writes the length prefix (and, for a container's
+// first section, the magic) into that room and hands emit the framed
+// section: Write's bytes, in two calls.
+func (r *Recording) encode(emit func([]byte) error) error {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	container := r.Epochs != nil && r.Epochs.Segmented()
+	for section := 0; section < 2; section++ {
+		buf := (*bp)[:sectionHead]
+		switch {
+		case section == 1:
+			buf = trace.AppendInput(buf, r.Inputs)
+		case container:
+			buf = trace.AppendEpochs(buf, r.Epochs)
+		default:
+			buf = trace.AppendSketch(buf, r.Sketch)
 		}
-		sections[0] = func(w io.Writer) error { return trace.EncodeEpochs(w, r.Epochs) }
-	}
-	var lead [binary.MaxVarintLen64]byte
-	for _, enc := range sections {
-		var cw countingWriter
-		if err := enc(&cw); err != nil {
-			return err
+		*bp = buf
+		var lead [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(lead[:], uint64(len(buf)-sectionHead))
+		start := sectionHead - n
+		copy(buf[start:], lead[:n])
+		if section == 0 && container {
+			start -= len(trace.EpochContainerMagic)
+			copy(buf[start:], trace.EpochContainerMagic)
 		}
-		if _, err := w.Write(lead[:binary.PutUvarint(lead[:], cw.n)]); err != nil {
-			return err
-		}
-		if err := enc(w); err != nil {
+		if err := emit(buf[start:]); err != nil {
 			return err
 		}
 	}
@@ -293,9 +309,9 @@ func RecordContext(ctx context.Context, prog *appkit.Program, opts Options) *Rec
 		m.Counter("pres_record_runs_total", "scheme", scheme).Inc()
 		m.Counter("pres_record_steps_total", "scheme", scheme).Add(res.Steps)
 		m.Counter("pres_record_sketch_entries_total", "scheme", scheme).Add(uint64(out.Sketch.Len()))
-		// LogBytes is a counting encode of both logs, so the span is the
-		// run's real serialization cost (see pres_record_encode_seconds
-		// in OBSERVABILITY.md).
+		// LogBytes runs the encode Write does, so the span is the run's
+		// serialization cost (see pres_record_encode_seconds in
+		// OBSERVABILITY.md).
 		sp := m.Timer("pres_record_encode_seconds", "scheme", scheme).Start()
 		logBytes := out.LogBytes()
 		sp.Stop()

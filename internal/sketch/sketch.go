@@ -160,31 +160,10 @@ func (r *Recorder) OnEvent(ev trace.Event) uint64 {
 	return FilterCost + RecordCost*w
 }
 
-// countingWriter measures encoded bytes without buffering them.
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
 // EncodedSize returns the byte size of the sketch log in the on-disk
 // format — the "log size" metric of experiment E3.
-func EncodedSize(l *trace.SketchLog) int {
-	var w countingWriter
-	if err := trace.EncodeSketch(&w, l); err != nil {
-		// The counting writer never fails; an error here is a bug.
-		panic(fmt.Sprintf("sketch: encode failed: %v", err))
-	}
-	return w.n
-}
+func EncodedSize(l *trace.SketchLog) int { return len(trace.AppendSketch(nil, l)) }
 
 // InputEncodedSize returns the byte size of an input log in the on-disk
 // format; inputs are charged to every scheme including BASE.
-func InputEncodedSize(l *trace.InputLog) int {
-	var w countingWriter
-	if err := trace.EncodeInput(&w, l); err != nil {
-		panic(fmt.Sprintf("sketch: encode failed: %v", err))
-	}
-	return w.n
-}
+func InputEncodedSize(l *trace.InputLog) int { return len(trace.AppendInput(nil, l)) }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file is the epoch-segmented recording container: instead of one
@@ -27,7 +28,7 @@ import (
 //	               worldDigest len worldBytes }...
 //
 // Each epoch's entries are encoded as an independent v2 sketch section
-// (EncodeSketch with fresh MRU/TID state), so decoding a window never
+// (AppendSketch with fresh MRU/TID state), so decoding a window never
 // depends on evicted epochs' codec state. A checkpoint's worldBytes are
 // empty (len 0) in recordings written since checkpoints became
 // digest-only; older recordings carry a world snapshot there, which
@@ -195,70 +196,45 @@ const (
 	maxWorldSnapshot     = 1 << 26
 )
 
-// EncodeEpochs writes the ring in the epoch container payload format.
-func EncodeEpochs(w io.Writer, r *EpochRing) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicEpochs); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion2)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Scheme)))
-	buf = append(buf, r.Scheme...)
-	buf = binary.AppendUvarint(buf, r.TotalOps)
-	buf = binary.AppendUvarint(buf, r.Records)
-	buf = binary.AppendUvarint(buf, uint64(r.Size))
-	buf = binary.AppendUvarint(buf, r.Evicted)
-	buf = binary.AppendUvarint(buf, r.EvictedEntries)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Epochs)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	var section bytes.Buffer
+// AppendEpochs appends the ring to dst in the epoch container payload
+// format and returns the extended slice. Each epoch's sketch section is
+// appended in place and its length prefix inserted in front of it
+// afterwards, so the ring encodes in one pass through dst.
+func AppendEpochs(dst []byte, r *EpochRing) []byte {
+	dst = append(dst, magicEpochs...)
+	dst = binary.AppendUvarint(dst, logVersion2)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Scheme)))
+	dst = append(dst, r.Scheme...)
+	dst = binary.AppendUvarint(dst, r.TotalOps)
+	dst = binary.AppendUvarint(dst, r.Records)
+	dst = binary.AppendUvarint(dst, uint64(r.Size))
+	dst = binary.AppendUvarint(dst, r.Evicted)
+	dst = binary.AppendUvarint(dst, r.EvictedEntries)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Epochs)))
+	var lead [binary.MaxVarintLen64]byte
 	for _, e := range r.Epochs {
-		section.Reset()
-		if err := EncodeSketch(&section, &SketchLog{Entries: e.Entries}); err != nil {
-			return err
-		}
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, e.ID)
-		buf = binary.AppendUvarint(buf, e.StartStep)
-		buf = binary.AppendUvarint(buf, e.StartEntry)
-		buf = binary.AppendUvarint(buf, uint64(section.Len()))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-		if _, err := bw.Write(section.Bytes()); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, e.ID)
+		dst = binary.AppendUvarint(dst, e.StartStep)
+		dst = binary.AppendUvarint(dst, e.StartEntry)
+		at := len(dst)
+		dst = AppendSketch(dst, &SketchLog{Entries: e.Entries})
+		dst = slices.Insert(dst, at, lead[:binary.PutUvarint(lead[:], uint64(len(dst)-at))]...)
 	}
-	buf = buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(r.Checkpoints)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.Checkpoints)))
 	for _, cp := range r.Checkpoints {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, cp.Epoch)
-		buf = binary.AppendUvarint(buf, cp.Step)
-		buf = binary.AppendUvarint(buf, cp.SketchIndex)
-		buf = binary.AppendUvarint(buf, cp.InputIndex)
-		buf = binary.AppendUvarint(buf, cp.EventDigest)
-		buf = binary.AppendUvarint(buf, cp.WorldDigest)
-		buf = binary.AppendUvarint(buf, uint64(len(cp.World)))
-		buf = append(buf, cp.World...)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, cp.Epoch)
+		dst = binary.AppendUvarint(dst, cp.Step)
+		dst = binary.AppendUvarint(dst, cp.SketchIndex)
+		dst = binary.AppendUvarint(dst, cp.InputIndex)
+		dst = binary.AppendUvarint(dst, cp.EventDigest)
+		dst = binary.AppendUvarint(dst, cp.WorldDigest)
+		dst = binary.AppendUvarint(dst, uint64(len(cp.World)))
+		dst = append(dst, cp.World...)
 	}
-	*scratch = buf
-	return bw.Flush()
+	return dst
 }
 
-// DecodeEpochs reads an epoch container payload written by EncodeEpochs.
+// DecodeEpochs reads an epoch container payload written by AppendEpochs.
 func DecodeEpochs(r io.Reader) (*EpochRing, error) {
 	br := bufio.NewReader(r)
 	if err := expectMagic(br, magicEpochs); err != nil {

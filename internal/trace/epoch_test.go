@@ -89,11 +89,7 @@ func TestEpochRoundTrip(t *testing.T) {
 		Epoch: 4, Step: 400, SketchIndex: 16, InputIndex: 7,
 		EventDigest: 0xBEEF, WorldDigest: 0xCAFE,
 	})
-	var buf bytes.Buffer
-	if err := EncodeEpochs(&buf, r); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeEpochs(&buf)
+	got, err := DecodeEpochs(bytes.NewReader(AppendEpochs(nil, r)))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -106,11 +102,7 @@ func TestEpochDecodeRejectsCorrupt(t *testing.T) {
 	r := NewEpochRing(2)
 	r.Scheme = "SYNC"
 	r.Append(Epoch{ID: 0, Entries: mkEntries(1, 5, 2)})
-	var buf bytes.Buffer
-	if err := EncodeEpochs(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := AppendEpochs(nil, r)
 	if _, err := DecodeEpochs(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Fatal("truncated payload decoded")
 	}

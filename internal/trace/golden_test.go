@@ -60,7 +60,7 @@ func goldenFullOrder() *FullOrder {
 func TestGoldenWireFormats(t *testing.T) {
 	cases := []struct {
 		file   string
-		encode func(*bytes.Buffer) error // nil: decode-only (v1)
+		encode func() []byte // nil: decode-only (v1)
 		decode func(*bytes.Buffer) (any, error)
 		want   any
 	}{
@@ -68,34 +68,32 @@ func TestGoldenWireFormats(t *testing.T) {
 			func(b *bytes.Buffer) (any, error) { return DecodeSketch(b) },
 			goldenSketch()},
 		{"sketch_v2.bin",
-			func(b *bytes.Buffer) error { return EncodeSketch(b, goldenSketch()) },
+			func() []byte { return AppendSketch(nil, goldenSketch()) },
 			func(b *bytes.Buffer) (any, error) { return DecodeSketch(b) },
 			goldenSketch()},
 		{"input_v1.bin", nil,
 			func(b *bytes.Buffer) (any, error) { return DecodeInput(b) },
 			goldenInput()},
 		{"input_v2.bin",
-			func(b *bytes.Buffer) error { return EncodeInput(b, goldenInput()) },
+			func() []byte { return AppendInput(nil, goldenInput()) },
 			func(b *bytes.Buffer) (any, error) { return DecodeInput(b) },
 			goldenInput()},
 		{"fullorder_v1.bin", nil,
 			func(b *bytes.Buffer) (any, error) { return DecodeFullOrder(b) },
 			goldenFullOrder()},
 		{"fullorder_v2.bin",
-			func(b *bytes.Buffer) error { return EncodeFullOrder(b, goldenFullOrder()) },
+			func() []byte { return AppendFullOrder(nil, goldenFullOrder()) },
 			func(b *bytes.Buffer) (any, error) { return DecodeFullOrder(b) },
 			goldenFullOrder()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
-			var enc bytes.Buffer
+			var enc []byte
 			if tc.encode != nil {
-				if err := tc.encode(&enc); err != nil {
-					t.Fatal(err)
-				}
+				enc = tc.encode()
 				if *updateGolden {
-					if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+					if err := os.WriteFile(path, enc, 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -106,8 +104,8 @@ func TestGoldenWireFormats(t *testing.T) {
 			}
 			// Encoder stability: today's encoder must reproduce the
 			// frozen bytes exactly.
-			if tc.encode != nil && !bytes.Equal(enc.Bytes(), fixture) {
-				t.Fatalf("encoder output drifted from fixture %s (%d vs %d bytes)", tc.file, enc.Len(), len(fixture))
+			if tc.encode != nil && !bytes.Equal(enc, fixture) {
+				t.Fatalf("encoder output drifted from fixture %s (%d vs %d bytes)", tc.file, len(enc), len(fixture))
 			}
 			// Decoder compatibility: the frozen bytes must decode to the
 			// canonical log.
@@ -129,11 +127,8 @@ func TestGoldenV2Smaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := EncodeSketch(&v2, goldenSketch()); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= len(v1) {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), len(v1))
+	v2 := AppendSketch(nil, goldenSketch())
+	if len(v2) >= len(v1) {
+		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 )
 
 // SketchEntry is one recorded sketch point: the identity of the thread
@@ -172,67 +171,21 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// scratchPool recycles the encoders' scratch buffers so encoding a log
-// (or measuring its size, which encodes into a counting writer) does
-// not allocate per call on the recording hot path.
-var scratchPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-func getScratch() *[]byte {
-	b := scratchPool.Get().(*[]byte)
-	*b = (*b)[:0]
-	return b
-}
-
-func putScratch(b *[]byte) {
-	if cap(*b) <= 1<<20 { // don't pin pathological buffers
-		scratchPool.Put(b)
-	}
-}
-
-// bufioPool recycles the encoders' output buffers for the same reason:
-// sizing a log (LogBytes) encodes it, and a per-call bufio.Writer
-// would charge 4KB of garbage to every recording.
-var bufioPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(io.Discard, 4096) },
-}
-
-func getBufio(w io.Writer) *bufio.Writer {
-	bw := bufioPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-func putBufio(bw *bufio.Writer) {
-	bw.Reset(io.Discard) // drop the reference to the caller's writer
-	bufioPool.Put(bw)
-}
-
-// EncodeSketch writes l to w in the current (v2) compact binary
-// format: entries are grouped into same-thread runs (thread ids
-// zigzag-delta coded between runs), each entry is one op byte packing
-// its kind with an object mode, and objects resolve against a 5-slot
-// MRU dictionary — repeats cost nothing, near misses a short delta.
-// SYNC/SYS sketches of real runs compress to ~1.5 bytes per entry.
-func EncodeSketch(w io.Writer, l *SketchLog) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicSketch); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion2)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Scheme)))
-	buf = append(buf, l.Scheme...)
-	buf = binary.AppendUvarint(buf, l.TotalOps)
-	buf = binary.AppendUvarint(buf, l.Records)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Entries)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
+// AppendSketch appends l to dst in the current (v2) compact binary
+// format and returns the extended slice: entries are grouped into
+// same-thread runs (thread ids zigzag-delta coded between runs), each
+// entry is one op byte packing its kind with an object mode, and
+// objects resolve against a 5-slot MRU dictionary — repeats cost
+// nothing, near misses a short delta. SYNC/SYS sketches of real runs
+// compress to ~1.5 bytes per entry.
+func AppendSketch(dst []byte, l *SketchLog) []byte {
+	dst = append(dst, magicSketch...)
+	dst = binary.AppendUvarint(dst, logVersion2)
+	dst = binary.AppendUvarint(dst, uint64(len(l.Scheme)))
+	dst = append(dst, l.Scheme...)
+	dst = binary.AppendUvarint(dst, l.TotalOps)
+	dst = binary.AppendUvarint(dst, l.Records)
+	dst = binary.AppendUvarint(dst, uint64(len(l.Entries)))
 	var mru objMRU
 	prevTID := TID(0)
 	for i := 0; i < len(l.Entries); {
@@ -240,34 +193,29 @@ func EncodeSketch(w io.Writer, l *SketchLog) error {
 		for j < len(l.Entries) && l.Entries[j].TID == l.Entries[i].TID {
 			j++
 		}
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, zigzag(int64(l.Entries[i].TID)-int64(prevTID)))
-		buf = binary.AppendUvarint(buf, uint64(j-i))
+		dst = binary.AppendUvarint(dst, zigzag(int64(l.Entries[i].TID)-int64(prevTID)))
+		dst = binary.AppendUvarint(dst, uint64(j-i))
 		prevTID = l.Entries[i].TID
 		for _, e := range l.Entries[i:j] {
 			slot := mru.hit(e.Obj)
 			switch {
 			case slot >= 0:
-				buf = append(buf, byte(e.Kind)|byte(slot)<<5)
+				dst = append(dst, byte(e.Kind)|byte(slot)<<5)
 			default:
 				delta := zigzag(int64(e.Obj) - int64(mru[0]))
 				if uvarintLen(delta) <= uvarintLen(e.Obj) {
-					buf = append(buf, byte(e.Kind)|objDelta<<5)
-					buf = binary.AppendUvarint(buf, delta)
+					dst = append(dst, byte(e.Kind)|objDelta<<5)
+					dst = binary.AppendUvarint(dst, delta)
 				} else {
-					buf = append(buf, byte(e.Kind)|objAbs<<5)
-					buf = binary.AppendUvarint(buf, e.Obj)
+					dst = append(dst, byte(e.Kind)|objAbs<<5)
+					dst = binary.AppendUvarint(dst, e.Obj)
 				}
 			}
 			mru.push(e.Obj, slot)
 		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
 		i = j
 	}
-	*scratch = buf
-	return bw.Flush()
+	return dst
 }
 
 // DecodeSketch reads a sketch log in either wire version.
@@ -389,38 +337,23 @@ func decodeSketchEntriesV2(br *bufio.Reader, l *SketchLog, n uint64) (*SketchLog
 	return l, nil
 }
 
-// EncodeInput writes l to w in the current (v2) format: thread ids and
-// call codes are zigzag-delta coded between records (consecutive inputs
-// are usually the same thread polling the same call), data length and
-// bytes follow verbatim.
-func EncodeInput(w io.Writer, l *InputLog) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicInput); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion2)
-	buf = binary.AppendUvarint(buf, uint64(len(l.Records)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
+// AppendInput appends l to dst in the current (v2) format and returns
+// the extended slice: thread ids and call codes are zigzag-delta coded
+// between records (consecutive inputs are usually the same thread
+// polling the same call), data length and bytes follow verbatim.
+func AppendInput(dst []byte, l *InputLog) []byte {
+	dst = append(dst, magicInput...)
+	dst = binary.AppendUvarint(dst, logVersion2)
+	dst = binary.AppendUvarint(dst, uint64(len(l.Records)))
 	prevTID, prevCall := int64(0), uint64(0)
 	for _, rec := range l.Records {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, zigzag(int64(rec.TID)-prevTID))
-		buf = binary.AppendUvarint(buf, zigzag(int64(rec.Call)-int64(prevCall)))
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Data)))
-		buf = append(buf, rec.Data...)
+		dst = binary.AppendUvarint(dst, zigzag(int64(rec.TID)-prevTID))
+		dst = binary.AppendUvarint(dst, zigzag(int64(rec.Call)-int64(prevCall)))
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Data)))
+		dst = append(dst, rec.Data...)
 		prevTID, prevCall = int64(rec.TID), rec.Call
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
 	}
-	*scratch = buf
-	return bw.Flush()
+	return dst
 }
 
 // DecodeInput reads an input log in either wire version.
@@ -484,41 +417,27 @@ func DecodeInput(r io.Reader) (*InputLog, error) {
 	return l, nil
 }
 
-// EncodeFullOrder writes f to w in the current (v2) format. Consecutive
-// grants to the same thread are run-length encoded — real schedules
-// have long same-thread runs between context switches — and the run
-// thread ids are zigzag-delta coded against the previous run's.
-func EncodeFullOrder(w io.Writer, f *FullOrder) error {
-	bw := getBufio(w)
-	defer putBufio(bw)
-	if _, err := bw.WriteString(magicFull); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	buf = binary.AppendUvarint(buf, logVersion2)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Order)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
+// AppendFullOrder appends f to dst in the current (v2) format and
+// returns the extended slice. Consecutive grants to the same thread are
+// run-length encoded — real schedules have long same-thread runs
+// between context switches — and the run thread ids are zigzag-delta
+// coded against the previous run's.
+func AppendFullOrder(dst []byte, f *FullOrder) []byte {
+	dst = append(dst, magicFull...)
+	dst = binary.AppendUvarint(dst, logVersion2)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Order)))
 	prevTID := TID(0)
 	for i := 0; i < len(f.Order); {
 		j := i
 		for j < len(f.Order) && f.Order[j] == f.Order[i] {
 			j++
 		}
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, zigzag(int64(f.Order[i])-int64(prevTID)))
+		dst = binary.AppendUvarint(dst, zigzag(int64(f.Order[i])-int64(prevTID)))
 		prevTID = f.Order[i]
-		buf = binary.AppendUvarint(buf, uint64(j-i))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(j-i))
 		i = j
 	}
-	*scratch = buf
-	return bw.Flush()
+	return dst
 }
 
 // DecodeFullOrder reads a full-order trace in either wire version.

@@ -55,11 +55,7 @@ func TestSketchRoundTrip(t *testing.T) {
 	l.Append(Event{TID: 3, Kind: KindUnlock, Obj: 7})
 	l.Append(Event{TID: 1, Kind: KindBarrier, Obj: 99, Arg: 2})
 
-	var buf bytes.Buffer
-	if err := EncodeSketch(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSketch(&buf)
+	got, err := DecodeSketch(bytes.NewReader(AppendSketch(nil, l)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +68,7 @@ func TestSketchRoundTrip(t *testing.T) {
 }
 
 func TestSketchRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeSketch(&buf, &SketchLog{Scheme: "BASE"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSketch(&buf)
+	got, err := DecodeSketch(bytes.NewReader(AppendSketch(nil, &SketchLog{Scheme: "BASE"})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +83,7 @@ func TestInputRoundTrip(t *testing.T) {
 	l.Append(InputRecord{TID: 2, Call: 9, Data: nil})
 	l.Append(InputRecord{TID: 1, Call: 3, Data: []byte{0, 1, 2, 255}})
 
-	var buf bytes.Buffer
-	if err := EncodeInput(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeInput(&buf)
+	got, err := DecodeInput(bytes.NewReader(AppendInput(nil, l)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +102,7 @@ func TestInputRoundTrip(t *testing.T) {
 
 func TestFullOrderRoundTrip(t *testing.T) {
 	f := &FullOrder{Order: []TID{0, 0, 0, 1, 1, 0, 2, 2, 2, 2, 1}}
-	var buf bytes.Buffer
-	if err := EncodeFullOrder(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFullOrder(&buf)
+	got, err := DecodeFullOrder(bytes.NewReader(AppendFullOrder(nil, f)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +112,7 @@ func TestFullOrderRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeInput(&buf, &InputLog{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSketch(&buf); err == nil {
+	if _, err := DecodeSketch(bytes.NewReader(AppendInput(nil, &InputLog{}))); err == nil {
 		t.Fatal("decoding an input log as a sketch should fail")
 	}
 }
@@ -142,11 +122,8 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(Event{TID: TID(i), Kind: KindStore, Obj: uint64(i)})
 	}
-	var buf bytes.Buffer
-	if err := EncodeSketch(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	enc := AppendSketch(nil, l)
+	trunc := enc[:len(enc)-3]
 	if _, err := DecodeSketch(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated log should fail to decode")
 	}
@@ -172,11 +149,7 @@ func TestDecodeRejectsInvalidKind(t *testing.T) {
 		t.Fatalf("valid v1 entry rejected: %v", err)
 	}
 
-	buf.Reset()
-	if err := EncodeSketch(&buf, l); err != nil {
-		t.Fatal(err)
-	}
-	b = buf.Bytes()
+	b = AppendSketch(nil, l)
 	// v2 entry layout here: ..., op byte, obj delta varint. 0xEE has
 	// object mode 7 (reserved) in its high bits.
 	b[len(b)-2] = 0xEE
@@ -217,11 +190,7 @@ func TestPropSketchRoundTrip(t *testing.T) {
 				Obj:  uint64(r.Int63()),
 			})
 		}
-		var buf bytes.Buffer
-		if err := EncodeSketch(&buf, l); err != nil {
-			return false
-		}
-		got, err := DecodeSketch(&buf)
+		got, err := DecodeSketch(bytes.NewReader(AppendSketch(nil, l)))
 		if err != nil {
 			return false
 		}
@@ -252,11 +221,7 @@ func TestPropFullOrderRoundTrip(t *testing.T) {
 			}
 			fo.Order = append(fo.Order, cur)
 		}
-		var buf bytes.Buffer
-		if err := EncodeFullOrder(&buf, fo); err != nil {
-			return false
-		}
-		got, err := DecodeFullOrder(&buf)
+		got, err := DecodeFullOrder(bytes.NewReader(AppendFullOrder(nil, fo)))
 		if err != nil {
 			return false
 		}

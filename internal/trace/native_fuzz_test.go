@@ -16,11 +16,7 @@ func validSketchBytes() []byte {
 	l := &SketchLog{Scheme: "SYNC", TotalOps: 40, Records: 4}
 	l.Append(Event{TID: 1, Kind: KindLock, Obj: 0xAA})
 	l.Append(Event{TID: 2, Kind: KindUnlock, Obj: 0xAA})
-	var buf bytes.Buffer
-	if err := EncodeSketch(&buf, l); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return AppendSketch(nil, l)
 }
 
 // v1Fixture returns a checked-in v1 golden file: nothing encodes v1
@@ -69,11 +65,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 				Obj:  objs[data[i+2]&7] + uint64(data[i+2]>>3),
 			})
 		}
-		var buf bytes.Buffer
-		if err := EncodeSketch(&buf, l); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := DecodeSketch(&buf)
+		got, err := DecodeSketch(bytes.NewReader(AppendSketch(nil, l)))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -85,12 +77,10 @@ func FuzzSketchRoundTrip(f *testing.F) {
 }
 
 func FuzzDecodeInput(f *testing.F) {
-	var buf bytes.Buffer
 	il := &InputLog{}
 	il.Append(InputRecord{TID: 1, Call: 2, Data: []byte{1, 2, 3}})
-	_ = EncodeInput(&buf, il)
 	f.Add([]byte{})
-	f.Add(buf.Bytes())
+	f.Add(AppendInput(nil, il))
 	f.Add(v1Fixture("input_v1.bin"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		l, err := DecodeInput(bytes.NewReader(b))
@@ -101,10 +91,8 @@ func FuzzDecodeInput(f *testing.F) {
 }
 
 func FuzzDecodeFullOrder(f *testing.F) {
-	var buf bytes.Buffer
-	_ = EncodeFullOrder(&buf, &FullOrder{Order: []TID{0, 0, 1}})
 	f.Add([]byte{})
-	f.Add(buf.Bytes())
+	f.Add(AppendFullOrder(nil, &FullOrder{Order: []TID{0, 0, 1}}))
 	f.Add(v1Fixture("fullorder_v1.bin"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		l, err := DecodeFullOrder(bytes.NewReader(b))
