@@ -86,6 +86,9 @@ func main() {
 	}
 
 	traceRecord := func(seed int64, r *repro.Recording, bug bool) {
+		if o.Trace == nil {
+			return // LogBytes below encodes the whole recording
+		}
 		outcome := "clean"
 		switch {
 		case bug:

@@ -49,7 +49,11 @@ import (
 // this). The checkpoint's boundary hook flips the world into Replay
 // mode with the input cursor fast-forwarded past the checkpoint's
 // InputIndex, so the constrained tail is served logged inputs exactly
-// as a whole-execution replay would serve them.
+// as a whole-execution replay would serve them. No start reads a
+// record before that index, so the recorder keeps input records only
+// from the oldest retained checkpoint on and rebases InputIndex onto
+// the retained log (epochRecorder.cutInputs). Reproduce follows the
+// same rule for a captured order (inputSwitch).
 //
 // The search space this buys is the point of the epoch design: flip
 // points and sketch enforcement are confined to the window after the
@@ -99,4 +103,31 @@ func checkpointPrefix(rec *Recording, cp trace.Checkpoint, dir *director, world 
 	return newPrefixStrategy(sched.NewRandomMP(ro.processors(), ro.preempt(), ro.ScheduleSeed),
 		dir, world, cp.Step, cp.EventDigest, cp.WorldDigest,
 		func() { world.StartReplayFrom(rec.Inputs, int(cp.InputIndex)) })
+}
+
+// inputSwitch runs its strategy unchanged and calls at once, at the
+// first pick after boundary committed events: the point where
+// prefixStrategy switches the world to serving the recorded inputs.
+// Reproduce uses it to serve a captured order's inputs as the attempt
+// that captured it was served.
+type inputSwitch struct {
+	sched.Strategy
+	boundary uint64
+	steps    uint64 // committed events so far
+	at       func()
+}
+
+// Pick implements sched.Strategy.
+func (s *inputSwitch) Pick(view *sched.PickView) (trace.TID, bool) {
+	if s.at != nil && s.steps >= s.boundary {
+		s.at()
+		s.at = nil
+	}
+	return s.Strategy.Pick(view)
+}
+
+// OnEvent implements sched.Observer, counting committed events.
+func (s *inputSwitch) OnEvent(trace.Event) uint64 {
+	s.steps++
+	return 0
 }

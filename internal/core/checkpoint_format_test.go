@@ -55,8 +55,9 @@ func writeRecording(t *testing.T, rec *Recording) []byte {
 // world blobs still reads, validates, re-encodes byte-identical and
 // replays from its checkpoint to the same result as a fresh recording
 // of the same seeds. The fresh ring equals the legacy one with its
-// blobs removed — so each fresh world digest is the digest of the
-// world at its boundary — carries no blob, and encodes smaller.
+// blobs removed and its input log cut at its oldest checkpoint — so
+// each fresh world digest is the digest of the world at its boundary —
+// carries no blob, and encodes smaller.
 func TestLegacyWorldBlobRecording(t *testing.T) {
 	old, raw := readLegacyRing(t)
 	for i, cp := range old.Epochs.Checkpoints {
@@ -81,13 +82,22 @@ func TestLegacyWorldBlobRecording(t *testing.T) {
 		t.Fatalf("ringRecording found seed %d, the fixture was recorded at seed %d",
 			fresh.Options.ScheduleSeed, legacyRingOptions.ScheduleSeed)
 	}
+	// The fixture predates the input cut too: it keeps the whole input
+	// log, and its checkpoints index it from process start. Cut it the
+	// way the recorder now does, at the oldest retained checkpoint.
+	cut := old.Epochs.Checkpoints[0].InputIndex
 	stripped := *old.Epochs
 	stripped.Checkpoints = append([]trace.Checkpoint(nil), old.Epochs.Checkpoints...)
 	for i := range stripped.Checkpoints {
 		stripped.Checkpoints[i].World = nil
+		stripped.Checkpoints[i].InputIndex -= cut
 	}
 	if !reflect.DeepEqual(&stripped, fresh.Epochs) {
-		t.Fatal("legacy ring without its blobs differs from a fresh recording of the same seeds")
+		t.Fatal("legacy ring without its blobs, rebased to the input cut, differs from a fresh recording of the same seeds")
+	}
+	if cut == 0 || !reflect.DeepEqual(old.Inputs.Records[cut:], fresh.Inputs.Records) {
+		t.Fatalf("legacy input log from record %d on (%d records) differs from the fresh log (%d records)",
+			cut, old.Inputs.Len()-int(cut), fresh.Inputs.Len())
 	}
 	for i, cp := range fresh.Epochs.Checkpoints {
 		if len(cp.World) != 0 {

@@ -320,6 +320,7 @@ func RecordContext(ctx context.Context, prog *appkit.Program, opts Options) *Rec
 		if epochRec != nil {
 			m.Counter("pres_record_epoch_rolls_total", "scheme", scheme).Add(epochRec.rolls)
 			m.Counter("pres_record_epoch_evicted_total", "scheme", scheme).Add(epochRec.ring.Evicted)
+			m.Counter("pres_record_epoch_inputs_evicted_total", "scheme", scheme).Add(epochRec.inputsEvicted)
 			m.Counter("pres_record_epoch_checkpoints_total", "scheme", scheme).Add(uint64(len(epochRec.ring.Checkpoints)))
 			m.Gauge("pres_record_epoch_ring_entries", "scheme", scheme).SetMax(float64(epochRec.highWater))
 		}

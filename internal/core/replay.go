@@ -282,13 +282,26 @@ func Reproduce(prog *appkit.Program, rec *Recording, order *trace.FullOrder) *sc
 
 // ReproduceContext replays a captured full order under ctx; a cancelled
 // context unwinds the execution at its next scheduling point with a
-// ReasonCancelled failure.
+// ReasonCancelled failure. The world serves inputs by the recording's
+// start rule, as every search attempt does (checkpoint.go): a recording
+// that retained a checkpoint runs the world Live up to its newest one
+// and serves the logged inputs from there on; any other recording is
+// served its whole input log from the start.
 func ReproduceContext(ctx context.Context, prog *appkit.Program, rec *Recording, order *trace.FullOrder) *sched.Result {
 	world := vsys.NewWorld(rec.Options.WorldSeed)
-	world.StartReplay(rec.Inputs)
+	var strat sched.Strategy = &sched.OrderStrategy{Order: order.Order}
+	var observers []sched.Observer
+	if cp, ok := activeCheckpoint(rec); ok {
+		sw := &inputSwitch{Strategy: strat, boundary: cp.Step,
+			at: func() { world.StartReplayFrom(rec.Inputs, int(cp.InputIndex)) }}
+		strat, observers = sw, []sched.Observer{sw}
+	} else {
+		world.StartReplay(rec.Inputs)
+	}
 	return execute(prog, rec.Options, sched.Config{
-		Strategy: &sched.OrderStrategy{Order: order.Order},
-		MaxSteps: rec.Options.MaxSteps,
-		Ctx:      ctx,
+		Strategy:  strat,
+		Observers: observers,
+		MaxSteps:  rec.Options.MaxSteps,
+		Ctx:       ctx,
 	}, world)
 }

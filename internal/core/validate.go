@@ -1,10 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sketch"
 )
+
+// ErrCheckpointOrder is wrapped by Validate's error for a recording
+// whose checkpoints are not in capture order. Replay starts at the last
+// checkpoint as the newest, and the recorder cuts the input log at the
+// first as the oldest, so the list must be non-decreasing in every
+// position it carries.
+var ErrCheckpointOrder = errors.New("checkpoints out of capture order")
 
 // Validate checks a recording's internal consistency beyond what the
 // codec enforces — the pre-flight a diagnosis tool runs on an untrusted
@@ -59,6 +67,14 @@ func (r *Recording) Validate() error {
 			entry += uint64(len(e.Entries))
 		}
 		for i, cp := range ring.Checkpoints {
+			if i > 0 {
+				prev := ring.Checkpoints[i-1]
+				if cp.Epoch < prev.Epoch || cp.Step < prev.Step || cp.SketchIndex < prev.SketchIndex || cp.InputIndex < prev.InputIndex {
+					return fmt.Errorf("core: checkpoint %d (epoch %d, step %d, sketch %d, input %d) lies before checkpoint %d (epoch %d, step %d, sketch %d, input %d): %w",
+						i, cp.Epoch, cp.Step, cp.SketchIndex, cp.InputIndex,
+						i-1, prev.Epoch, prev.Step, prev.SketchIndex, prev.InputIndex, ErrCheckpointOrder)
+				}
+			}
 			if cp.Epoch < ring.Evicted || cp.Epoch > ring.Evicted+uint64(len(ring.Epochs)) {
 				return fmt.Errorf("core: checkpoint %d at epoch %d is outside the retained window [%d, %d]",
 					i, cp.Epoch, ring.Evicted, ring.Evicted+uint64(len(ring.Epochs)))

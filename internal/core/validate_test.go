@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sketch"
@@ -88,5 +89,43 @@ func TestValidateRejectsCheckpointPastInputs(t *testing.T) {
 	}
 	if withLastCheckpoint(rec, func(cp *trace.Checkpoint) { cp.InputIndex = n + 1 }).Validate() == nil {
 		t.Fatal("input index past the input log accepted")
+	}
+}
+
+// TestValidateRejectsCheckpointsOutOfOrder: replay takes the last
+// checkpoint as the newest and the recorder cuts the input log at the
+// first as the oldest, so a list out of capture order in any position
+// it carries is rejected with ErrCheckpointOrder. Each row swaps one
+// field between the first and the last checkpoint, which keeps every
+// value inside the ranges Validate checks on its own.
+func TestValidateRejectsCheckpointsOutOfOrder(t *testing.T) {
+	rec := ringRecording(t)
+	n := len(rec.Epochs.Checkpoints)
+	if n < 2 {
+		t.Fatalf("recording retained %d checkpoints, want at least 2", n)
+	}
+	for _, tc := range []struct {
+		name  string
+		field func(*trace.Checkpoint) *uint64
+	}{
+		{"epoch", func(cp *trace.Checkpoint) *uint64 { return &cp.Epoch }},
+		{"step", func(cp *trace.Checkpoint) *uint64 { return &cp.Step }},
+		{"sketch_index", func(cp *trace.Checkpoint) *uint64 { return &cp.SketchIndex }},
+		{"input_index", func(cp *trace.Checkpoint) *uint64 { return &cp.InputIndex }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := *rec
+			ring := *rec.Epochs
+			ring.Checkpoints = append([]trace.Checkpoint(nil), rec.Epochs.Checkpoints...)
+			r.Epochs = &ring
+			first, last := tc.field(&ring.Checkpoints[0]), tc.field(&ring.Checkpoints[n-1])
+			if *first >= *last {
+				t.Fatalf("first checkpoint at %d, last at %d: swapping them reorders nothing", *first, *last)
+			}
+			*first, *last = *last, *first
+			if err := r.Validate(); !errors.Is(err, ErrCheckpointOrder) {
+				t.Fatalf("Validate = %v, want ErrCheckpointOrder", err)
+			}
+		})
 	}
 }

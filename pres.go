@@ -207,6 +207,9 @@ var (
 	// re-execution of the recording's checkpoint prefix missed the
 	// checkpoint, most often under the wrong schedule seed.
 	ErrCheckpointMismatch = core.ErrCheckpointMismatch
+	// ErrCheckpointOrder is wrapped by Recording.Validate's error for a
+	// recording whose checkpoints are out of capture order.
+	ErrCheckpointOrder = core.ErrCheckpointOrder
 )
 
 // Explore exhaustively enumerates every schedule of a small program — a
