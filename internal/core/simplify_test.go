@@ -182,3 +182,37 @@ func TestSimplifyIgnoresProvenance(t *testing.T) {
 		}
 	}
 }
+
+// TestSimplifyCheckpointedRecording: on a recording that retained a
+// checkpoint, Reproduce runs the first cp.Step events with the world
+// Live and serves the cut input log after them, so a splice that
+// reorders that prefix draws inputs in a different global order than
+// production did. The oracle judges every candidate under those
+// semantics, so for each checkpointed start shape the simplified order
+// must still re-manifest the bug through Reproduce, and Simplify must
+// still remove switches.
+func TestSimplifyCheckpointedRecording(t *testing.T) {
+	for _, id := range []string{"mysql-169", "fft-barrier", "pbzip2-order", "openldap-deadlock", "apache-25520"} {
+		classic := startShapeSeed(t, id)
+		prog, _ := apps.ProgramForBug(id)
+		oracle := MatchBugID(id)
+		for _, sh := range startShapes {
+			if !sh.checkpoint {
+				continue
+			}
+			rec := Record(prog, withRing(classic, sh.ring))
+			res := Replay(prog, rec, ReplayOptions{Feedback: true, MaxAttempts: 200, Oracle: oracle})
+			if !res.Reproduced {
+				t.Fatalf("%s %s: setup: not reproduced in %d attempts", id, sh.name, res.Attempts)
+			}
+			simple, spent := Simplify(prog, rec, res.Order, 0)
+			if f := Reproduce(prog, rec, simple).Failure; f == nil || !oracle(f) {
+				t.Fatalf("%s %s: simplified order lost the bug: %v", id, sh.name, f)
+			}
+			if Switches(simple) >= Switches(res.Order) {
+				t.Fatalf("%s %s: switches %d -> %d, want fewer", id, sh.name, Switches(res.Order), Switches(simple))
+			}
+			t.Logf("%s %s: switches %d -> %d in %d re-executions", id, sh.name, Switches(res.Order), Switches(simple), spent)
+		}
+	}
+}
