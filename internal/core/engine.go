@@ -87,9 +87,10 @@ func (c *cancellableStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
 }
 
 // attemptBufs is the storage one attempt borrows from its search and
-// leaves grown for the next: the race detector, the order capture's
-// slice, the director's per-thread counts and virtual times, and a
-// random attempt's generator. The zero value is ready to use. An
+// leaves grown for the next: the race detector (allocated by the first
+// attempt that detects), the order capture's slice, the director's
+// per-thread counts and virtual times, and a random attempt's
+// generator. The zero value is ready to use. An
 // attempt resets what it borrows before it runs, so a recycled set and
 // a fresh one run identical attempts.
 type attemptBufs struct {
@@ -112,16 +113,18 @@ func (b *attemptBufs) seeded(seed int64) *rand.Rand {
 }
 
 // runAttempt performs one coordinated replay: sketch enforcement plus
-// the given flip set, with the race detector watching for feedback.
-// cancel, when non-nil, lets a concurrent earlier success abort this
-// attempt between scheduling points; ctx cancellation aborts it the
-// same way, via the scheduler's own context poll. sp, when non-nil,
+// the given flip set. detect adds the race detector, for the attempts
+// whose races feedback reads (see Run); without it the outcome carries
+// no races and the detector is neither allocated nor reset. cancel,
+// when non-nil, lets a concurrent earlier success abort this attempt
+// between scheduling points; ctx cancellation aborts it the same way,
+// via the scheduler's own context poll. sp, when non-nil,
 // enrolls the attempt in the snapshot tree (snapshot.go): it tries to
 // resume from a parent prefix snapshot and captures its own snapshots
 // for future children. The attempt runs in b's storage; its outcome's
 // races and order alias it, so b must not be lent again before the
 // outcome has been committed.
-func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, opts ReplayOptions, idx int64, cancel *atomic.Int64, sp *snapPlan, b *attemptBufs) attemptOutcome {
+func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, detect bool, opts ReplayOptions, idx int64, cancel *atomic.Int64, sp *snapPlan, b *attemptBufs) attemptOutcome {
 	start := time.Now()
 	world := vsys.NewWorld(rec.Options.WorldSeed)
 	entries := rec.Sketch.Entries
@@ -143,15 +146,18 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	// leaves the start of the execution unconstrained, so its sketch
 	// can only ever be a soft guide.
 	dir.soft = dir.soft || !fromCP && rec.Epochs != nil && rec.Epochs.EvictedEntries > 0
-	if b.det == nil {
-		b.det = race.NewDetector()
-	}
-	b.det.Reset()
-	det := b.det
 	cap := &orderCapture{order: b.order[:0]}
-
 	var strat sched.Strategy = dir
-	observers := []sched.Observer{dir, det, cap}
+	observers := []sched.Observer{dir, cap}
+	var det *race.Detector
+	if detect {
+		if b.det == nil {
+			b.det = race.NewDetector()
+		}
+		b.det.Reset()
+		det = b.det
+		observers = append(observers, det)
+	}
 	// ps, when set, forces a prefix before the director takes over
 	// (prefix.go): the recording's checkpoint, or a parent snapshot.
 	var ps *prefixStrategy
@@ -178,12 +184,15 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 				st := snap.State.(*snapState)
 				installDirState(dir, st.dir)
 				ps = snapshotPrefix(snap, dir, world)
-				det = st.det.Clone()
 				strat = ps
-				// The clone already holds the prefix, so it sees suffix
-				// events only; registering it directly would replay the
-				// prefix into it a second time.
-				observers = []sched.Observer{dir, &suffixFeed{det: det, skip: snap.Step}, cap, ps}
+				observers = []sched.Observer{dir, cap, ps}
+				if detect {
+					// The clone already holds the prefix, so it sees
+					// suffix events only; registering it directly would
+					// replay the prefix into it a second time.
+					det = st.det.Clone()
+					observers = append(observers, &suffixFeed{det: det, skip: snap.Step})
+				}
 				digest, base = ps.digest, snap.Step
 			} else {
 				snapMiss = true
@@ -205,12 +214,15 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 	b.order, b.executed, b.vt = cap.order, dir.executed, dir.vt
 
 	out := attemptOutcome{
-		races: det.Pairs(), horizon: dir.exhaustStep, consumed: dir.k,
+		horizon: dir.exhaustStep, consumed: dir.k,
 		note:  dir.divergeNote,
 		steps: res.Steps, handoffs: res.Handoffs,
 	}
 	if out.horizon == 0 {
 		out.horizon = res.Steps
+	}
+	if det != nil {
+		out.races = det.Pairs()
 	}
 	if fromCP {
 		// Only races whose first access falls after the boundary are
@@ -393,16 +405,21 @@ func (s *searchState) Run(ctx context.Context, idx int, job any) {
 	if s.maxW > 1 {
 		cancel = &s.cancel
 	}
+	// Only a directed attempt below the depth cap can have children
+	// (appendChildren), so only its races are ever read. Every other
+	// attempt runs without the detector; what it would have found could
+	// only have raised RacesSeen.
+	detect := j.directed && len(j.nd.fs.flips) < maxFlipDepth
 	var sp *snapPlan
 	if s.snapshotted(j) {
 		sp = &snapPlan{cache: s.snaps, parentKey: j.nd.parentKey, bound: j.nd.bound}
-		if len(j.nd.fs.flips) < maxFlipDepth {
+		if detect {
 			// Attempts at the depth cap never spawn children, so their
 			// prefixes are never restored from: don't pay to capture them.
 			sp.selfKey = snapKey(s.digest, canonicalFlipKey(j.nd.fs))
 		}
 	}
-	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, s.opts, int64(j.idx), cancel, sp, j.bufs)
+	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, detect, s.opts, int64(j.idx), cancel, sp, j.bufs)
 	if j.out.bug {
 		// Publish the reproduction immediately (before its canonical
 		// turn): in-flight attempts with higher indices poll this word
@@ -507,8 +524,8 @@ func (s *searchState) fold(j *searchJob) bool {
 		return true
 	}
 	ids := s.ids[:0]
-	for _, p := range j.out.races {
-		k := p.Key()
+	for i := range j.out.races {
+		k := j.out.races[i].Key()
 		id, ok := s.raceIDs[k]
 		if !ok {
 			id = int32(len(s.raceIDs))

@@ -77,6 +77,7 @@ type epochRecorder struct {
 	epochStart uint64 // steps at which the open epoch began
 	startEntry uint64 // global entry index of the open epoch's first entry
 	rolls      uint64 // epochs sealed so far
+	captured   uint64 // checkpoints captured so far, evicted ones included
 	highWater  int    // max retained window entries
 	// inputsEvicted counts the input records cut from the front of the
 	// log (cutInputs).
@@ -162,6 +163,7 @@ func (r *epochRecorder) roll() {
 // epoch (ID r.rolls) starts here. It keeps the world's digest, not its
 // snapshot, since replay reads back only the digest.
 func (r *epochRecorder) capture() {
+	r.captured++
 	r.ring.AddCheckpoint(trace.Checkpoint{
 		Epoch:       r.rolls,
 		Step:        r.steps,

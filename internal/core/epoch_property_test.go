@@ -325,3 +325,27 @@ func TestEpochRingCutKeepsACheckpoint(t *testing.T) {
 	}
 	t.Logf("classic log %d records; %d geometries cut it, %d evicted every checkpoint and kept it whole", len(whole), cuts, bare)
 }
+
+// TestEpochCheckpointsCounterCountsCaptures:
+// pres_record_epoch_checkpoints_total counts the checkpoints captured,
+// not those the ring still holds when the run ends. mysqld in a
+// two-epoch ring that checkpoints every seal evicts most of its
+// checkpoints. The seal that captures checkpoint n (1-based) has sealed
+// n epochs, so the newest checkpoint's Epoch is the number captured.
+func TestEpochCheckpointsCounterCountsCaptures(t *testing.T) {
+	prog, _ := apps.Get("mysqld")
+	opts := Options{Scheme: sketch.SYNC, Processors: 4, ScheduleSeed: 1, WorldSeed: 1, FixBugs: true,
+		EpochRing: &EpochRingOptions{Steps: 32, Size: 2, CheckpointEvery: 1}, Metrics: obs.NewRegistry()}
+	ring := Record(prog, opts).Epochs
+	last, ok := ring.LastCheckpoint()
+	if !ok {
+		t.Fatal("the ring kept no checkpoint")
+	}
+	got := opts.Metrics.Counter("pres_record_epoch_checkpoints_total", "scheme", "SYNC").Value()
+	if got != last.Epoch {
+		t.Fatalf("pres_record_epoch_checkpoints_total = %d, want %d (one per capturing seal)", got, last.Epoch)
+	}
+	if got <= uint64(len(ring.Checkpoints)) {
+		t.Fatalf("%d checkpoints captured, %d retained: want a ring that evicted some", got, len(ring.Checkpoints))
+	}
+}

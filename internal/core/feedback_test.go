@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/exec"
+	"repro/internal/sched"
+	"repro/internal/sketch"
 )
 
 // TestFlipSetIDMatchesFlipSetKey: over the searches of the corpus
@@ -119,5 +121,56 @@ func TestFoldAllocBound(t *testing.T) {
 		t.Fatal("a duplicate candidate was pushed")
 	} else if allocs != 0 {
 		t.Fatalf("folding an attempt whose children are all known allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// TestRacesOnlyWhereFeedbackReads: only a directed attempt below the
+// flip-depth cap runs the race detector, because only its races can
+// become children (appendChildren). The no-feedback baseline, a random
+// attempt and a depth-cap attempt return no races and never allocate
+// the detector, so a search without feedback sees no races at all.
+func TestRacesOnlyWhereFeedbackReads(t *testing.T) {
+	prog := atomBugProg(4)
+	rec := recordBuggy(t, prog, sketch.SYNC)
+	never := func(*sched.Failure) bool { return false }
+
+	// Without feedback, attempt 0 is the sticky baseline and the rest
+	// sample at random. Every buffer set comes back to the free list.
+	s := newSearchState(prog, rec, ReplayOptions{Feedback: false, MaxAttempts: 6, Oracle: never})
+	if err := exec.Run(context.Background(), exec.Config{Workers: 1, Budget: s.budget}, s); err != nil {
+		t.Fatal(err)
+	}
+	if s.r.Attempts != 6 || s.r.Stats.RacesSeen != 0 {
+		t.Fatalf("no-feedback search: %d attempts saw %d races, want 6 attempts and none", s.r.Attempts, s.r.Stats.RacesSeen)
+	}
+	for i, b := range s.free {
+		if b.det != nil {
+			t.Fatalf("no-feedback search: buffer set %d allocated a race detector", i)
+		}
+	}
+
+	// With feedback, one attempt of each kind. The depth-cap set's
+	// flips hold accesses no thread reaches, so it runs the root's
+	// schedule and would find the root's races.
+	var capped flipSet
+	for i := range maxFlipDepth {
+		capped = capped.plus(flipFor(uint64(i+1), 0, 1<<62, 1, 1<<62))
+	}
+	s = newSearchState(prog, rec, ReplayOptions{Feedback: true, Oracle: never})
+	for _, c := range []struct {
+		name   string
+		job    *searchJob
+		detect bool
+	}{
+		{"directed root", &searchJob{idx: 0, directed: true}, true},
+		{"random", &searchJob{idx: 1, seed: 1}, false},
+		{"depth cap", &searchJob{idx: 2, directed: true, nd: replayNode{fs: capped}}, false},
+	} {
+		c.job.bufs = new(attemptBufs)
+		s.Run(context.Background(), c.job.idx, c.job)
+		if races, det := len(c.job.out.races) > 0, c.job.bufs.det != nil; races != c.detect || det != c.detect {
+			t.Errorf("%s attempt: %d races, detector allocated %v; want races and a detector: %v",
+				c.name, len(c.job.out.races), det, c.detect)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func TestCheckpointBoundaryMismatch(t *testing.T) {
 	prog, _ := apps.ProgramForBug("mysql-169")
 	opts := ReplayOptions{Feedback: true}
 	run := func(r *Recording) attemptOutcome {
-		return runAttempt(context.Background(), prog, r, flipSet{}, nil, opts, 0, nil, nil, new(attemptBufs))
+		return runAttempt(context.Background(), prog, r, flipSet{}, nil, true, opts, 0, nil, nil, new(attemptBufs))
 	}
 	if out := run(rec); strings.Contains(out.note, "boundary mismatch") {
 		t.Fatalf("unperturbed checkpoint mismatched: %q", out.note)
@@ -117,7 +117,7 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 	cache := search.NewSnapshotCache(0)
 
 	// A root directed attempt fills the cache with real snapshots.
-	root := runAttempt(context.Background(), prog, rec, flipSet{}, nil, opts, 0, nil,
+	root := runAttempt(context.Background(), prog, rec, flipSet{}, nil, true, opts, 0, nil,
 		&snapPlan{cache: cache, selfKey: "parent"}, new(attemptBufs))
 	if root.captures == 0 {
 		t.Fatal("root attempt captured no snapshots")
@@ -132,7 +132,7 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 		s.Order = append([]trace.TID(nil), snap.Order...)
 		mut(&s)
 		cache.Store(&s)
-		return runAttempt(context.Background(), prog, rec, child, nil, opts, 0, nil,
+		return runAttempt(context.Background(), prog, rec, child, nil, true, opts, 0, nil,
 			&snapPlan{cache: cache, parentKey: key, bound: ^uint64(0) >> 1}, new(attemptBufs))
 	}
 	if out := resume("good", func(*search.Snapshot) {}); !out.restored || strings.Contains(out.note, "boundary mismatch") {

@@ -92,18 +92,31 @@ func TestReproducedOrderSurvivesRecycling(t *testing.T) {
 // which reproduces on attempt 417 with three flips. B/op and allocs/op
 // are the search's allocation, most of it per attempt.
 func BenchmarkReplaySearch(b *testing.B) {
-	const bug = "mysql-791"
+	benchSearch(b, "mysql-791", 8, 417)
+}
+
+// BenchmarkReplaySearchShallow times a search of the shallow-search
+// workload's kind: barnes-order's golden seed 250, which reproduces on
+// attempt 29 with two flips. Most of its cost is the per-attempt path,
+// half of it random attempts.
+func BenchmarkReplaySearchShallow(b *testing.B) {
+	benchSearch(b, "barnes-order", 250, 29)
+}
+
+// benchSearch times whole sequential searches of bug's golden
+// recording for seed, which must take attempts attempts.
+func benchSearch(b *testing.B, bug string, seed int64, attempts int) {
 	prog, ok := apps.ProgramForBug(bug)
 	if !ok {
 		b.Fatalf("%s: program missing", bug)
 	}
-	rec := Record(prog, trajectoryOptions(8))
+	rec := Record(prog, trajectoryOptions(seed))
 	opts := ReplayOptions{Feedback: true, Oracle: MatchBugID(bug), Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if res := Replay(prog, rec, opts); res.Attempts != 417 {
-			b.Fatalf("search took %d attempts, want 417", res.Attempts)
+		if res := Replay(prog, rec, opts); res.Attempts != attempts {
+			b.Fatalf("search took %d attempts, want %d", res.Attempts, attempts)
 		}
 	}
 }

@@ -126,7 +126,10 @@ type ReplayStats struct {
 	CleanRuns     int // attempts that completed without the bug
 	OtherFailures int // step limits or non-matching bugs
 	Cancelled     int // attempts cut short by context cancellation
-	RacesSeen     int // distinct race pairs observed across attempts
+	// RacesSeen counts the distinct race pairs of the attempts feedback
+	// reads: directed attempts below the flip-depth cap. The others run
+	// without the race detector, so a search without Feedback sees none.
+	RacesSeen     int
 	FlipsEnqueued int // feedback children pushed
 	FrontierDried bool
 	// Steps and Handoffs total the executed attempts' scheduler

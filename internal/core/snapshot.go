@@ -145,7 +145,7 @@ type snapshotter struct {
 	world  *vsys.World
 	cap    *orderCapture
 	dir    *director
-	det    *race.Detector
+	det    *race.Detector // nil on an attempt that never captures
 	plan   *snapPlan
 	digest *trace.Digest
 	base   uint64 // restore boundary; captures only strictly past it
