@@ -49,8 +49,9 @@ func Advise(rec *Recording, res *ReplayResult) string {
 			denser = "FUNC or BB"
 		}
 		return fmt.Sprintf(
-			"attempts run clean but the failure stays out of reach (%d races seen): the unrecorded space is too "+
-				"large for this sketch — re-record with a denser mechanism (%s) or raise MaxAttempts beyond %d",
+			"attempts run clean but the failure stays out of reach (%d races seen on feedback-directed attempts): "+
+				"the unrecorded space is too large for this sketch — re-record with a denser mechanism (%s) "+
+				"or raise MaxAttempts beyond %d",
 			res.Stats.RacesSeen, denser, res.Attempts)
 	default:
 		return fmt.Sprintf(

@@ -31,8 +31,8 @@ func TestAdviseBranches(t *testing.T) {
 	}
 
 	clean := &ReplayResult{Attempts: 10, Stats: ReplayStats{CleanRuns: 10, RacesSeen: 50}}
-	if !strings.Contains(Advise(rec, clean), "denser") {
-		t.Fatal("sparse-sketch case")
+	if a := Advise(rec, clean); !strings.Contains(a, "denser") || !strings.Contains(a, "50 races seen on feedback-directed attempts") {
+		t.Fatalf("sparse-sketch case: %s", a)
 	}
 
 	dense := &Recording{Scheme: sketch.RW}

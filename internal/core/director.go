@@ -135,9 +135,7 @@ func (fs flipSet) id() string {
 // director never consumes the declaration, so batch points stay
 // individually interleavable under replay.
 type director struct {
-	// records has bit k set when the scheme records kind k
-	// (sketch.Scheme.Records, looked up once per kind in newDirector).
-	records uint32
+	scheme  sketch.Scheme
 	entries []trace.SketchEntry
 	k       int // next sketch entry to honor
 
@@ -193,14 +191,8 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 	// total and independent of the sort algorithm.
 	flips := append([]flip(nil), fs.flips...)
 	slices.SortFunc(flips, func(a, b flip) int { return strings.Compare(a.key, b.key) })
-	var records uint32
-	for k := range trace.NumKinds {
-		if scheme.Records(trace.Kind(k)) {
-			records |= 1 << k
-		}
-	}
 	return &director{
-		records:  records,
+		scheme:   scheme,
 		entries:  entries,
 		flips:    flips,
 		flipDone: make([]bool, len(flips)),
@@ -211,12 +203,11 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 // Pick implements sched.Strategy.
 func (d *director) Pick(view *sched.PickView) (trace.TID, bool) {
 	// Sticky fast path: once the sketch is fully consumed and no flip
-	// can still hold (anyFlipPending), every candidate is grantable and
-	// unheld, so the deterministic sticky policy reduces to "keep the
-	// last thread running if it can" — answered by binary search over
-	// the TID-sorted view. The tail of a directed attempt (usually the
-	// bulk of its points) pays one PickView.Find instead of a candidate
-	// scan.
+	// is still pending, every candidate is grantable and unheld, so the
+	// deterministic sticky policy reduces to "keep the last thread
+	// running if it can" — answered by binary search over the
+	// TID-sorted view. The tail of a directed attempt (usually the bulk
+	// of its points) pays one PickView.Find instead of a candidate scan.
 	if d.rng == nil && d.k >= len(d.entries) && !d.anyFlipPending() {
 		if c, ok := view.Find(d.last); ok {
 			d.last = c.TID
@@ -274,7 +265,7 @@ func (d *director) scan(view *sched.PickView) (choice, expected *sched.Candidate
 	grantable, sticky := false, false
 	for i := range view.Candidates {
 		c := &view.Candidates[i]
-		if d.records&(1<<c.Kind) != 0 && d.k < len(d.entries) {
+		if d.scheme.Records(c.Kind) && d.k < len(d.entries) {
 			exp := d.entries[d.k]
 			switch {
 			case c.TID == exp.TID && c.Kind == exp.Kind && c.Obj == exp.Obj:
@@ -334,12 +325,10 @@ func (d *director) scan(view *sched.PickView) (choice, expected *sched.Candidate
 	return choice, expected, held, true
 }
 
-// anyFlipPending reports whether a flip could still hold a candidate:
-// one not yet released whose hold access has not executed. Once the
-// hold's thread is past it, holdingFlip can never match the flip again.
+// anyFlipPending reports whether a flip could still hold a candidate.
 func (d *director) anyFlipPending() bool {
-	for i, f := range d.flips {
-		if hold := f.pair.First; !d.flipDone[i] && d.executed.at(hold.TID) < hold.TCount {
+	for i := range d.flips {
+		if !d.flipDone[i] {
 			return true
 		}
 	}

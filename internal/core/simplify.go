@@ -4,7 +4,6 @@ import (
 	"repro/internal/appkit"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/vsys"
 )
 
 // Simplify reduces a captured full order to an equivalent schedule with
@@ -29,27 +28,14 @@ import (
 // hosted by the same program. Nothing is read from rec.Result, which a
 // recording read back from its serialized form does not carry.
 //
-// A recording that retained a checkpoint cut its input log, and
-// Reproduce runs its first cp.Step events Live. A candidate that
-// reorders that prefix would then draw its inputs in a different global
-// order than production did. So Simplify judges every candidate against
-// wholeLogView: the same recording with its whole input log and no
-// checkpoint, where each thread is served the inputs production gave it
-// whatever the interleaving. The simplified order then reproduces under
-// that whole log, as on the recording made without the ring; Reproduce
-// on the checkpointed recording may not re-manifest it once the prefix
-// is reordered.
-//
 // Simplify performs at most budget re-executions (0 means
 // DefaultSimplifyBudget), the target-fixing one included, and returns
 // the best schedule found together with the number of re-executions
-// spent. Rebuilding the whole log is one more execution, outside the
-// budget. The input order is not modified.
+// spent. The input order is not modified.
 func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budget int) (*trace.FullOrder, int) {
 	if budget <= 0 {
 		budget = DefaultSimplifyBudget
 	}
-	rec = wholeLogView(prog, rec, order)
 	oracle := func(f *sched.Failure) bool { return f != nil && f.IsBug() }
 	spent := 1
 	if f := Reproduce(prog, rec, order).Failure; f != nil && f.IsBug() && f.BugID != "" {
@@ -97,28 +83,6 @@ func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budg
 
 // DefaultSimplifyBudget bounds re-executions during simplification.
 const DefaultSimplifyBudget = 200
-
-// wholeLogView returns rec as a recording without a checkpoint whose
-// input log is whole, or rec itself if it retained no checkpoint. Every
-// order the search captures re-executed the production schedule up to
-// the newest checkpoint cp, so running order's first cp.Step events
-// with the world in Record mode regenerates the records the recorder
-// dropped, and the retained log from cp.InputIndex on follows them.
-func wholeLogView(prog *appkit.Program, rec *Recording, order *trace.FullOrder) *Recording {
-	cp, ok := activeCheckpoint(rec)
-	if !ok {
-		return rec
-	}
-	world := vsys.NewWorld(rec.Options.WorldSeed)
-	inputs := &trace.InputLog{}
-	world.StartRecording(inputs)
-	prefix := order.Order[:min(cp.Step, uint64(len(order.Order)))]
-	execute(prog, rec.Options, sched.Config{Strategy: &sched.OrderStrategy{Order: prefix}}, world)
-	inputs.Records = append(inputs.Records, rec.Inputs.Records[min(cp.InputIndex, uint64(rec.Inputs.Len())):]...)
-	view := *rec
-	view.Inputs, view.Epochs = inputs, nil
-	return &view
-}
 
 // switchAfter returns the index of the first context switch at or after
 // i (the first index whose thread differs from cur[i]'s run), or -1.
