@@ -10,8 +10,8 @@ FUZZTIME ?= 30s
 ## the metric docs and the experiment tables are in sync, test under -race (including the
 ## production-schedule and search-trajectory goldens in internal/core
 ## and the concurrent-recording gate TestRecordConcurrentRaceClean),
-## stress the search engine, run the failure-injection matrix and
-## generator sweep, give every fuzz target a short budget (which
+## stress the search engine, run the generated-program sweep, give
+## every fuzz target a short budget (which
 ## includes the scenario-generator round-tripper FuzzScenarioGen), and
 ## vet and smoke-test the benchmark module in bench/ — it builds
 ## against internal/..., so an internal API change that breaks it
@@ -49,14 +49,12 @@ stress:
 	$(GO) test -race -count=2 -run 'TestPool|TestJobs|TestMetricsDeterministic' ./internal/harness/...
 	$(GO) test -race -count=2 -run 'TestProp|TestRunCancellation|TestRunLeavesNoGoroutine' ./internal/sched/...
 
-## scenarios: the failure-injection matrix (every app x failure class
-## driven to its declared outcome and replayed to reproduction) plus a
-## 100-seed generated-program sweep (buggy variants manifest and
+## scenarios: the generated-program sweep (buggy variants manifest and
 ## reproduce, patched variants stay clean). The in-test sweep slice and
-## the exhaustive ground-truth prover run under go test; the wide sweep
-## goes through the presgen CLI.
+## the exhaustive ground-truth prover run under go test; the 100-seed
+## sweep goes through the presgen CLI.
 scenarios:
-	$(GO) test -run 'TestMatrix|TestGen|TestInject' ./internal/scenario ./internal/sched
+	$(GO) test -run 'TestGen' ./internal/scenario
 	$(GO) run ./cmd/presgen -sweep 100
 
 ## fuzz-short: run every native fuzz target in internal/trace,
@@ -81,10 +79,9 @@ fuzz-short:
 ## BenchmarkHarnessMatrix*), and the grant-loop pair
 ## (BenchmarkSchedulingPoint/Batch), the checkpoint digest's per-event
 ## fold (BenchmarkDigestEntry), with the zero-alloc gates of the grant
-## loop, the replay director's pick, the race detector's memory access
-## and the disabled injection hook (TestSchedGrantLoopAllocFree,
-## TestDirectorPickAllocFree, TestDetectorAccessAllocFree,
-## TestInjectDisabledAllocFree) and the allocation bounds of the
+## loop, the replay director's pick and the race detector's memory
+## access (TestSchedGrantLoopAllocFree, TestDirectorPickAllocFree,
+## TestDetectorAccessAllocFree) and the allocation bounds of the
 ## feedback fold and the world digest (TestFoldAllocBound,
 ## TestWorldDigestAllocBound); then the
 ## end-to-end benchmark (bench/README.md) over all four workloads. To

@@ -8,7 +8,6 @@
 //	presbench -exp e1         # one experiment
 //	presbench -exp e1 -schemes SYNC,SYS -procs 8
 //	presbench -j 1            # sequential cells (same tables, slower)
-//	presbench -scenarios      # only the failure-injection matrix + generator sweep (E12)
 package main
 
 import (
@@ -45,16 +44,12 @@ func main() {
 	workers := flag.Int("workers", 0, "attempts run at once per replay search (0 = one; wall clock only: every value runs the same search)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the whole run (0 = none); SIGINT also cancels gracefully")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	scenarios := flag.Bool("scenarios", false, "run only the failure-injection scenarios (shorthand for -exp e12)")
 	genSweep := flag.Int("gen-sweep", 50, "generated-program seeds verified by E12's generator sweep")
 	epochRing := flag.Int("epoch-ring", 2, "epoch-ring capacity (retained epochs) for E13's always-on recordings")
 	cpEvery := flag.Int("checkpoint-every", 1, "checkpoint cadence in epoch rolls for E13's always-on recordings")
 	o := obs.AddFlags(flag.CommandLine, "attempt trace", "write a JSONL trace of every replay attempt across all experiments")
 	flag.Parse()
 
-	if *scenarios {
-		*exp = "e12"
-	}
 	var schemes []sketch.Scheme
 	if *schemeList != "" {
 		for _, name := range strings.Split(*schemeList, ",") {
@@ -153,15 +148,12 @@ func main() {
 			}
 			return rows
 		}},
-		{"e12", "failure-injection matrix and generated-program sweep (extension)", func() any {
-			rows := harness.RunE12(cfg)
-			gen := harness.RunE12Gen(*genSweep, cfg)
+		{"e12", "generated-program sweep (extension)", func() any {
+			rows := harness.RunE12Gen(*genSweep, cfg)
 			if !*asJSON {
-				harness.PrintE12(os.Stdout, rows)
-				fmt.Println()
-				harness.PrintE12Gen(os.Stdout, gen)
+				harness.PrintE12Gen(os.Stdout, rows)
 			}
-			return map[string]any{"matrix": rows, "gen": gen}
+			return rows
 		}},
 		{"e13", "always-on epoch-ring recording: attempts and window size vs epoch length (extension)", func() any {
 			rows := harness.RunE13(nil, nil, *epochRing, *cpEvery, cfg)

@@ -35,13 +35,6 @@ type Env struct {
 	// variants are also the ground truth that the failures really are
 	// the documented races.
 	FixBugs bool
-	// Inject is this execution's failure-injection hook, when one is
-	// installed (core.Options.Inject / internal/scenario): the same
-	// function the vsys calls and lock acquisitions consult, surfaced
-	// so programs can model app-level degraded paths (e.g. shedding a
-	// request themselves). Nil in normal runs; injectors must be
-	// deterministic per thread (see sched.InjectFn).
-	Inject sched.InjectFn
 }
 
 // ScaleOr returns the workload scale, defaulting to def.

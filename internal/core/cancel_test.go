@@ -84,6 +84,29 @@ func TestReplayCancelledMidAttempt(t *testing.T) {
 	}
 }
 
+func TestReplaySearchResultLabels(t *testing.T) {
+	// Each uncancelled search counts once under the result it ended
+	// with: "reproduced" when the oracle matched, "exhausted" when the
+	// budget ran out first.
+	prog := atomBugProg(3)
+	rec := recordBuggy(t, prog, sketch.SYNC)
+	reg := obs.NewRegistry()
+	if res := Replay(prog, rec, ReplayOptions{Feedback: true, MaxAttempts: 200, Oracle: MatchBugID("atom-bug"), Metrics: reg}); !res.Reproduced {
+		t.Fatalf("not reproduced in %d attempts", res.Attempts)
+	}
+	if res := Replay(prog, rec, ReplayOptions{Oracle: neverOracle, MaxAttempts: 3, Metrics: reg}); res.Reproduced || res.Err != nil {
+		t.Fatalf("never-matching search: reproduced=%v err=%v", res.Reproduced, res.Err)
+	}
+	for _, result := range []string{"reproduced", "exhausted"} {
+		if got := reg.Counter("pres_replay_searches_total", "result", result).Value(); got != 1 {
+			t.Errorf("searches_total{result=%s} = %d, want 1", result, got)
+		}
+	}
+	if got := reg.Counter("pres_replay_searches_total", "result", "cancelled").Value(); got != 0 {
+		t.Errorf("searches_total{result=cancelled} = %d, want 0", got)
+	}
+}
+
 func TestReplayCancelCommitsDeterministicPrefix(t *testing.T) {
 	// Cancelling between attempts at Workers=1 leaves a deterministic
 	// committed prefix: exactly the attempts that finished before the

@@ -47,15 +47,6 @@ type Options struct {
 	// the classic format. Nil, the default, is the classic
 	// whole-execution path, untouched.
 	EpochRing *EpochRingOptions
-	// Inject, when non-nil, returns a fresh failure-injection hook for
-	// each execution (internal/scenario's failure classes are such
-	// factories). The factory shape matters: injectors keep per-thread
-	// counters, and Options outlives a single run — the recording run,
-	// every replay attempt, and order reproduction each materialize
-	// their own hook so injection decisions repeat identically. Nil —
-	// the default — leaves every fault site on its unconditional fast
-	// path (see TestInjectDisabledAllocFree).
-	Inject func() sched.InjectFn
 	// Metrics, when non-nil, receives recording metrics (sketch entries
 	// written, log bytes, modelled overhead — see OBSERVABILITY.md) and
 	// the substrate's scheduler counters. Nil, the default, keeps the
@@ -239,20 +230,11 @@ func ReadRecording(rd io.Reader, opts Options) (*Recording, error) {
 	return &Recording{Scheme: scheme, Sketch: sk, Inputs: in, Options: opts, Epochs: ring}, nil
 }
 
-// execute runs prog once with a fresh world in the given vsys mode. It
-// is the single point where Options' failure injection reaches the
-// substrate, so recording, replay attempts and order reproduction all
-// honor it uniformly.
+// execute runs prog once under cfg against world, the single entry
+// that recording, replay attempts and order reproduction share.
 func execute(prog *appkit.Program, opts Options, cfg sched.Config, world *vsys.World) *sched.Result {
-	var inj sched.InjectFn
-	if opts.Inject != nil {
-		// One fresh hook per execution: per-thread injector state never
-		// leaks across replay attempts.
-		inj = opts.Inject()
-	}
-	cfg.Inject = inj
 	return sched.Run(func(t *sched.Thread) {
-		prog.Run(&appkit.Env{T: t, W: world, Scale: opts.Scale, Procs: opts.processors(), FixBugs: opts.FixBugs, Inject: inj})
+		prog.Run(&appkit.Env{T: t, W: world, Scale: opts.Scale, Procs: opts.processors(), FixBugs: opts.FixBugs})
 	}, cfg)
 }
 

@@ -23,10 +23,13 @@ import (
 // a human next).
 //
 // The failure to preserve is the one the input order itself produces:
-// the first re-execution replays it unchanged and takes its bug id as
-// the target, so a simplification never trades one bug for another
-// hosted by the same program. Nothing is read from rec.Result, which a
-// recording read back from its serialized form does not carry.
+// the first re-execution replays it unchanged and takes its reason and
+// bug id as the target, so a simplification never trades one bug for
+// another hosted by the same program, nor an assertion for a deadlock.
+// Nothing is read from rec.Result, which a recording read back from its
+// serialized form does not carry. An order that produces no bug, such
+// as one that does not fit its recording and diverges, has no failure
+// to preserve and comes back unchanged after that one re-execution.
 //
 // Simplify performs at most budget re-executions (0 means
 // DefaultSimplifyBudget), the target-fixing one included, and returns
@@ -36,16 +39,12 @@ func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budg
 	if budget <= 0 {
 		budget = DefaultSimplifyBudget
 	}
-	oracle := func(f *sched.Failure) bool { return f != nil && f.IsBug() }
 	spent := 1
-	if f := Reproduce(prog, rec, order).Failure; f != nil && f.IsBug() && f.BugID != "" {
-		id := f.BugID
-		oracle = func(f *sched.Failure) bool {
-			return f != nil && f.IsBug() && (f.BugID == id || f.Reason == sched.ReasonDeadlock)
-		}
-	}
-
 	cur := append([]trace.TID(nil), order.Order...)
+	want := Reproduce(prog, rec, order).Failure
+	if want == nil || !want.IsBug() {
+		return &trace.FullOrder{Order: cur}, spent
+	}
 
 	// Repeatedly sweep the schedule, trying to eliminate the first
 	// removable switch of each run boundary; stop when a full sweep
@@ -69,7 +68,7 @@ func Simplify(prog *appkit.Program, rec *Recording, order *trace.FullOrder, budg
 				// one, deferring B's run (and anything between) after.
 				cand := spliceRuns(cur, j, next)
 				spent++
-				if replaysSame(prog, rec, cand, oracle) {
+				if replaysSame(prog, rec, cand, want) {
 					cur = cand
 					progress = true
 					continue // retry from the same position
@@ -127,10 +126,10 @@ func spliceRuns(cur []trace.TID, j, next int) []trace.TID {
 }
 
 // replaysSame re-executes prog under the candidate order and reports
-// whether it reproduces an acceptable failure.
-func replaysSame(prog *appkit.Program, rec *Recording, cand []trace.TID, oracle Oracle) bool {
+// whether it fails with want's reason and bug id.
+func replaysSame(prog *appkit.Program, rec *Recording, cand []trace.TID, want *sched.Failure) bool {
 	f := Reproduce(prog, rec, &trace.FullOrder{Order: cand}).Failure
-	return f != nil && f.IsBug() && oracle(f)
+	return f != nil && f.Reason == want.Reason && f.BugID == want.BugID
 }
 
 // Switches counts the context switches in a schedule — the metric

@@ -64,6 +64,22 @@ func TestSimplifyRespectsBudget(t *testing.T) {
 	}
 }
 
+func TestSimplifyKeepsOrderWithoutBug(t *testing.T) {
+	// An order that does not fit its recording diverges at its first
+	// pick: there is no bug to preserve, so Simplify returns the order
+	// as given after the one re-execution that found that out.
+	prog := atomBugProg(3)
+	rec := recordBuggy(t, prog, sketch.SYNC)
+	order := &trace.FullOrder{Order: []trace.TID{99, 1, 99, 1}}
+	if f := Reproduce(prog, rec, order).Failure; f == nil || f.IsBug() {
+		t.Fatalf("setup: misfit order failed with %v, want a non-bug failure", f)
+	}
+	simple, spent := Simplify(prog, rec, order, 0)
+	if spent != 1 || !reflect.DeepEqual(simple.Order, order.Order) {
+		t.Fatalf("Simplify = %v in %d re-executions, want the input order in 1", simple.Order, spent)
+	}
+}
+
 func TestSwitchesCounting(t *testing.T) {
 	cases := []struct {
 		order []trace.TID
@@ -206,8 +222,12 @@ func TestSimplifyCheckpointedRecording(t *testing.T) {
 				t.Fatalf("%s %s: setup: not reproduced in %d attempts", id, sh.name, res.Attempts)
 			}
 			simple, spent := Simplify(prog, rec, res.Order, 0)
-			if f := Reproduce(prog, rec, simple).Failure; f == nil || !oracle(f) {
+			f := Reproduce(prog, rec, simple).Failure
+			if f == nil || !oracle(f) {
 				t.Fatalf("%s %s: simplified order lost the bug: %v", id, sh.name, f)
+			}
+			if want := Reproduce(prog, rec, res.Order).Failure; f.Reason != want.Reason || f.BugID != want.BugID {
+				t.Fatalf("%s %s: simplified order fails with %v, input order with %v", id, sh.name, f, want)
 			}
 			if Switches(simple) >= Switches(res.Order) {
 				t.Fatalf("%s %s: switches %d -> %d, want fewer", id, sh.name, Switches(res.Order), Switches(simple))

@@ -10,10 +10,9 @@ import (
 
 // scenarioConfig maps the harness run configuration onto the scenario
 // package's knobs. Zero fields fall through to scenario's own defaults
-// — notably the 400-seed cell budget rather than the harness's
-// 2000-seed corpus budget: matrix cells and generated programs are
-// small, and their declared outcomes are reachable quickly or not at
-// all.
+// — notably the 400-seed budget rather than the harness's 2000-seed
+// corpus budget: generated programs are small, and their template bugs
+// are reachable quickly or not at all.
 func (c Config) scenarioConfig() scenario.Config {
 	return scenario.Config{
 		Ctx:         c.Ctx,
@@ -21,28 +20,6 @@ func (c Config) scenarioConfig() scenario.Config {
 		MaxAttempts: c.MaxAttempts,
 		Metrics:     c.Metrics,
 	}
-}
-
-// E12Row is one driven cell of the failure-injection matrix (E12, an
-// extension beyond the paper): an (app, failure class) pair with its
-// declared outcome, driven through record, replay and captured-order
-// reproduction.
-type E12Row struct {
-	scenario.CellResult
-}
-
-// RunE12 drives the full injection matrix: every corpus app under
-// every failure class, each cell searched to its declared outcome and
-// replayed to reproduction, plus the epoch-ring variants of the crash
-// and lock-wedge cells (bounded recording, checkpointed replay). Cells
-// fan out to cfg's pool; rows commit in canonical (app, class) order.
-func RunE12(cfg Config) []E12Row {
-	defer cfg.timeExperiment("e12")()
-	cells := append(scenario.Matrix(), scenario.Variants()...)
-	sc := cfg.scenarioConfig()
-	return runCells(cfg, "e12", len(cells), func(i int) E12Row {
-		return E12Row{scenario.RunCell(cells[i], sc)}
-	})
 }
 
 // E12GenRow aggregates the generator sweep for one bug template.
@@ -62,8 +39,8 @@ type E12GenRow struct {
 }
 
 // RunE12Gen verifies generated programs for seeds 0..n-1 (default 50)
-// and aggregates the ground-truth outcomes per template — the
-// generator half of E12. Seeds fan out to cfg's pool.
+// and aggregates the ground-truth outcomes per template (E12, an
+// extension beyond the paper). Seeds fan out to cfg's pool.
 func RunE12Gen(n int, cfg Config) []E12GenRow {
 	defer cfg.timeExperiment("e12gen")()
 	if n <= 0 {
@@ -98,63 +75,6 @@ func RunE12Gen(n int, cfg Config) []E12GenRow {
 		}
 	}
 	return rows
-}
-
-// PrintE12 renders the injection matrix as an app x class grid. Cells
-// show the declared outcome and, for failure outcomes, the attempts
-// the replay search needed; cells that missed their declaration print
-// FAIL. Epoch-ring variant rows land in "<class>+ring" columns,
-// appended only when variants were driven; apps without a variant for
-// that class print "-".
-func PrintE12(w io.Writer, rows []E12Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	defer tw.Flush()
-	cols := make([]string, 0, len(scenario.Classes())+2)
-	for _, cl := range scenario.Classes() {
-		cols = append(cols, cl.Name)
-	}
-	ringCols := map[string]bool{}
-	for _, r := range rows {
-		if r.EpochRing && !ringCols[r.Class] {
-			ringCols[r.Class] = true
-			cols = append(cols, r.Class+"+ring")
-		}
-	}
-	fmt.Fprint(tw, "app")
-	for _, col := range cols {
-		fmt.Fprintf(tw, "\t%s", col)
-	}
-	fmt.Fprintln(tw)
-	byApp := map[string]map[string]E12Row{}
-	var order []string
-	for _, r := range rows {
-		if byApp[r.App] == nil {
-			byApp[r.App] = map[string]E12Row{}
-			order = append(order, r.App)
-		}
-		key := r.Class
-		if r.EpochRing {
-			key += "+ring"
-		}
-		byApp[r.App][key] = r
-	}
-	for _, app := range order {
-		fmt.Fprint(tw, app)
-		for _, col := range cols {
-			r, ok := byApp[app][col]
-			switch {
-			case !ok:
-				fmt.Fprint(tw, "\t-")
-			case !r.OK():
-				fmt.Fprint(tw, "\tFAIL")
-			case r.Want == scenario.Clean:
-				fmt.Fprint(tw, "\tclean")
-			default:
-				fmt.Fprintf(tw, "\t%s/%d", r.Want, r.Attempts)
-			}
-		}
-		fmt.Fprintln(tw)
-	}
 }
 
 // PrintE12Gen renders the generator-sweep aggregate.

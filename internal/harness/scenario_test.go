@@ -5,28 +5,32 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
+// TestRunE12 runs E12 as presbench does: the generator sweep at its
+// default 50 seeds, each template's programs as published in
+// EXPERIMENTS.md, all reproduced, timed under the e12gen label.
 func TestRunE12(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full matrix run")
-	}
-	rows := RunE12(fastCfg)
-	if want := len(scenario.Matrix()) + len(scenario.Variants()); len(rows) != want {
-		t.Fatalf("rows = %d, want one per matrix cell plus variants (%d)", len(rows), want)
+	cfg := fastCfg
+	cfg.Metrics = obs.NewRegistry()
+	rows := RunE12Gen(0, cfg)
+	want := map[string]int{"lostload": 14, "livelock": 17, "aba": 12, "dcl": 7}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
 	}
 	for _, r := range rows {
-		if !r.OK() {
-			t.Errorf("%s/%s: %v", r.App, r.Class, r.Err)
+		if r.Programs != want[r.Template] {
+			t.Errorf("template %s: %d programs, want %d", r.Template, r.Programs, want[r.Template])
+		}
+		if r.Reproduced != r.Programs {
+			t.Errorf("template %s: %d/%d reproduced (failing seeds %v)",
+				r.Template, r.Reproduced, r.Programs, r.FailSeeds)
 		}
 	}
-	var buf bytes.Buffer
-	PrintE12(&buf, rows)
-	for _, needle := range []string{"lock-wedge", "clean", "deadlock/", "crash+ring", "lock-wedge+ring"} {
-		if !strings.Contains(buf.String(), needle) {
-			t.Fatalf("E12 rendering broken: missing %q in\n%s", needle, buf.String())
-		}
+	if got := cfg.Metrics.Snapshot().Counters[`pres_harness_experiments_total{exp="e12gen"}`]; got != 1 {
+		t.Fatalf("e12gen experiment counted %d times, want 1", got)
 	}
 }
 

@@ -1,92 +1,153 @@
 package scenario
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/obs"
+	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/trace"
+	"repro/internal/sketch"
 )
 
-// TestMatrix drives every pinned (app, class) cell end to end: the
-// declared outcome is found within the seed budget, replays to
-// reproduction, and the captured order re-executes to the same
-// outcome class.
+// outcome classifies how a production run ended.
+type outcome uint8
+
+const (
+	clean    outcome = iota // no failure
+	bug                     // a corpus assertion bug (ReasonAssert with a bug id)
+	crash                   // the run panicked
+	deadlock                // no runnable thread
+	other                   // step limit, divergence, cancellation
+)
+
+func (o outcome) String() string {
+	return [...]string{"clean", "bug", "crash", "deadlock", "other"}[o]
+}
+
+func classify(f *sched.Failure) outcome {
+	switch {
+	case f == nil:
+		return clean
+	case f.Reason == sched.ReasonAssert && f.BugID != "":
+		return bug
+	case f.Reason == sched.ReasonCrash:
+		return crash
+	case f.Reason == sched.ReasonDeadlock:
+		return deadlock
+	default:
+		return other
+	}
+}
+
+// baseline pins the outcome each corpus app reaches within the seed
+// budget at the scenario settings (SYNC, 4 procs, preempt 0.05, world
+// seed 1). aget, barnes and lu pin the clean control: a clean run is
+// the outcome their rows check at these settings.
+var baseline = map[string]outcome{
+	"aget":         clean,
+	"apached":      bug,
+	"barnes":       clean,
+	"cherokeed":    bug,
+	"fft":          bug,
+	"lu":           clean,
+	"mysqld":       bug,
+	"openldapd":    deadlock,
+	"pbzip2":       bug,
+	"radix":        deadlock,
+	"transmission": bug,
+}
+
+// ringGeometry bounds the variant recordings: short epochs, a 4-epoch
+// window, a checkpoint every seal. A failure that predates the first
+// checkpoint falls back to from-start replay; the expectation must hold
+// either way.
+var ringGeometry = core.EpochRingOptions{Steps: 64, Size: 4, CheckpointEvery: 1}
+
+// runBaseline searches production seeds of app for want, then, for a
+// failure, replays the recording to reproduction and re-executes the
+// captured order to the same outcome. A non-nil ring records into an
+// epoch ring, so the replay starts from the newest retained checkpoint.
+func runBaseline(t *testing.T, app string, want outcome, ring *core.EpochRingOptions) {
+	t.Helper()
+	prog, ok := apps.Get(app)
+	if !ok {
+		t.Fatalf("unknown app %q", app)
+	}
+	var cfg Config
+	var rec *core.Recording
+	for seed := int64(0); seed < int64(cfg.seedBudget()) && rec == nil; seed++ {
+		r := core.Record(prog, core.Options{
+			Scheme:       sketch.SYNC,
+			Processors:   cfg.processors(),
+			Preempt:      preempt,
+			ScheduleSeed: seed,
+			WorldSeed:    worldSeed,
+			MaxSteps:     maxSteps,
+			EpochRing:    ring,
+		})
+		if classify(r.Result.Failure) == want {
+			rec = r
+		}
+	}
+	if rec == nil {
+		t.Fatalf("%s never produced %v in %d seeds", app, want, cfg.seedBudget())
+	}
+	if want == clean {
+		return
+	}
+	oracle := core.MatchBugID(rec.Result.Failure.BugID)
+	if want == deadlock {
+		oracle = func(f *sched.Failure) bool { return f.Reason == sched.ReasonDeadlock }
+	}
+	rep := core.Replay(prog, rec, core.ReplayOptions{
+		Feedback:    true,
+		MaxAttempts: cfg.maxAttempts(),
+		Oracle:      oracle,
+	})
+	if !rep.Reproduced || rep.Attempts < 1 {
+		t.Fatalf("%s: %v not reproduced in %d attempts", app, want, rep.Attempts)
+	}
+	if got := classify(core.Reproduce(prog, rec, rep.Order).Failure); got != want {
+		t.Fatalf("%s: captured order replays as %v, want %v", app, got, want)
+	}
+}
+
+// TestMatrix drives every corpus app's uninjected baseline end to end:
+// the pinned outcome is found within the seed budget, replays to
+// reproduction, and the captured order re-executes to the same outcome.
 func TestMatrix(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{Metrics: reg}
-	for _, cell := range Matrix() {
-		cell := cell
-		t.Run(cell.App+"/"+cell.Class, func(t *testing.T) {
-			res := RunCell(cell, cfg)
-			if !res.OK() {
-				t.Fatalf("cell failed: %+v", res.Err)
-			}
-			if cell.Want != Clean && res.Attempts < 1 {
-				t.Fatalf("failure cell reported no replay attempts: %+v", res)
-			}
+	for _, app := range apps.All() {
+		app := app.Name
+		t.Run(app+"/baseline", func(t *testing.T) {
+			runBaseline(t, app, baseline[app], nil)
 		})
-	}
-	var cells uint64
-	for key, v := range reg.Snapshot().Counters {
-		if strings.HasPrefix(key, "pres_scenario_cells_total") {
-			cells += v
-		}
-	}
-	if want := uint64(len(Matrix())); cells != want {
-		t.Fatalf("pres_scenario_cells_total = %v, want %v", cells, want)
 	}
 }
 
-// TestVariants drives the epoch-ring variant cells: the same crash and
-// lock-wedge expectations must hold when the recording is bounded to a
-// 4-epoch ring and replay restarts from the newest retained checkpoint.
-// Shape is checked for all variants; a sample is driven end to end (the
-// full set rides along in TestRunE12 and E12).
+// TestVariants drives the failing baseline cells with the recording
+// bounded to an epoch ring: the failure must still be found and
+// reproduced from the newest retained checkpoint.
 func TestVariants(t *testing.T) {
-	variants := Variants()
-	if len(variants) == 0 {
-		t.Fatal("no variant cells")
-	}
-	for _, c := range variants {
-		if !c.EpochRing {
-			t.Fatalf("variant %s/%s missing EpochRing", c.App, c.Class)
-		}
-		if c.Class != "crash" && c.Class != "lock-wedge" {
-			t.Fatalf("variant %s/%s: unexpected class", c.App, c.Class)
-		}
-		if c.Want == Clean {
-			t.Fatalf("variant %s/%s pins a clean outcome", c.App, c.Class)
-		}
-	}
-	cfg := Config{}
-	for _, cell := range []Cell{variants[0], variants[len(variants)/2], variants[len(variants)-1]} {
-		cell := cell
-		t.Run(cell.App+"/"+cell.Class+"+ring", func(t *testing.T) {
-			res := RunCell(cell, cfg)
-			if !res.OK() {
-				t.Fatalf("variant cell failed: %+v", res.Err)
-			}
+	for _, app := range []string{"mysqld", "openldapd", "radix"} {
+		app := app
+		t.Run(app+"/baseline+ring", func(t *testing.T) {
+			g := ringGeometry
+			runBaseline(t, app, baseline[app], &g)
 		})
 	}
 }
 
-// TestMatrixShape: the matrix covers the full app x class cross with
-// pinned (non-Other) expectations — adding an app or a class without
-// pinning its cells is a test failure, not a silent gap.
+// TestMatrixShape: the baseline table pins every corpus app and nothing
+// else, so adding an app without pinning its outcome is a test failure,
+// not a silent gap.
 func TestMatrixShape(t *testing.T) {
-	cells := Matrix()
-	if want := len(apps.All()) * len(Classes()); len(cells) != want {
-		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
+	if len(baseline) != len(apps.All()) {
+		t.Fatalf("baseline pins %d apps, corpus has %d", len(baseline), len(apps.All()))
 	}
-	for _, c := range cells {
-		if c.Want == Other {
-			t.Errorf("cell %s/%s has no pinned expectation", c.App, c.Class)
-		}
-		if _, ok := ClassByName(c.Class); !ok {
-			t.Errorf("cell %s/%s names an unknown class", c.App, c.Class)
+	for _, app := range apps.All() {
+		if o, ok := baseline[app.Name]; !ok || o == other {
+			t.Errorf("app %s has no pinned baseline outcome", app.Name)
 		}
 	}
 }
@@ -94,55 +155,21 @@ func TestMatrixShape(t *testing.T) {
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		f    *sched.Failure
-		want Outcome
+		want outcome
 	}{
-		{nil, Clean},
-		{&sched.Failure{Reason: sched.ReasonAssert, BugID: "x"}, Bug},
-		{&sched.Failure{Reason: sched.ReasonCrash}, Crash},
-		{&sched.Failure{Reason: sched.ReasonDeadlock}, Deadlock},
-		{&sched.Failure{Reason: sched.ReasonStepLimit}, Other},
-		{&sched.Failure{Reason: sched.ReasonAssert}, Other}, // no bug id
+		{nil, clean},
+		{&sched.Failure{Reason: sched.ReasonAssert, BugID: "x"}, bug},
+		{&sched.Failure{Reason: sched.ReasonCrash}, crash},
+		{&sched.Failure{Reason: sched.ReasonDeadlock}, deadlock},
+		{&sched.Failure{Reason: sched.ReasonStepLimit}, other},
+		{&sched.Failure{Reason: sched.ReasonAssert}, other}, // no bug id
 	}
 	for _, c := range cases {
-		if got := Classify(c.f); got != c.want {
-			t.Errorf("Classify(%+v) = %v, want %v", c.f, got, c.want)
+		if got := classify(c.f); got != c.want {
+			t.Errorf("classify(%+v) = %v, want %v", c.f, got, c.want)
 		}
 	}
-}
-
-// TestInjectorsDeterministic: every stock injector is a pure function
-// of per-thread call history — the property replay correctness rests
-// on. Feed two fresh hooks the same per-thread sequences in different
-// global interleavings and require identical decisions.
-func TestInjectorsDeterministic(t *testing.T) {
-	points := []sched.InjectPoint{
-		{Kind: sched.InjectSyscall, Obj: 2},
-		{Kind: sched.InjectSyscall, Obj: 3},
-		{Kind: sched.InjectLock, Obj: 7},
-	}
-	for _, cl := range Classes() {
-		if cl.New == nil {
-			continue
-		}
-		a, b := cl.New(), cl.New()
-		var alternating []sched.InjectAction
-		// Interleaving 1: threads alternate. Interleaving 2: thread 1
-		// runs all its points, then thread 2.
-		for i := 0; i < 20; i++ {
-			for tid := 1; tid <= 2; tid++ {
-				alternating = append(alternating, a(trace.TID(tid), points[i%len(points)]))
-			}
-		}
-		for tid := 1; tid <= 2; tid++ {
-			for i := 0; i < 20; i++ {
-				act := b(trace.TID(tid), points[i%len(points)])
-				// Thread tid's i-th decision sits at 2i+tid-1 in
-				// interleaving 1's commit order.
-				if want := alternating[2*i+tid-1]; act != want {
-					t.Fatalf("%s: decision %d of thread %d depends on interleaving: %+v vs %+v",
-						cl.Name, i, tid, act, want)
-				}
-			}
-		}
+	if s := fmt.Sprint(deadlock); s != "deadlock" {
+		t.Errorf("deadlock prints as %q", s)
 	}
 }

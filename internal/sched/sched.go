@@ -164,11 +164,6 @@ type Config struct {
 	// add; nil (the default) keeps the hot path free of any measurement
 	// cost.
 	Metrics *obs.Registry
-	// Inject, when non-nil, is the failure-injection hook consulted at
-	// every vsys call and lock acquisition (see inject.go and
-	// internal/scenario). Nil — the default — keeps the instrumented
-	// layers on their unconditional fast path.
-	Inject InjectFn
 }
 
 // DefaultMaxSteps bounds runs whose Config leaves MaxSteps zero.

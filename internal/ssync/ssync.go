@@ -28,35 +28,6 @@ func ID(name string) uint64 {
 	return h.Sum64()
 }
 
-// injectLock consults the thread's failure-injection hook for a
-// blocking acquisition and applies the verdict to op: extra modelled
-// cost (slow, contended locks) or a wedge (the acquire never proceeds —
-// a component hung holding shared state, the partial-shutdown class the
-// scenario matrix drives; dependent threads pile up behind it and the
-// run ends in deadlock detection). InjectFailOp has no meaning for a
-// lock and is ignored; InjectPanic fires in finishLock after the
-// acquisition, so the thread crashes while holding the primitive. With
-// no hook installed this is one nil check, allocation-free.
-func injectLock(t *sched.Thread, obj uint64, op *sched.Op) sched.InjectAction {
-	act := t.Inject(sched.InjectPoint{Kind: sched.InjectLock, Obj: obj})
-	if act.ExtraCost > 0 {
-		op.Cost = op.Cost + trace.CostUnit + act.ExtraCost
-	}
-	if act.Outcome == sched.InjectWedge {
-		op.Enabled = func() bool { return false }
-		op.Desc += " (wedged)"
-		op.BlockedOn = nil
-	}
-	return act
-}
-
-// finishLock completes an injected acquisition in the calling thread.
-func finishLock(act sched.InjectAction, what string) {
-	if act.Outcome == sched.InjectPanic {
-		panic("injected fault: " + what)
-	}
-}
-
 // Mutex is a non-reentrant mutual-exclusion lock.
 type Mutex struct {
 	name   string
@@ -77,17 +48,14 @@ func (m *Mutex) Obj() uint64 { return m.id }
 
 // Lock blocks until the mutex is free and acquires it.
 func (m *Mutex) Lock(t *sched.Thread) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:      trace.KindLock,
 		Obj:       m.id,
 		Desc:      "lock " + m.name,
 		Enabled:   func() bool { return m.holder == trace.NoTID },
 		BlockedOn: func() trace.TID { return m.holder },
 		Effect:    func(ctx *sched.EffectCtx) { m.holder = ctx.Self().ID() },
-	}
-	act := injectLock(t, m.id, op)
-	t.Point(op)
-	finishLock(act, "lock "+m.name)
+	})
 }
 
 // TryLock acquires the mutex iff it is currently free, reporting whether
@@ -169,17 +137,14 @@ func (m *RWMutex) RUnlock(t *sched.Thread) {
 
 // Lock acquires the lock for writing.
 func (m *RWMutex) Lock(t *sched.Thread) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:      trace.KindLock,
 		Obj:       m.id,
 		Desc:      "wlock " + m.name,
 		Enabled:   func() bool { return m.writer == trace.NoTID && m.readers == 0 },
 		BlockedOn: func() trace.TID { return m.writer },
 		Effect:    func(ctx *sched.EffectCtx) { m.writer = ctx.Self().ID() },
-	}
-	act := injectLock(t, m.id, op)
-	t.Point(op)
-	finishLock(act, "wlock "+m.name)
+	})
 }
 
 // Unlock releases a write acquisition.
@@ -297,16 +262,13 @@ func (s *Semaphore) Obj() uint64 { return s.id }
 
 // Acquire blocks until the count is positive and decrements it.
 func (s *Semaphore) Acquire(t *sched.Thread) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:    trace.KindSemAcquire,
 		Obj:     s.id,
 		Desc:    "sem-acquire " + s.name,
 		Enabled: func() bool { return s.count > 0 },
 		Effect:  func(*sched.EffectCtx) { s.count-- },
-	}
-	act := injectLock(t, s.id, op)
-	t.Point(op)
-	finishLock(act, "sem-acquire "+s.name)
+	})
 }
 
 // Release increments the count.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -126,6 +128,18 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	trunc := enc[:len(enc)-3]
 	if _, err := DecodeSketch(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated log should fail to decode")
+	}
+
+	// An input log cut inside its last record's payload: the header
+	// declares 8 bytes and only 5 remain.
+	in := &InputLog{Records: []InputRecord{
+		{TID: 1, Call: 2, Data: []byte("abc")},
+		{TID: 2, Call: 3, Data: []byte("payload!")},
+	}}
+	encIn := AppendInput(nil, in)
+	got, err := DecodeInput(bytes.NewReader(encIn[:len(encIn)-3]))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || got != nil {
+		t.Fatalf("truncated input payload: log %v, err %v; want nil, io.ErrUnexpectedEOF", got, err)
 	}
 }
 

@@ -206,36 +206,6 @@ func (w *World) hasReplayInput(tid trace.TID, call uint64) bool {
 	return len(w.cursor[inputKey{tid, call}]) > 0
 }
 
-// inject consults the thread's failure-injection hook (sched.InjectFn)
-// for a call and applies the generic parts of the verdict to op: extra
-// modelled cost (slow-I/O classes) and wedging (the op never becomes
-// enabled, modelling a hung backend). The per-call failure paths
-// (InjectFailOp — short reads, dropped sends, reset receives) are
-// handled at each call site; calls without a failure path treat
-// InjectFailOp as no action. With no hook installed this is a single
-// nil check and allocates nothing.
-func inject(t *sched.Thread, call uint64, op *sched.Op) sched.InjectAction {
-	act := t.Inject(sched.InjectPoint{Kind: sched.InjectSyscall, Obj: call})
-	if act.ExtraCost > 0 {
-		op.Cost += act.ExtraCost
-	}
-	if act.Outcome == sched.InjectWedge {
-		op.Enabled = func() bool { return false }
-		op.Desc += " (wedged)"
-	}
-	return act
-}
-
-// finish completes an injected call in the calling thread: the panic
-// outcome fires here, after the operation's scheduling point, so the
-// run ends with an application crash (sched.ReasonCrash) exactly as a
-// fault-triggered panic in a real handler would.
-func finish(act sched.InjectAction, call uint64) {
-	if act.Outcome == sched.InjectPanic {
-		panic("injected fault: sys " + CallName(call))
-	}
-}
-
 func encodeU64(v uint64) []byte {
 	b := make([]byte, 8)
 	for i := 0; i < 8; i++ {
@@ -256,7 +226,7 @@ func decodeU64(b []byte) uint64 {
 // advances a little on every sample; the sampled value is an input.
 func (w *World) Now(t *sched.Thread) uint64 {
 	var v uint64
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallNow,
 		Desc: "sys now",
@@ -268,17 +238,14 @@ func (w *World) Now(t *sched.Thread) uint64 {
 			})
 			ctx.Ev.Arg = v
 		},
-	}
-	act := inject(t, CallNow, op)
-	t.Point(op)
-	finish(act, CallNow)
+	})
 	return v
 }
 
 // Rand draws a random 64-bit value (an RDRAND/urandom analogue).
 func (w *World) Rand(t *sched.Thread) uint64 {
 	var v uint64
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallRand,
 		Desc: "sys rand",
@@ -287,10 +254,7 @@ func (w *World) Rand(t *sched.Thread) uint64 {
 			v = w.input(t.ID(), CallRand, w.randU64)
 			ctx.Ev.Arg = v
 		},
-	}
-	act := inject(t, CallRand, op)
-	t.Point(op)
-	finish(act, CallRand)
+	})
 	return v
 }
 
@@ -299,17 +263,14 @@ func (w *World) Rand(t *sched.Thread) uint64 {
 // against the other threads' work — this is how daemon threads (log
 // rotators, timers) spread their activity across a workload.
 func (w *World) Sleep(t *sched.Thread, d uint64) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:   trace.KindSyscall,
 		Obj:    CallSleep,
 		Arg:    d,
 		Desc:   "sys sleep",
 		Cost:   max(d, 1) * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) { w.clock += d },
-	}
-	act := inject(t, CallSleep, op)
-	t.Point(op)
-	finish(act, CallSleep)
+	})
 }
 
 type file struct {
@@ -330,7 +291,7 @@ type FD struct {
 // Open opens (creating if absent) the named file.
 func (w *World) Open(t *sched.Thread, name string) *FD {
 	fd := &FD{w: w, obj: hashName(name), open: true}
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallOpen,
 		Arg:  fd.obj,
@@ -344,16 +305,13 @@ func (w *World) Open(t *sched.Thread, name string) *FD {
 			}
 			fd.f = f
 		},
-	}
-	act := inject(t, CallOpen, op)
-	t.Point(op)
-	finish(act, CallOpen)
+	})
 	return fd
 }
 
 // Unlink removes the named file.
 func (w *World) Unlink(t *sched.Thread, name string) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallUnlink,
 		Arg:  hashName(name),
@@ -365,10 +323,7 @@ func (w *World) Unlink(t *sched.Thread, name string) {
 				delete(w.fs, name)
 			}
 		},
-	}
-	act := inject(t, CallUnlink, op)
-	t.Point(op)
-	finish(act, CallUnlink)
+	})
 }
 
 // FileSize returns the current size of a file without a scheduling
@@ -385,32 +340,24 @@ func (w *World) SeedFile(name string, data []byte) {
 	w.fs[name] = &file{name: name, data: append([]byte(nil), data...)}
 }
 
-// Write appends p at the handle's offset, returning the byte count (0
-// when an injected I/O error drops the write).
+// Write appends p at the handle's offset, returning the byte count.
 func (fd *FD) Write(t *sched.Thread, p []byte) int {
 	n := len(p)
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallWrite,
 		Arg:  uint64(n),
 		Desc: "sys write " + fd.f.name,
 		Cost: 8 * trace.CostUnit,
-	}
-	act := inject(t, CallWrite, op)
-	if act.Outcome == sched.InjectFailOp {
-		n = 0 // the write is lost before reaching the file
-	} else {
-		op.Effect = func(*sched.EffectCtx) {
+		Effect: func(*sched.EffectCtx) {
 			f := fd.f
 			for len(f.data) < fd.pos {
 				f.data = append(f.data, 0)
 			}
 			f.data = append(f.data[:fd.pos], append(append([]byte(nil), p...), f.data[min(fd.pos+n, len(f.data)):]...)...)
 			fd.pos += n
-		}
-	}
-	t.Point(op)
-	finish(act, CallWrite)
+		},
+	})
 	return n
 }
 
@@ -421,20 +368,13 @@ func (fd *FD) Write(t *sched.Thread, p []byte) int {
 // is non-deterministic input exactly as on a real kernel.
 func (fd *FD) Read(t *sched.Thread, p []byte) int {
 	var n int
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallRead,
 		Arg:  uint64(len(p)),
 		Desc: "sys read " + fd.f.name,
 		Cost: 8 * trace.CostUnit,
-	}
-	// An injected I/O error returns no bytes and — because the failure
-	// is decided by the same deterministic injector during recording and
-	// every replay attempt — consumes nothing from the input log, so the
-	// per-thread input cursors stay aligned.
-	act := inject(t, CallRead, op)
-	if act.Outcome != sched.InjectFailOp {
-		op.Effect = func(ctx *sched.EffectCtx) {
+		Effect: func(ctx *sched.EffectCtx) {
 			data := fd.w.inputBytes(t.ID(), CallRead, func() []byte {
 				if fd.pos >= len(fd.f.data) {
 					return nil
@@ -446,26 +386,21 @@ func (fd *FD) Read(t *sched.Thread, p []byte) int {
 			})
 			n = copy(p, data)
 			ctx.Ev.Arg = uint64(n)
-		}
-	}
-	t.Point(op)
-	finish(act, CallRead)
+		},
+	})
 	return n
 }
 
 // Close closes the handle.
 func (fd *FD) Close(t *sched.Thread) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:   trace.KindSyscall,
 		Obj:    CallClose,
 		Arg:    fd.obj,
 		Desc:   "sys close " + fd.f.name,
 		Cost:   4 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) { fd.open = false },
-	}
-	act := inject(t, CallClose, op)
-	t.Point(op)
-	finish(act, CallClose)
+	})
 }
 
 // Queue is a socket-like FIFO of messages: workload drivers Send client
@@ -490,25 +425,18 @@ func (w *World) NewQueue(name string) *Queue {
 	return q
 }
 
-// Send enqueues a message. An injected failure sheds it: the send is a
-// scheduling point as usual but the message never reaches the queue —
-// the overload-shedding model the scenario matrix drives.
+// Send enqueues a message.
 func (q *Queue) Send(t *sched.Thread, msg []byte) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallSend,
 		Arg:  q.obj,
 		Desc: "sys send " + q.name,
 		Cost: 8 * trace.CostUnit,
-	}
-	act := inject(t, CallSend, op)
-	if act.Outcome != sched.InjectFailOp {
-		op.Effect = func(*sched.EffectCtx) {
+		Effect: func(*sched.EffectCtx) {
 			q.msgs = append(q.msgs, append([]byte(nil), msg...))
-		}
-	}
-	t.Point(op)
-	finish(act, CallSend)
+		},
+	})
 }
 
 // Recv dequeues the next message, blocking while the queue is empty and
@@ -521,7 +449,7 @@ func (q *Queue) Send(t *sched.Thread, msg []byte) {
 // request-to-worker assignment without recording any ordering.
 func (q *Queue) Recv(t *sched.Thread) (msg []byte, ok bool) {
 	w := q.w
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind: trace.KindSyscall,
 		Obj:  CallRecv,
 		Arg:  q.obj,
@@ -549,31 +477,19 @@ func (q *Queue) Recv(t *sched.Thread) (msg []byte, ok bool) {
 			ok = true
 			ctx.Ev.Arg = uint64(len(msg))
 		},
-	}
-	act := inject(t, CallRecv, op)
-	if act.Outcome == sched.InjectFailOp {
-		// Injected connection reset: the receive fails immediately
-		// (never blocks), consumes nothing, and reports the peer gone.
-		op.Enabled = nil
-		op.Effect = nil
-	}
-	t.Point(op)
-	finish(act, CallRecv)
+	})
 	return msg, ok
 }
 
 // Close marks the queue closed; blocked and future Recvs drain whatever
 // remains and then return ok=false.
 func (q *Queue) Close(t *sched.Thread) {
-	op := &sched.Op{
+	t.Point(&sched.Op{
 		Kind:   trace.KindSyscall,
 		Obj:    CallCloseQueue,
 		Arg:    q.obj,
 		Desc:   "sys close-queue " + q.name,
 		Cost:   4 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) { q.closed = true },
-	}
-	act := inject(t, CallCloseQueue, op)
-	t.Point(op)
-	finish(act, CallCloseQueue)
+	})
 }
